@@ -386,11 +386,12 @@ def cmd_validate(job: JobConfig) -> int:
     )
     checks.append(("equilibrium", eqmax, EQUILIBRIUM_TOL, eqmax < EQUILIBRIUM_TOL))
 
+    # both series at the same boundary points z = Psi(e^{i theta})
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     zb = job.mapping.boundary_point(theta)
     si = single_layer_interior(sol, table, job.mapping, job.material, zb)
     se = single_layer_exterior(
-        sol, table, job.mapping, job.material, (1.0 + 1e-8) * np.exp(1j * theta)
+        sol, table, job.mapping, job.material, np.exp(1j * theta)
     )
     cont = float(np.abs(si - se).max())
     checks.append(("boundary_continuity", cont, CONTINUITY_TOL, cont < CONTINUITY_TOL))

@@ -6,23 +6,32 @@ Laurent mode:
 
     F_m(Psi(w)) = w**m + sum_{k>=1} c_{m,k} w**(-k),
 
-and the c_{m,k} are the Grunsky coefficients.  Because the maps handled
-here have a finite Laurent tail of order M, the composition is a finite
-Laurent polynomial (k runs to m*M only) and every coefficient below is
-computed exactly by series arithmetic, no quadrature involved.
+and the c_{m,k} are the Grunsky coefficients.  Every table here comes
+from the one three-term-with-tail recurrence
 
-The table also stores the change of basis for derivatives,
+    F_{m+1} = z F_m - sum_{s<=min(m,M)} a_s F_{m-s} - m a_m F_0,
+
+run in three representations that differ only in how they multiply by z:
+monomial coefficients, the Laurent canvas of F_m(Psi(w)) (z = Psi(w) is
+a finite Laurent polynomial, so the Grunsky rows are exact and end at
+k = m*M), and point values.  Differentiating the recurrence gives the
+one for F_m', whose constant term drops out because F_0' = 0.
+
+The change of basis for derivatives,
 
     F_m' = sum_{j=1}^{m-1} gamma_{m,j} F_j + gamma_{m,0},
 
-obtained by triangular back-substitution against the monic monomial
-table.  These coefficients drive the re-expansion of conjugated series
-in the transmission solve.
+has the closed form gamma_{m,j} = m d_{m-1-j} and gamma_{m,0} = m d_{m-1},
+where d_k are the Laurent coefficients of 1/Psi'(w) (keep the polynomial
+part of F_m'(Psi(w)) = m w**(m-1) / Psi'(w) + O(w**-2); Curtiss, Amer.
+Math. Monthly 78, 1971).  These coefficients drive the re-expansion of
+conjugated series in the transmission solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,105 +39,105 @@ from .conformal import ExteriorMap
 from .errors import NumericError
 
 
+def _tail(mapping: ExteriorMap) -> np.ndarray:
+    """a_0 .. a_M as a complex array."""
+    return np.array(
+        [mapping.coefficient(k) for k in range(mapping.order + 1)], dtype=complex
+    )
+
+
+def _recurrence(a: np.ndarray, out: np.ndarray, times_z) -> np.ndarray:
+    """Fill out[1:] from out[0] = F_0 by the Faber recurrence, in place.
+
+    ``times_z(m)`` returns a new array holding z * F_m in the
+    representation of ``out``.
+    """
+    M = len(a) - 1
+    for m in range(len(out) - 1):
+        new = times_z(m)
+        for s in range(min(m, M) + 1):
+            new -= a[s] * out[m - s]
+        if m <= M:
+            new -= m * a[m] * out[0]
+        out[m + 1] = new
+    return out
+
+
+def _inverse_derivative_series(a: np.ndarray, count: int) -> np.ndarray:
+    """d_0 .. d_{count-1}: Laurent coefficients of 1/Psi'(w) in w**-k."""
+    ia = np.arange(len(a)) * a  # Psi'(w) = 1 - sum_i i a_i w**(-i-1)
+    d = np.zeros(count, dtype=complex)
+    d[0] = 1.0
+    for k in range(2, count):
+        top = min(len(a) - 1, k - 1)
+        d[k] = np.dot(ia[1 : top + 1], d[k - 2 :: -1][:top])
+    return d
+
+
 @dataclass(frozen=True)
 class FaberTable:
-    """Monomial, Grunsky, and derivative data for F_0 ... F_N."""
+    """Grunsky and derivative data for F_0 ... F_N."""
 
     mapping: ExteriorMap
-    monomial: np.ndarray  # (N+1, N+1); row m = coefficients of F_m, constant first
     grunsky: np.ndarray  # (N, N); [m-1, k-1] = c_{m,k}
     gamma: np.ndarray  # (N, N); [m-1, j-1] = gamma_{m,j}, strictly lower
     gamma0: np.ndarray  # (N,);  [m-1] = gamma_{m,0}
     order: int
-    _grunsky_wide: np.ndarray  # (N+1, width+1); [m, k] = c_{m,k}, exact full rows
+    _grunsky_wide: np.ndarray  # (N+1, N*M+1); [m, k] = c_{m,k}, exact full rows
 
     def grunsky_row(self, m: int) -> np.ndarray:
         """All nonzero Grunsky coefficients of row m: c_{m,1} ... c_{m,mM}."""
         top = max(m * max(self.mapping.order, 1), 0)
         return self._grunsky_wide[m, 1 : top + 1]
 
+    @cached_property
+    def monomial(self) -> np.ndarray:
+        """(N+1, N+1); row m = coefficients of F_m, constant first.
 
-def _monomial_table(mapping: ExteriorMap, n: int) -> np.ndarray:
-    a = np.array([mapping.coefficient(k) for k in range(n + 1)], dtype=complex)
-    M = mapping.order
-    mono = np.zeros((n + 1, n + 1), dtype=complex)
-    mono[0, 0] = 1.0
-    for m in range(n):
-        row = np.zeros(n + 1, dtype=complex)
-        row[1 : m + 2] = mono[m, : m + 1]  # z * F_m
-        for s in range(min(m, M) + 1):
-            row -= a[s] * mono[m - s]
-        row[0] -= m * a[m] if m <= M else 0.0
-        mono[m + 1] = row
-    return mono
+        Built on first read; nothing on the solve path needs it.
+        """
+        n = self.order
+        mono = np.zeros((n + 1, n + 1), dtype=complex)
+        mono[0, 0] = 1.0
+        return _recurrence(
+            _tail(self.mapping), mono, lambda m: np.concatenate(([0.0], mono[m, :-1]))
+        )
 
 
 def _grunsky_wide(mapping: ExteriorMap, n: int) -> np.ndarray:
-    """Laurent coefficients of F_m(Psi(w)) for m = 0..n, by the recursion."""
+    """Laurent coefficients of F_m(Psi(w)) for m = 0..n, by the recurrence."""
+    a = _tail(mapping)
     M = mapping.order
-    Mq = max(M, 1)
-    width = n * Mq  # most negative exponent kept on the canvas
+    width = n * max(M, 1)  # most negative exponent kept on the canvas
     L = width + n + 1  # canvas exponents -width .. n; index(e) = e + width
-    a = np.array([mapping.coefficient(k) for k in range(M + 1)], dtype=complex)
-
-    psi = np.zeros(M + 2, dtype=complex)  # exponents -M .. 1; index(e) = e + M
-    psi[M + 1] = 1.0
-    for k in range(M + 1):
-        psi[M - k] = a[k]
+    psi = np.concatenate(([1.0], a))[::-1]  # exponents -M .. 1; index(e) = e + M
 
     comp = np.zeros((n + 1, L), dtype=complex)
     comp[0, width] = 1.0
-    for m in range(n):
-        conv = np.convolve(comp[m], psi)
-        new = conv[M : M + L].copy()
-        for s in range(min(m, M) + 1):
-            new -= a[s] * comp[m - s]
-        if m <= M:
-            new[width] -= m * a[m]
-        comp[m + 1] = new
+    _recurrence(a, comp, lambda m: np.convolve(comp[m], psi)[M : M + L])
 
     wide = np.zeros((n + 1, width + 1), dtype=complex)
-    for m in range(1, n + 1):
-        top = m * Mq
-        # coefficient of w^{-k} sits at canvas index width - k
-        wide[m, 1 : top + 1] = comp[m, width - top : width][::-1]
+    # coefficient of w^{-k} sits at canvas index width - k
+    wide[:, 1:] = comp[:, width - 1 :: -1]
     return wide
-
-
-def _derivative_basis(monomial: np.ndarray) -> tuple:
-    n = monomial.shape[0] - 1
-    gamma = np.zeros((n, n), dtype=complex)
-    gamma0 = np.zeros(n, dtype=complex)
-    for m in range(1, n + 1):
-        p = monomial[m, 1 : m + 1] * np.arange(1, m + 1)  # coefficients of F_m'
-        d = np.zeros(m, dtype=complex)
-        for j in range(m - 1, -1, -1):
-            acc = p[j]
-            for l in range(j + 1, m):
-                acc -= d[l] * monomial[l, j]
-            d[j] = acc  # monomial[j, j] == 1
-        gamma0[m - 1] = d[0]
-        if m > 1:
-            gamma[m - 1, : m - 1] = d[1:m]
-    return gamma, gamma0
 
 
 def build_faber(mapping: ExteriorMap, n: int) -> FaberTable:
     """Build the Faber table to order n >= 1."""
     if n < 1:
         raise ValueError("table order must be at least 1")
-    mono = _monomial_table(mapping, n)
-    wide = _grunsky_wide(mapping, n)
-    grunsky = np.zeros((n, n), dtype=complex)
-    kmax = min(n, wide.shape[1] - 1)
-    grunsky[:, :kmax] = wide[1:, 1 : kmax + 1]
-    gamma, gamma0 = _derivative_basis(mono)
+    wide = _grunsky_wide(mapping, n)  # at least n columns past k = 0
+    grunsky = wide[1:, 1 : n + 1].copy()
+
+    d = _inverse_derivative_series(_tail(mapping), n)
+    m = np.arange(1, n + 1)
+    lag = m[:, None] - m[None, :] - 1  # m - 1 - j at [m-1, j-1]
+    gamma = np.where(lag >= 0, m[:, None] * d[np.maximum(lag, 0)], 0.0)
     return FaberTable(
         mapping=mapping,
-        monomial=mono,
         grunsky=grunsky,
         gamma=gamma,
-        gamma0=gamma0,
+        gamma0=m * d,
         order=n,
         _grunsky_wide=wide,
     )
@@ -146,33 +155,28 @@ def derivative_basis(table: FaberTable) -> tuple:
     return table.gamma.copy(), table.gamma0.copy()
 
 
-def eval_faber(table: FaberTable, m: int, z):
-    """F_m(z) by Horner's scheme on the stored monomial coefficients."""
+def _check_index(table: FaberTable, m: int) -> None:
     if not 0 <= m <= table.order:
         raise IndexError(f"Faber index {m} outside table order {table.order}")
+
+
+def eval_faber(table: FaberTable, m: int, z):
+    """F_m(z) by the recurrence."""
+    _check_index(table, m)
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    coeffs = table.monomial[m, : m + 1]
-    acc = np.full(z.shape, coeffs[-1], dtype=complex)
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return complex(acc) if scalar else acc
+    out = faber_values(table.mapping, m, z)[0][m]
+    return complex(out[0]) if z.ndim == 0 else out
 
 
 def eval_ftilde(table: FaberTable, k: int, z):
     """F_k'(z)/k for k >= 1, and 0 for k <= 0."""
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
     if k <= 0:
-        out = np.zeros(z.shape, dtype=complex)
-        return complex(out) if scalar else out
-    if k > table.order:
-        raise IndexError(f"Faber index {k} outside table order {table.order}")
-    coeffs = table.monomial[k, 1 : k + 1] * np.arange(1, k + 1) / k
-    acc = np.full(z.shape, coeffs[-1], dtype=complex)
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return complex(acc) if scalar else acc
+        out = np.zeros(np.atleast_1d(z).shape, dtype=complex)
+    else:
+        _check_index(table, k)
+        out = faber_values(table.mapping, k, z)[1][k] / k
+    return complex(out[0]) if z.ndim == 0 else out
 
 
 def eval_G(mapping: ExteriorMap, k: int, w):
@@ -187,26 +191,16 @@ def eval_G(mapping: ExteriorMap, k: int, w):
 
 
 def faber_values(mapping: ExteriorMap, n: int, z):
-    """Values of F_0..F_n and their derivatives at z, by the recursion.
+    """Values of F_0..F_n and their derivatives at z, by the recurrence.
 
     Returns a pair of arrays of shape (n+1,) + shape(z).  This is the
     workhorse used by the field evaluators; it costs O(n * M) vector
     operations instead of O(n^2) for row-wise Horner evaluation.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    M = mapping.order
-    a = np.array([mapping.coefficient(k) for k in range(M + 1)], dtype=complex)
+    a = _tail(mapping)
     F = np.zeros((n + 1,) + z.shape, dtype=complex)
-    Fp = np.zeros_like(F)
     F[0] = 1.0
-    for m in range(n):
-        new = z * F[m]
-        newp = F[m] + z * Fp[m]
-        for s in range(min(m, M) + 1):
-            new -= a[s] * F[m - s]
-            newp -= a[s] * Fp[m - s]
-        if m <= M:
-            new -= m * a[m]
-        F[m + 1] = new
-        Fp[m + 1] = newp
-    return F, Fp
+    _recurrence(a, F, lambda m: z * F[m])
+    Fp = np.zeros_like(F)
+    return F, _recurrence(a, Fp, lambda m: z * Fp[m] + F[m])

@@ -129,12 +129,12 @@ def single_layer_exterior(
     mat: Material,
     w,
 ):
-    """Single-layer value S at z = Psi(w), |w| > 1."""
+    """Single-layer value S at z = Psi(w), |w| >= 1."""
     w = np.asarray(w, dtype=complex)
     scalar = w.ndim == 0
     wa = np.atleast_1d(w)
-    if np.any(np.abs(wa) <= 1.0):
-        raise DomainError("exterior evaluation needs |w| > 1")
+    if np.any(np.abs(wa) < 1.0 - 1e-12):
+        raise DomainError("exterior evaluation needs |w| >= 1")
     n = sol.order
     M = mapping.order
     if table.order < n + M:

@@ -1,7 +1,12 @@
+import hashlib
 import os
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from faberelast.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, main
+from util import random_univalent_map
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -166,6 +171,52 @@ class TestValidateCommand:
             "map = 0,0\nalpha1 = 0.75\nkappa = 3\nA = 0,0 1,0\nB = 0,0 1,0\n",
         )
         assert main(["validate", "--config", cfg]) == EXIT_OK
+
+    def test_high_degree_config(self, tmp_path, monkeypatch):
+        # map order 8 under a random loading of degree 60
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(860)
+        mp = random_univalent_map(rng, 8)
+
+        def pairs(values):
+            return " ".join(f"{complex(v).real!r},{complex(v).imag!r}" for v in values)
+
+        A = rng.normal(size=61) + 1j * rng.normal(size=61)
+        B = rng.normal(size=61) + 1j * rng.normal(size=61)
+        text = (
+            f"map = {pairs(mp.coefficient(k) for k in range(9))}\n"
+            f"lambda = 1\nmu = 1\nA = {pairs(A)}\nB = {pairs(B)}\n"
+            "truncation_N = 68\n"
+        )
+        cfg = tmp_path / "high.cfg"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+
+
+#: SHA-256 of the shipped figure outputs; any change to these bytes is a
+#: change of results, not a refactor
+FIGURE_OUTPUT_SHA256 = {
+    "fig1_solution.csv": "61506f19a2d36f7487d1b1908c5bf1756edc6131fdb269d537516a4c0d4de9fe",
+    "fig2_solution.csv": "5a0b3f8deaeaa45228cbb29cfa839b87f3cbb1685ec4662eb51891ee2c58f944",
+    "fig3_solution.csv": "c2cf527d2aaa3bf8d2ad8f140f2c73d7958b6b02b3413ccc7713e06e8de7f2f1",
+    "fig1_summary.txt": "1942f478d5a481af60c15faa699a7096f7e25ece20e1e9d42568262f8212fbaa",
+    "fig2_summary.txt": "a2687517b00aa1480d499fe440dcec902ae14f6aef4d59584d66ca32c0358012",
+    "fig3_summary.txt": "1dfa365a851db2d3a19f818d1eb64c699909abe690fdf4d944f41affd1d9862c",
+    "fig1_field.csv": "4ad8e752a7411ba311a8e613a1bca41efcf3d941d22fc579bccb695e2fdf2b88",
+    "fig2_field.csv": "ddaf6fe8d36090a0bddc40b6f08999d1282177226c29dd530b43ae1bfa623dad",
+    "fig3_field.csv": "56726b6a5a7e52ff4ec3ddf728b6c6277167001172dd76e4439c64edd60ada2c",
+}
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+def test_figure_outputs_byte_identical(tmp_path, name):
+    out = str(tmp_path / name)
+    cfg = str(CONFIGS / f"{name}.cfg")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    assert main(["field", "--config", cfg, "--out", out]) == EXIT_OK
+    for suffix in ("_solution.csv", "_summary.txt", "_field.csv"):
+        digest = hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest()
+        assert digest == FIGURE_OUTPUT_SHA256[name + suffix], name + suffix
 
 
 class TestFaberTableCommand:

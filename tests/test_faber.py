@@ -10,8 +10,15 @@ from faberelast import (
     eval_ftilde,
     faber_values,
     grunsky_matrix,
+    required_table_order,
+    solve_full,
 )
-from util import ellipse_faber_closed_form, random_univalent_map
+from util import (
+    FIG_LOADING,
+    FIG_MATERIAL,
+    ellipse_faber_closed_form,
+    random_univalent_map,
+)
 
 
 class TestRecursion:
@@ -52,6 +59,14 @@ class TestRecursion:
         for m in range(13):
             assert table.monomial[m, m] == 1.0
             assert np.all(table.monomial[m, m + 1 :] == 0.0)
+
+    def test_monomial_table_built_on_demand(self):
+        mp = ExteriorMap((0.0, 0.1 + 0.1j, 0.1 + 0.1j))
+        n = 12
+        table = build_faber(mp, required_table_order(mp, n))
+        solve_full(mp, FIG_LOADING, FIG_MATERIAL, n, table=table)
+        assert "monomial" not in vars(table)
+        assert table.monomial is table.monomial
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
@@ -159,6 +174,31 @@ class TestDerivativeBasis:
                 recon = recon + table.gamma[m - 1, j - 1] * F[j]
             scale = np.abs(Fp[m]).max()
             assert np.abs(recon - Fp[m]).max() < 1e-10 * max(scale, 1.0)
+
+
+class TestHighDegree:
+    def test_derivative_basis_identity_at_boundary(self):
+        # F_m' = sum_j gamma_{m,j} F_j + gamma_{m,0}, against the
+        # differentiated recurrence at boundary nodes, row by row
+        rng = np.random.default_rng(20)
+        cases = [(12, 133)] + [
+            (int(rng.integers(1, 13)), int(rng.integers(30, 134))) for _ in range(11)
+        ]
+        for order, n in cases:
+            mp = random_univalent_map(rng, order)
+            table = build_faber(mp, n)
+            zb = mp.boundary_point(2.0 * np.pi * np.arange(256) / 256)
+            F, Fp = faber_values(mp, n, zb)
+            recon = table.gamma @ F[1:] + table.gamma0[:, None]
+            err = np.abs(recon - Fp[1:]).max(axis=1)
+            assert np.all(err <= 1e-12 * np.abs(Fp[1:]).max(axis=1))
+
+    def test_ellipse_degree_80_on_boundary(self):
+        a = 0.5
+        table = build_faber(ExteriorMap((0.0, a)), 80)
+        zb = table.mapping.boundary_point(2.0 * np.pi * np.arange(64) / 64)
+        expected = ellipse_faber_closed_form(80, zb, a)
+        np.testing.assert_allclose(eval_faber(table, 80, zb), expected, rtol=1e-12)
 
 
 class TestEvaluation:

@@ -12,6 +12,7 @@ from faberelast import (
     build_y,
     coupling_block,
     density_on_boundary,
+    eval_u0,
     required_table_order,
     solve_block,
     solve_c3,
@@ -292,6 +293,21 @@ class TestSolveFull:
         assert abs(sol.s[0] - (-2.1375 - 0.2625j)) < 1e-12
         assert abs(sol.t[0] - (0.6 - 0.1875j)) < 1e-12
         assert abs(sol.c1) < 1e-13 and abs(sol.c2) < 1e-13
+
+    def test_degree_80_transmission(self):
+        rng = np.random.default_rng(21)
+        q = 256
+        theta = 2.0 * np.pi * np.arange(q) / q
+        for _ in range(10):
+            mp = random_univalent_map(rng, int(rng.integers(1, 13)))
+            mat = Material.from_lame(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            loading = random_loading(rng, 80)
+            n = 80 + mp.order
+            table = build_faber(mp, required_table_order(mp, n))
+            sol = solve_full(mp, loading, mat, n, table=table)
+            u0 = eval_u0(loading, table, mat, mp.boundary_point(theta))
+            res = transmission_residual(sol, mp, table, loading, mat, q)
+            assert res <= 1e-10 * max(1.0, float(np.abs(u0).max()))
 
     def test_tail_closed_form(self):
         rng = np.random.default_rng(6)
