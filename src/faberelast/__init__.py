@@ -30,6 +30,7 @@ from .faber import (
     grunsky_matrix,
 )
 from .fields import (
+    FieldGrid,
     FieldSample,
     GridSpec,
     displacement,

@@ -261,28 +261,61 @@ class ExteriorMap:
         )
 
 
+#: segments per block of the bounding-box prune in _polyline_self_intersections
+_SEGMENT_BLOCK = 32
+#: block pairs tested at once: 64 * 32**2 segment pairs
+_BLOCK_PAIR_BATCH = 64
+
+
 def _polyline_self_intersections(points: np.ndarray) -> list:
-    """Indices (i, j) of properly crossing segments of a closed polyline."""
+    """Indices (i, j), i < j, of properly crossing segments of a closed
+    polyline, sorted.
+
+    Segment i runs from point i to point i+1 (mod n).  Segments are
+    grouped in blocks of _SEGMENT_BLOCK; only pairs from blocks whose
+    bounding boxes overlap are tested, since crossing segments share a
+    point.  Neighbouring segments (j = i+1, and the wrap pair (0, n-1))
+    share an endpoint and are never tested.
+    """
     n = len(points)
     px, py = points.real, points.imag
     qx, qy = np.roll(px, -1), np.roll(py, -1)
     dx, dy = qx - px, qy - py
-    hits = []
-    for i in range(n - 2):
-        lo = i + 2
-        hi = n - 1 if i == 0 else n  # wrap-adjacent pair (0, n-1) shares a point
-        if lo >= hi:
-            continue
-        sl = slice(lo, hi)
+
+    starts = np.arange(0, n, _SEGMENT_BLOCK)
+    xlo = np.minimum.reduceat(np.minimum(px, qx), starts)
+    xhi = np.maximum.reduceat(np.maximum(px, qx), starts)
+    ylo = np.minimum.reduceat(np.minimum(py, qy), starts)
+    yhi = np.maximum.reduceat(np.maximum(py, qy), starts)
+    overlap = (
+        (xlo[:, None] <= xhi[None, :])
+        & (xlo[None, :] <= xhi[:, None])
+        & (ylo[:, None] <= yhi[None, :])
+        & (ylo[None, :] <= yhi[:, None])
+    )
+    bi, bj = np.nonzero(np.triu(overlap))
+    offsets = np.arange(_SEGMENT_BLOCK)
+    found_i, found_j = [], []
+    # a batch of block pairs at a time bounds the memory of the index arrays
+    for lo in range(0, len(bi), _BLOCK_PAIR_BATCH):
+        batch = slice(lo, lo + _BLOCK_PAIR_BATCH)
+        first = starts[bi[batch], None, None] + offsets[:, None]  # (pairs, 32, 1)
+        second = starts[bj[batch], None, None] + offsets  # (pairs, 1, 32)
+        i, j = (a.ravel() for a in np.broadcast_arrays(first, second))
+        keep = (j >= i + 2) & (j < n) & ~((i == 0) & (j == n - 1))
+        i, j = i[keep], j[keep]
         # orientation of both endpoints of segment j wrt segment i, and vice versa
-        d1 = dx[i] * (py[sl] - py[i]) - dy[i] * (px[sl] - px[i])
-        d2 = dx[i] * (qy[sl] - py[i]) - dy[i] * (qx[sl] - px[i])
-        d3 = dx[sl] * (py[i] - py[sl]) - dy[sl] * (px[i] - px[sl])
-        d4 = dx[sl] * (qy[i] - py[sl]) - dy[sl] * (qx[i] - px[sl])
+        d1 = dx[i] * (py[j] - py[i]) - dy[i] * (px[j] - px[i])
+        d2 = dx[i] * (qy[j] - py[i]) - dy[i] * (qx[j] - px[i])
+        d3 = dx[j] * (py[i] - py[j]) - dy[j] * (px[i] - px[j])
+        d4 = dx[j] * (qy[i] - py[j]) - dy[j] * (qx[i] - px[j])
         cross = (d1 * d2 < 0) & (d3 * d4 < 0)
-        for j in np.nonzero(cross)[0]:
-            hits.append((i, lo + int(j)))
-    return hits
+        found_i.append(i[cross])
+        found_j.append(j[cross])
+    i = np.concatenate(found_i)
+    j = np.concatenate(found_j)
+    order = np.lexsort((j, i))
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def boundary_perimeter(mapping: ExteriorMap, n: int = 4096) -> float:

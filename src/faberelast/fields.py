@@ -16,9 +16,6 @@ field accurate out to arbitrary radius.
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +43,56 @@ class FieldSample:
     u0: complex
     S: complex
     u: complex
+
+
+#: region codes of a FieldGrid, indices into REGION_LABELS
+INTERIOR, BOUNDARY, EXTERIOR = 0, 1, 2
+REGION_LABELS = (REGION_INTERIOR, REGION_BOUNDARY, REGION_EXTERIOR)
+
+
+@dataclass(frozen=True, eq=False)
+class FieldGrid:
+    """Displacement data on a rectangular grid, as arrays of shape (ny, nx).
+
+    Row r holds the points of the r-th y value, column c those of the
+    c-th x value.  ``region`` holds the codes INTERIOR (0), BOUNDARY (1)
+    and EXTERIOR (2); ``w`` is the preimage where it is known (exterior
+    points and boundary points Newton placed) and NaN elsewhere.
+    ``ambiguous`` marks points Newton left unconverged that the boundary
+    polygon does not enclose; they are reported as boundary.
+    ``unconverged`` counts all points Newton left unconverged.
+
+    The grid is also a sequence of FieldSample in row-major order.
+    """
+
+    z: np.ndarray
+    w: np.ndarray
+    region: np.ndarray
+    u0: np.ndarray
+    S: np.ndarray
+    u: np.ndarray
+    ambiguous: np.ndarray
+    unconverged: int
+
+    def __len__(self) -> int:
+        return self.z.size
+
+    def __getitem__(self, index) -> FieldSample:
+        k = range(len(self))[index]
+        return FieldSample(
+            z=complex(self.z.flat[k]),
+            w=complex(self.w.flat[k]),
+            region=REGION_LABELS[self.region.flat[k]],
+            u0=complex(self.u0.flat[k]),
+            S=complex(self.S.flat[k]),
+            u=complex(self.u.flat[k]),
+        )
+
+    def __iter__(self):
+        columns = [a.ravel().tolist() for a in (self.z, self.w, self.u0, self.S, self.u)]
+        labels = [REGION_LABELS[c] for c in self.region.ravel().tolist()]
+        for z, w, region, u0, S, u in zip(columns[0], columns[1], labels, *columns[2:]):
+            yield FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
 
 
 def single_layer_interior(
@@ -249,7 +296,7 @@ def field_grid(
     mat: Material,
     loading: FarFieldLoading,
     grid: GridSpec,
-) -> list:
+) -> FieldGrid:
     """Evaluate the field on a rectangular grid, row-major in y then x.
 
     Each point is classified by Newton inversion of the map: a preimage
@@ -258,8 +305,10 @@ def field_grid(
     and anything within tolerance of |w| = 1 is boundary.  Interior and
     boundary samples carry the rigid-motion displacement of the
     inclusion; their S column holds the interior series value.
-    Rows may be processed in parallel (FABERELAST_THREADS), assembly is
-    by index and deterministic.
+
+    All exterior points go through one call of the exterior series and
+    all other points through one call of the interior series; the
+    result is a FieldGrid of arrays of shape (ny, nx).
     """
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
@@ -267,96 +316,91 @@ def field_grid(
 
     wv, converged = mapping.invert(Z)
     radii = np.abs(wv)
-    exterior = converged & (radii > 1.0 + _BOUNDARY_TOL)
-    boundary = converged & (np.abs(radii - 1.0) <= _BOUNDARY_TOL)
-    interior = converged & (radii < 1.0 - _BOUNDARY_TOL)
-    undecided = ~converged
-    ambiguous = np.zeros_like(undecided)
-    if np.any(undecided):
+    region = np.full(Z.shape, INTERIOR, dtype=np.int8)
+    region[converged & (np.abs(radii - 1.0) <= _BOUNDARY_TOL)] = BOUNDARY
+    region[converged & (radii > 1.0 + _BOUNDARY_TOL)] = EXTERIOR
+    ambiguous = np.zeros(Z.shape, dtype=bool)
+    undecided = np.nonzero(~converged)[0]
+    if len(undecided):
         poly = mapping.boundary_point(
             np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
         )
-        inside = _points_in_polygon(Z[undecided], poly)
-        idx = np.nonzero(undecided)[0]
-        interior = interior.copy()
-        boundary = boundary.copy()
-        interior[idx[inside]] = True
-        boundary[idx[~inside]] = True  # ambiguous: report as boundary
-        ambiguous[idx[~inside]] = True
+        outside = undecided[~_points_in_polygon(Z[undecided], poly)]
+        region[outside] = BOUNDARY  # ambiguous: report as boundary
+        ambiguous[outside] = True
+    exterior = region == EXTERIOR
+    w = np.where((region != INTERIOR) & ~ambiguous, wv, complex(np.nan, np.nan))
 
     u0 = np.asarray(eval_u0(loading, table, mat, Z))
     S = np.zeros_like(Z)
     u = np.zeros_like(Z)
 
-    inner_mask = interior | boundary
-    n_threads = max(1, int(os.environ.get("FABERELAST_THREADS", "1") or "1"))
+    if exterior.any():
+        S[exterior] = single_layer_exterior(sol, table, mapping, mat, wv[exterior])
+        u[exterior] = u0[exterior] + S[exterior]
+    inner = ~exterior
+    if inner.any():
+        S[inner] = single_layer_interior(sol, table, mapping, mat, Z[inner])
+        u[inner] = sol.rigid_motion(Z[inner])
 
-    def eval_exterior(idx):
-        S[idx] = single_layer_exterior(sol, table, mapping, mat, wv[idx])
-        u[idx] = u0[idx] + S[idx]
-
-    def eval_inner(idx):
-        S[idx] = single_layer_interior(sol, table, mapping, mat, Z[idx])
-        u[idx] = sol.rigid_motion(Z[idx])
-
-    jobs = []
-    for mask, fn in ((exterior, eval_exterior), (inner_mask, eval_inner)):
-        idx = np.nonzero(mask)[0]
-        if len(idx) == 0:
-            continue
-        for chunk in np.array_split(idx, max(1, min(n_threads, len(idx)))):
-            jobs.append((fn, chunk))
-    if n_threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(lambda job: job[0](job[1]), jobs))
-    else:
-        for fn, chunk in jobs:
-            fn(chunk)
-
-    samples = []
-    nan = float("nan")
-    for i, z in enumerate(Z):
-        if exterior[i]:
-            region, wout = REGION_EXTERIOR, complex(wv[i])
-        elif boundary[i]:
-            wout = complex(nan, nan) if ambiguous[i] else complex(wv[i])
-            region = REGION_BOUNDARY
-        else:
-            region, wout = REGION_INTERIOR, complex(nan, nan)
-        samples.append(
-            FieldSample(
-                z=complex(z),
-                w=wout,
-                region=region,
-                u0=complex(u0[i]),
-                S=complex(S[i]),
-                u=complex(u[i]),
-            )
-        )
-    return samples
+    shape = (grid.ny, grid.nx)
+    return FieldGrid(
+        z=Z.reshape(shape),
+        w=w.reshape(shape),
+        region=region.reshape(shape),
+        u0=u0.reshape(shape),
+        S=S.reshape(shape),
+        u=u.reshape(shape),
+        ambiguous=ambiguous.reshape(shape),
+        unconverged=len(undecided),
+    )
 
 
-def write_field_csv(samples, path) -> None:
-    """Dump grid samples with 17-significant-digit round-trip format."""
-    fmt = "%.17g"
+#: points per chunk of the CSV writer, rounded down to whole grid rows
+_CSV_CHUNK_POINTS = 4096
+_CSV_HEADER = "x,y,re_w,im_w,region,re_u0,im_u0,re_S,im_S,re_u,im_u\n"
+_CSV_ROW = "%s,%s,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+_REGION_TEXT = np.array(REGION_LABELS, dtype=object)
 
-    def num(x: float) -> str:
-        return fmt % x if math.isfinite(x) else "nan"
 
+def _finite_or_nan(a: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(a), a, np.nan)
+
+
+def _formatted(values: np.ndarray) -> np.ndarray:
+    """'%.17g' text of each value, formatted once per distinct bit pattern."""
+    bits, inverse = np.unique(
+        _finite_or_nan(values).view(np.uint64), return_inverse=True
+    )
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inverse]
+
+
+def write_field_csv(grid: FieldGrid, path) -> None:
+    """Dump a field grid with 17-significant-digit round-trip format.
+
+    Non-finite values are written as ``nan``.  Rows are formatted a chunk
+    of whole grid rows at a time, so the text of the whole grid is never
+    held in memory at once.
+    """
+    x = _formatted(grid.z.real.ravel())
+    y = _formatted(grid.z.imag.ravel())
+    labels = _REGION_TEXT[grid.region.ravel()]
+    floats = [
+        _finite_or_nan(part(a).ravel())
+        for a in (grid.w, grid.u0, grid.S, grid.u)
+        for part in (np.real, np.imag)
+    ]
+    columns = (x, y, *floats[:2], labels, *floats[2:])
+    ncol = len(columns)
+    nx = grid.z.shape[-1]
+    step = max(1, _CSV_CHUNK_POINTS // nx) * nx
     with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,re_w,im_w,region,re_u0,im_u0,re_S,im_S,re_u,im_u\n")
-        for smp in samples:
-            row = [
-                num(smp.z.real),
-                num(smp.z.imag),
-                num(smp.w.real),
-                num(smp.w.imag),
-                smp.region,
-                num(smp.u0.real),
-                num(smp.u0.imag),
-                num(smp.S.real),
-                num(smp.S.imag),
-                num(smp.u.real),
-                num(smp.u.imag),
-            ]
-            fh.write(",".join(row) + "\n")
+        fh.write(_CSV_HEADER)
+        for lo in range(0, len(x), step):
+            chunk = [col[lo : lo + step].tolist() for col in columns]
+            k = len(chunk[0])
+            flat = [None] * (ncol * k)
+            for c, values in enumerate(chunk):
+                flat[c::ncol] = values
+            fh.write((_CSV_ROW * k) % tuple(flat))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from faberelast import DomainError, ExteriorMap, boundary_perimeter
-from util import random_univalent_map
+from faberelast.conformal import _polyline_self_intersections
+from util import FIG_MAPS, random_univalent_map
 
 
 class TestEval:
@@ -176,6 +177,63 @@ class TestUnivalence:
             if found:
                 break
         assert found
+
+
+def _self_intersections_loop(points):
+    """The segment-by-segment loop the pruned search replaced."""
+    n = len(points)
+    px, py = points.real, points.imag
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    dx, dy = qx - px, qy - py
+    hits = []
+    for i in range(n - 2):
+        lo = i + 2
+        hi = n - 1 if i == 0 else n  # wrap-adjacent pair (0, n-1) shares a point
+        if lo >= hi:
+            continue
+        sl = slice(lo, hi)
+        d1 = dx[i] * (py[sl] - py[i]) - dy[i] * (px[sl] - px[i])
+        d2 = dx[i] * (qy[sl] - py[i]) - dy[i] * (qx[sl] - px[i])
+        d3 = dx[sl] * (py[i] - py[sl]) - dy[sl] * (px[i] - px[sl])
+        d4 = dx[sl] * (qy[i] - py[sl]) - dy[sl] * (qx[i] - px[sl])
+        cross = (d1 * d2 < 0) & (d3 * d4 < 0)
+        for j in np.nonzero(cross)[0]:
+            hits.append((i, lo + int(j)))
+    return hits
+
+
+class TestSelfIntersections:
+    THETA = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+
+    @pytest.mark.parametrize(
+        "name, points, crossings",
+        [
+            ("fig3", FIG_MAPS["fig3"].boundary_point(THETA), 0),
+            # the crossing at the origin falls inside a segment, not on a vertex
+            ("figure-eight", np.sin(THETA + 1e-3) + 0.5j * np.sin(2.0 * (THETA + 1e-3)), 1),
+            ("w + 1.5/w^2", ExteriorMap((0.0, 0.0, 1.5)).boundary_point(THETA), 3),
+            ("w + 1.2/w^5", ExteriorMap((0.0,) * 5 + (1.2,)).boundary_point(THETA), 24),
+        ],
+    )
+    def test_matches_loop(self, name, points, crossings):
+        expected = _self_intersections_loop(points)
+        assert len(expected) == crossings, name
+        assert _polyline_self_intersections(points) == expected, name
+
+    def test_matches_loop_on_random_maps(self):
+        rng = np.random.default_rng(2048)
+        for _ in range(20):
+            mp = random_univalent_map(rng, int(rng.integers(1, 13)))
+            points = mp.boundary_point(self.THETA)
+            assert _polyline_self_intersections(points) == _self_intersections_loop(points)
+
+    @pytest.mark.parametrize("n", [4, 5, 33, 100, 257])
+    def test_matches_loop_on_random_polylines(self, n):
+        # point counts that are not a multiple of the block size, with
+        # many crossings spread over many block pairs
+        rng = np.random.default_rng(n)
+        points = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert _polyline_self_intersections(points) == _self_intersections_loop(points)
 
 
 class TestConstruction:

@@ -5,6 +5,8 @@ from faberelast import (
     DomainError,
     ExteriorMap,
     FarFieldLoading,
+    FieldGrid,
+    FieldSample,
     GridSpec,
     QuadratureRule,
     build_faber,
@@ -17,7 +19,9 @@ from faberelast import (
     single_layer_exterior,
     single_layer_interior,
     solve_full,
+    write_field_csv,
 )
+from faberelast.fields import BOUNDARY, EXTERIOR, INTERIOR
 from faberelast.solver import DensitySolution
 from util import FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
 
@@ -267,6 +271,181 @@ class TestFieldGrid:
         assert (tmp_path / "serial.csv").read_bytes() == (
             tmp_path / "threaded.csv"
         ).read_bytes()
+
+
+def _same(a, b):
+    """Bitwise-style equality of two complex values, NaN equal to NaN."""
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+def _reference_sample(sol, table, mapping, mat, loading, z):
+    """One grid point classified and evaluated on its own."""
+    wv, converged = mapping.invert(z)
+    w, r = complex(wv[0]), abs(wv[0])
+    assert converged[0]
+    u0 = complex(eval_u0(loading, table, mat, z))
+    if r > 1.0 + 1e-10:
+        S = complex(single_layer_exterior(sol, table, mapping, mat, w))
+        return FieldSample(z=z, w=w, region="exterior", u0=u0, S=S, u=u0 + S)
+    S = complex(single_layer_interior(sol, table, mapping, mat, z))
+    region = "boundary" if abs(r - 1.0) <= 1e-10 else "interior"
+    if region == "interior":
+        w = complex(np.nan, np.nan)
+    return FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=complex(sol.rigid_motion(z)))
+
+
+class TestFieldGridContainer:
+    def test_samples_match_point_by_point_reference(self):
+        mapping, mat, loading, table, sol = solved_figure("fig2", 16)
+        spec = GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)
+        grid = field_grid(sol, table, mapping, mat, loading, spec)
+        assert isinstance(grid, FieldGrid)
+        assert grid.z.shape == (21, 21)
+        xs = np.linspace(-2.0, 2.0, 21)
+        ys = np.linspace(-2.0, 2.0, 21)
+        points = (xs[None, :] + 1j * ys[:, None]).ravel()
+        samples = list(grid)
+        assert len(samples) == len(grid) == 21 * 21
+        for k, (smp, z) in enumerate(zip(samples, points)):
+            ref = _reference_sample(sol, table, mapping, mat, loading, complex(z))
+            assert smp.z == ref.z and smp.region == ref.region, k
+            for name in ("w", "u0", "S", "u"):
+                got, want = getattr(smp, name), getattr(ref, name)
+                assert np.isnan(got) == np.isnan(want), (k, name)
+                if not np.isnan(want):
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (k, name)
+            indexed = grid[k]
+            assert all(_same(getattr(indexed, f), getattr(smp, f)) for f in
+                       ("z", "w", "u0", "S", "u")) and indexed.region == smp.region
+        assert {"interior", "exterior"} <= {s.region for s in samples}
+        last = grid[-1]
+        assert last.z == samples[-1].z
+        with pytest.raises(IndexError):
+            grid[len(grid)]
+
+    def test_region_codes_and_arrays(self):
+        mapping, mat, loading, table, sol = solved_figure("fig1", 16)
+        grid = field_grid(sol, table, mapping, mat, loading,
+                          GridSpec(-2.0, 2.0, -2.0, 2.0, 11, 11))
+        exterior = grid.region == EXTERIOR
+        np.testing.assert_array_equal(grid.u[exterior], grid.u0[exterior] + grid.S[exterior])
+        assert np.isnan(grid.w[grid.region == INTERIOR]).all()
+        assert not np.isnan(grid.w[exterior]).any()
+
+    def test_point_on_boundary_is_not_ambiguous(self):
+        mapping, mat, loading, table, sol = solved_figure("fig1", 16)
+        zb = complex(mapping.boundary_point(0.0))
+        grid = field_grid(sol, table, mapping, mat, loading,
+                          GridSpec(zb.real, zb.real + 1.0, zb.imag, zb.imag + 1.0, 2, 2))
+        assert grid.region[0, 0] == BOUNDARY
+        assert abs(abs(grid.w[0, 0]) - 1.0) < 1e-10
+        assert grid.unconverged == 0
+        assert grid.ambiguous.shape == (2, 2) and not grid.ambiguous.any()
+
+    def test_far_field_grid_has_no_ambiguous_points(self):
+        mapping, mat, loading, table, sol = solved_figure("fig3", 16)
+        grid = field_grid(sol, table, mapping, mat, loading,
+                          GridSpec(20.0, 40.0, -40.0, 40.0, 9, 17))
+        assert (grid.region == EXTERIOR).all()
+        assert grid.unconverged == 0
+        assert not grid.ambiguous.any()
+
+    def test_unconverged_points_are_flagged(self, monkeypatch, tmp_path):
+        # Newton reports every point unconverged: the polygon test puts the
+        # enclosed points inside and reports the rest as ambiguous boundary
+        mapping, mat, loading, table, sol = solved_figure("fig1", 16)
+        invert = ExteriorMap.invert
+
+        def failing_invert(self, z, *args, **kwargs):
+            w, converged = invert(self, z, *args, **kwargs)
+            return w, np.zeros_like(converged)
+
+        monkeypatch.setattr(ExteriorMap, "invert", failing_invert)
+        grid = field_grid(sol, table, mapping, mat, loading,
+                          GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9))
+        assert grid.unconverged == 81
+        inside = grid.region == INTERIOR
+        assert inside[4, 4] and inside.sum() < 81
+        np.testing.assert_array_equal(grid.ambiguous, ~inside)
+        assert (grid.region[~inside] == BOUNDARY).all()
+        assert np.isnan(grid.w).all()
+        write_field_csv(grid, tmp_path / "f.csv")
+        rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
+        assert sum(r.split(",")[4] == "boundary" for r in rows) == int((~inside).sum())
+        assert all(r.split(",")[2:4] == ["nan", "nan"] for r in rows)
+
+
+def _reference_csv(samples):
+    """Per-value writer: each number formatted on its own."""
+
+    def num(x):
+        return "%.17g" % x if np.isfinite(x) else "nan"
+
+    lines = ["x,y,re_w,im_w,region,re_u0,im_u0,re_S,im_S,re_u,im_u"]
+    for smp in samples:
+        row = [num(smp.z.real), num(smp.z.imag), num(smp.w.real), num(smp.w.imag),
+               smp.region]
+        for v in (smp.u0, smp.S, smp.u):
+            row += [num(v.real), num(v.imag)]
+        lines.append(",".join(row))
+    return lines
+
+
+def _hand_grid(rng, ny, nx, special=()):
+    shape = (ny, nx)
+
+    def cplx():
+        scale = 10.0 ** rng.integers(-5, 5, size=shape)
+        return rng.normal(size=shape) * scale + 1j * rng.normal(size=shape)
+
+    fields = {name: cplx() for name in ("z", "w", "u0", "S", "u")}
+    region = rng.integers(0, 3, size=shape).astype(np.int8)
+    for name, index, value in special:
+        fields[name][index] = value
+    return FieldGrid(region=region, ambiguous=np.zeros(shape, dtype=bool),
+                     unconverged=0, **fields)
+
+
+class TestWriteFieldCsv:
+    def test_special_values_match_reference(self, tmp_path):
+        inf, nan = np.inf, np.nan
+        special = [
+            ("z", (0, 0), complex(-0.0, 0.0)),
+            ("z", (0, 1), complex(1e-300, -0.0)),
+            ("u0", (0, 0), complex(inf, -inf)),
+            ("S", (0, 1), complex(nan, -0.0)),
+            ("u", (1, 0), complex(1e-300, -1e-300)),
+            ("w", (1, 1), complex(-inf, 5e-324)),
+            ("S", (2, 2), complex(inf, inf)),
+        ]
+        grid = _hand_grid(np.random.default_rng(3), 3, 4, special)
+        # an ambiguous point: unconverged, outside the polygon, no preimage
+        grid.region[2, 3] = BOUNDARY
+        grid.w[2, 3] = complex(nan, nan)
+        grid.ambiguous[2, 3] = True
+        write_field_csv(grid, tmp_path / "f.csv")
+        lines = (tmp_path / "f.csv").read_text().split("\n")
+        assert lines[-1] == ""
+        assert lines[:-1] == _reference_csv(grid)
+        assert lines[1].startswith("-0,0,")
+        assert lines[2].startswith("1e-300,-0,")
+        assert lines[1].split(",")[5:7] == ["nan", "nan"]
+        assert lines[6].split(",")[2:4] == ["nan", "4.9406564584124654e-324"]
+        assert lines[12].split(",")[2:5] == ["nan", "nan", "boundary"]
+        assert "inf" not in "".join(lines)
+
+    def test_chunk_remainder(self, tmp_path):
+        # 7 * 1000 points is not a multiple of the whole-row chunk
+        grid = _hand_grid(np.random.default_rng(4), 1000, 7)
+        write_field_csv(grid, tmp_path / "f.csv")
+        text = (tmp_path / "f.csv").read_text()
+        assert text.count("\n") == 7 * 1000 + 1
+        assert text.split("\n")[:-1] == _reference_csv(grid)
+
+    def test_rows_wider_than_chunk(self, tmp_path):
+        grid = _hand_grid(np.random.default_rng(5), 3, 5000)
+        write_field_csv(grid, tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_text().split("\n")[:-1] == _reference_csv(grid)
 
 
 class TestEvalU0FarField:
