@@ -95,6 +95,12 @@ class FieldGrid:
             yield FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
 
 
+def _active_modes(sol: DensitySolution) -> list:
+    """The modes m = 1..order with s_m or t_m nonzero, in increasing order."""
+    n = sol.order
+    return (np.flatnonzero((sol.s[:n] != 0) | (sol.t[:n] != 0)) + 1).tolist()
+
+
 def single_layer_interior(
     sol: DensitySolution,
     table: FaberTable,
@@ -106,8 +112,9 @@ def single_layer_interior(
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     za = np.atleast_1d(z)
-    n = sol.order
     M = mapping.order
+    modes = _active_modes(sol)
+    n = modes[-1] if modes else 0  # effective degree
     F, Fp = faber_values(mapping, n + M, za)
 
     def ftilde(j):
@@ -118,11 +125,9 @@ def single_layer_interior(
     a1 = mat.alpha1
     a2 = mat.alpha2
     twoS = np.zeros_like(za)
-    for m in range(1, n + 1):
+    for m in modes:
         sm = sol.s[m - 1]
         tm = sol.t[m - 1]
-        if sm == 0 and tm == 0:
-            continue
         if tm != 0:
             twoS += -a1 * (tm / m) * F[m]
             twoS += a2 * za * np.conj(tm * ftilde(m))
@@ -143,30 +148,30 @@ def single_layer_interior(
     return complex(out[0]) if scalar else out.reshape(z.shape)
 
 
-def _tilde_minus_G(table: FaberTable, j: int, u: np.ndarray, inv_dpsi: np.ndarray):
-    """Ftilde_j(Psi(w)) - G_j(w) as a decaying series in u = 1/w."""
-    if j <= 0:
-        return -(u ** (1 - j)) * inv_dpsi
-    row = table.grunsky_row(j)
-    if len(row) == 0:
-        return np.zeros_like(u)
-    acc = np.zeros_like(u)
-    ks = np.arange(1, len(row) + 1)
-    for c in (row * ks)[::-1]:
-        acc = acc * u + c
-    # acc = sum_k k c_{j,k} u^{k-1}; multiply the two u powers back in
-    return -(acc * u * u) * inv_dpsi / j
+def _horner_rows(rows, u: np.ndarray) -> np.ndarray:
+    """Values sum_k row[k] u**k of coefficient rows given longest first.
 
-
-def _comp_minus_power(table: FaberTable, m: int, u: np.ndarray):
-    """F_m(Psi(w)) - w**m = sum_k c_{m,k} u**k."""
-    row = table.grunsky_row(m)
-    if len(row) == 0:
-        return np.zeros_like(u)
-    acc = np.zeros_like(u)
-    for c in row[::-1]:
-        acc = acc * u + c
-    return acc * u
+    Returns an array of shape (len(rows), len(u)).  The rows are stacked
+    left-aligned, highest coefficient first, so the rows still running
+    at each step are a prefix of the stack, and every element goes
+    through the same ``acc = acc*u + c`` sequence as a loop over one row.
+    """
+    lengths = [len(row) for row in rows]
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise ValueError("rows must come longest first")
+    width = lengths[0] if rows else 0
+    coef = np.zeros((len(rows), width), dtype=complex)
+    for r, row in enumerate(rows):
+        coef[r, : len(row)] = row[::-1]
+    acc = np.zeros((len(rows), len(u)), dtype=complex)
+    k = len(rows)
+    for step in range(width):
+        while lengths[k - 1] <= step:  # row k-1 has run out
+            k -= 1
+        head = acc[:k]
+        head *= u
+        head += coef[:k, step, None]
+    return acc
 
 
 def single_layer_exterior(
@@ -179,7 +184,7 @@ def single_layer_exterior(
     """Single-layer value S at z = Psi(w), |w| >= 1."""
     w = np.asarray(w, dtype=complex)
     scalar = w.ndim == 0
-    wa = np.atleast_1d(w)
+    wa = w.reshape(-1)
     if np.any(np.abs(wa) < 1.0 - 1e-12):
         raise DomainError("exterior evaluation needs |w| >= 1")
     n = sol.order
@@ -189,39 +194,64 @@ def single_layer_exterior(
     u = 1.0 / wa
     psi = mapping.eval(wa)
     inv_dpsi = 1.0 / mapping.derivative(wa)
+    modes = _active_modes(sol)
+    taps = [(k, np.conj(mapping.coefficient(k))) for k in range(-1, M + 1)]
+    taps = [(k, cak) for k, cak in taps if cak != 0]
 
-    tilde_cache: dict = {}
-
-    def tg(j):
-        if j not in tilde_cache:
-            tilde_cache[j] = _tilde_minus_G(table, j, u, inv_dpsi)
-        return tilde_cache[j]
-
+    # pass 1: F_m(Psi(w)) - w**m = sum_k c_{m,k} u**k, and v1; the
+    # highest mode has the longest Grunsky row, so it leads the stack
+    comp = _horner_rows([table.grunsky_row(m) for m in modes[::-1]], u)[::-1]
+    comp *= u
     v1 = np.zeros_like(wa)
-    v2 = np.zeros_like(wa)
-    v3 = np.zeros_like(wa)
-    for m in range(1, n + 1):
+    for i, m in enumerate(modes):
         sm = sol.s[m - 1]
         tm = sol.t[m - 1]
-        if sm == 0 and tm == 0:
-            continue
-        um = u**m
+        um = u**m  # the expression shapes below are part of the output bits
         if sm != 0:
-            v1 += (sm / m) * (np.conj(_comp_minus_power(table, m, u)) + um)
+            v1 += (sm / m) * (np.conj(comp[i]) + um)
+        if tm != 0:
+            v1 += (tm / m) * (comp[i] + np.conj(um))
+    del comp  # no view of it is left, so pass 2 reuses the memory
+
+    # pass 2: Ftilde_j(Psi(w)) - G_j(w) for every j the modes reach
+    reach = set()
+    for m in modes:
+        if sol.s[m - 1] != 0:
+            reach.update(k - m for k, _ in taps)
+        if sol.t[m - 1] != 0:
+            reach.update(k + m for k, _ in taps)
+            reach.add(m)
+    js = sorted((j for j in reach if j > 0), reverse=True)
+    rows = map(table.grunsky_row, js)
+    tilde = _horner_rows([row * np.arange(1, len(row) + 1) for row in rows], u)
+    # tilde_j = sum_k k c_{j,k} u^{k-1}; multiply the two u powers back in
+    tilde *= u
+    tilde *= u
+    np.negative(tilde, out=tilde)
+    tilde *= inv_dpsi
+    tilde /= np.array(js)[:, None]
+    tg = dict(zip(js, tilde))
+    for j in reach:
+        if j <= 0:
+            tg[j] = -(u ** (1 - j)) * inv_dpsi
+
+    v2 = np.zeros_like(wa)
+    v3 = np.zeros_like(wa)
+    for m in modes:
+        sm = sol.s[m - 1]
+        tm = sol.t[m - 1]
+        um = u**m  # as in pass 1, the expression shapes are part of the bits
+        if sm != 0:
             v2 += -sm * (u * um) * inv_dpsi  # -G_{-m}
         if tm != 0:
-            v1 += (tm / m) * (_comp_minus_power(table, m, u) + np.conj(um))
-            v2 += tm * tg(m)
+            v2 += tm * tg[m]
         inner_s = 0.0
         inner_t = 0.0
-        for k in range(-1, M + 1):
-            cak = np.conj(mapping.coefficient(k))
-            if cak == 0:
-                continue
+        for k, cak in taps:
             if sm != 0:
-                inner_s = inner_s + cak * tg(k - m)
+                inner_s = inner_s + cak * tg[k - m]
             if tm != 0:
-                inner_t = inner_t + cak * tg(k + m)
+                inner_t = inner_t + cak * tg[k + m]
         v3 += sm * inner_s + tm * inner_t
     twoS = -mat.alpha1 * v1 + mat.alpha2 * psi * np.conj(v2) - mat.alpha2 * np.conj(v3)
     out = 0.5 * twoS

@@ -154,10 +154,16 @@ def faber_coefficients_from_samples(samples, m: int, r: float) -> complex:
 def faber_coefficients(
     v, mapping: ExteriorMap, count: int, r: float = 2.0, q: int = 512
 ) -> np.ndarray:
-    """First ``count + 1`` Faber coefficients of a callable loading v(z)."""
+    """First ``count + 1`` Faber coefficients of a callable loading v(z).
+
+    All of them come from one FFT of the samples: the trapezoid sum of
+    ``faber_coefficients_from_samples`` for mode m is FFT bin m mod q,
+    scaled by r**-m / q (Ellacott, Math. Comp. 40, 1983).
+    """
+    if r <= 1.0:
+        raise ValueError("sampling radius must exceed 1")
     theta = 2.0 * np.pi * np.arange(q) / q
     w = r * np.exp(1j * theta)
     samples = np.asarray(v(mapping.eval(w)), dtype=complex)
-    return np.array(
-        [faber_coefficients_from_samples(samples, m, r) for m in range(count + 1)]
-    )
+    m = np.arange(count + 1)
+    return np.fft.fft(samples)[m % q] / q * r ** -m.astype(float)

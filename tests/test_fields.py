@@ -21,7 +21,8 @@ from faberelast import (
     solve_full,
     write_field_csv,
 )
-from faberelast.fields import BOUNDARY, EXTERIOR, INTERIOR
+from faberelast.faber import faber_values
+from faberelast.fields import BOUNDARY, EXTERIOR, INTERIOR, _horner_rows
 from faberelast.solver import DensitySolution
 from util import FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
 
@@ -122,6 +123,234 @@ class TestExterior:
             z = complex(mapping.eval(w))
             got = single_layer_exterior(sol, table, mapping, mat, w)
             assert abs(got - kelvin_single_layer(phi, mapping, mat, z, rule)) < 1e-6
+
+
+# -- frozen per-row evaluators ------------------------------------------
+# Copies of the series evaluators as they were before the stacked Horner
+# kernel and the effective-degree sizing.  The current evaluators must
+# reproduce them bit for bit: numpy's complex multiply may round
+# differently depending on operand order and on which buffer receives
+# the product, so equal formulas are not enough.
+
+
+def _frozen_tilde_minus_G(table, j, u, inv_dpsi):
+    if j <= 0:
+        return -(u ** (1 - j)) * inv_dpsi
+    row = table.grunsky_row(j)
+    if len(row) == 0:
+        return np.zeros_like(u)
+    acc = np.zeros_like(u)
+    ks = np.arange(1, len(row) + 1)
+    for c in (row * ks)[::-1]:
+        acc = acc * u + c
+    return -(acc * u * u) * inv_dpsi / j
+
+
+def _frozen_comp_minus_power(table, m, u):
+    row = table.grunsky_row(m)
+    if len(row) == 0:
+        return np.zeros_like(u)
+    acc = np.zeros_like(u)
+    for c in row[::-1]:
+        acc = acc * u + c
+    return acc * u
+
+
+def _frozen_exterior(sol, table, mapping, mat, w):
+    wa = np.atleast_1d(np.asarray(w, dtype=complex))
+    M = mapping.order
+    u = 1.0 / wa
+    psi = mapping.eval(wa)
+    inv_dpsi = 1.0 / mapping.derivative(wa)
+    tilde_cache = {}
+
+    def tg(j):
+        if j not in tilde_cache:
+            tilde_cache[j] = _frozen_tilde_minus_G(table, j, u, inv_dpsi)
+        return tilde_cache[j]
+
+    v1 = np.zeros_like(wa)
+    v2 = np.zeros_like(wa)
+    v3 = np.zeros_like(wa)
+    for m in range(1, sol.order + 1):
+        sm = sol.s[m - 1]
+        tm = sol.t[m - 1]
+        if sm == 0 and tm == 0:
+            continue
+        um = u**m
+        if sm != 0:
+            v1 += (sm / m) * (np.conj(_frozen_comp_minus_power(table, m, u)) + um)
+            v2 += -sm * (u * um) * inv_dpsi
+        if tm != 0:
+            v1 += (tm / m) * (_frozen_comp_minus_power(table, m, u) + np.conj(um))
+            v2 += tm * tg(m)
+        inner_s = 0.0
+        inner_t = 0.0
+        for k in range(-1, M + 1):
+            cak = np.conj(mapping.coefficient(k))
+            if cak == 0:
+                continue
+            if sm != 0:
+                inner_s = inner_s + cak * tg(k - m)
+            if tm != 0:
+                inner_t = inner_t + cak * tg(k + m)
+        v3 += sm * inner_s + tm * inner_t
+    twoS = -mat.alpha1 * v1 + mat.alpha2 * psi * np.conj(v2) - mat.alpha2 * np.conj(v3)
+    return 0.5 * twoS
+
+
+def _frozen_interior(sol, table, mapping, mat, z):
+    za = np.atleast_1d(np.asarray(z, dtype=complex))
+    n = sol.order
+    M = mapping.order
+    F, Fp = faber_values(mapping, n + M, za)
+
+    def ftilde(j):
+        return 0.0 if j <= 0 else Fp[j] / j
+
+    a1 = mat.alpha1
+    a2 = mat.alpha2
+    twoS = np.zeros_like(za)
+    for m in range(1, n + 1):
+        sm = sol.s[m - 1]
+        tm = sol.t[m - 1]
+        if sm == 0 and tm == 0:
+            continue
+        if tm != 0:
+            twoS += -a1 * (tm / m) * F[m]
+            twoS += a2 * za * np.conj(tm * ftilde(m))
+        if sm != 0:
+            twoS += -a1 * (sm / m) * np.conj(F[m])
+        inner_s = 0.0
+        inner_t = 0.0
+        for k in range(-1, M + 1):
+            ak = mapping.coefficient(k)
+            if ak == 0:
+                continue
+            if sm != 0 and k > m:
+                inner_s = inner_s + ak * np.conj(ftilde(k - m))
+            if tm != 0:
+                inner_t = inner_t + ak * np.conj(ftilde(k + m))
+        twoS += -a2 * (np.conj(sm) * inner_s + np.conj(tm) * inner_t)
+    return 0.5 * twoS
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def _exterior_points(rng, count):
+    radius = 1.0 + rng.exponential(1.0, count)
+    return radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+
+
+def _map_of_order(order):
+    if order == 0:
+        return ExteriorMap(())
+    return random_univalent_map(np.random.default_rng(700 + order), order)
+
+
+#: solutions given by their nonzero modes: {m: s_m}, {m: t_m}
+_MODE_PATTERNS = {
+    "s_only": ({1: 0.3 - 0.2j, 5: 1.1, 17: -0.4j}, {}),
+    "t_only": ({}, {2: 0.7j, 9: -0.25 + 0.5j, 30: 0.05}),
+    "gapped": ({1: 1.0, 4: 0.2j, 7: -0.6}, {3: 0.4 - 0.1j, 7: 0.9j, 11: -0.3}),
+    "zero": ({}, {}),
+}
+
+
+class TestBitwiseAgainstPerRowEvaluators:
+    @pytest.mark.parametrize("order", range(13))
+    def test_exterior_solved_random_maps(self, order):
+        mp = _map_of_order(order)
+        degree = (1, 40, 20, 5)[order % 4] if order < 12 else 60
+        n = degree + max(order, 1)
+        table = build_faber(mp, required_table_order(mp, n))
+        loading = random_loading(np.random.default_rng(800 + order), degree)
+        sol = solve_full(mp, loading, FIG_MATERIAL, n, table=table)
+        rng = np.random.default_rng(900 + order)
+        for count in (1, 266, 5000):
+            w = _exterior_points(rng, count)
+            got = single_layer_exterior(sol, table, mp, FIG_MATERIAL, w)
+            ref = _frozen_exterior(sol, table, mp, FIG_MATERIAL, w)
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
+        scalar = single_layer_exterior(sol, table, mp, FIG_MATERIAL, complex(w[0]))
+        np.testing.assert_array_equal(_bits(scalar), _bits(ref[0]))
+
+    @pytest.mark.parametrize("pattern", sorted(_MODE_PATTERNS))
+    @pytest.mark.parametrize("order", (0, 3, 12))
+    def test_exterior_mode_patterns(self, pattern, order):
+        mp = _map_of_order(order)
+        sol = _mode_solution(32, *_MODE_PATTERNS[pattern])
+        table = build_faber(mp, 32 + order)
+        rng = np.random.default_rng(order)
+        # 20000 points pass numpy's size threshold for reusing temporaries
+        for count in (1, 266, 5000, 20000):
+            w = _exterior_points(rng, count)
+            got = single_layer_exterior(sol, table, mp, FIG_MATERIAL, w)
+            ref = _frozen_exterior(sol, table, mp, FIG_MATERIAL, w)
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
+
+    @pytest.mark.parametrize("pattern", sorted(_MODE_PATTERNS))
+    @pytest.mark.parametrize("order", (0, 3, 12))
+    def test_interior_mode_patterns(self, pattern, order):
+        mp = _map_of_order(order)
+        sol = _mode_solution(32, *_MODE_PATTERNS[pattern])
+        table = build_faber(mp, 32 + order)
+        rng = np.random.default_rng(order)
+        for count in (1, 266, 5000):
+            z = 0.9 * _exterior_points(rng, count) / 2.0
+            got = single_layer_interior(sol, table, mp, FIG_MATERIAL, z)
+            ref = _frozen_interior(sol, table, mp, FIG_MATERIAL, z)
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
+
+    @pytest.mark.parametrize("order", (1, 5, 12))
+    def test_interior_solved_random_maps(self, order):
+        mp = _map_of_order(order)
+        n = 60 + order
+        table = build_faber(mp, required_table_order(mp, n))
+        loading = random_loading(np.random.default_rng(order), 60)
+        sol = solve_full(mp, loading, FIG_MATERIAL, n, table=table)
+        z = mp.boundary_point(np.linspace(0.0, 2.0 * np.pi, 266, endpoint=False))
+        got = single_layer_interior(sol, table, mp, FIG_MATERIAL, z)
+        ref = _frozen_interior(sol, table, mp, FIG_MATERIAL, z)
+        np.testing.assert_array_equal(_bits(got), _bits(ref))
+
+
+def _horner_loop(row, u):
+    acc = np.zeros_like(u)
+    for c in row[::-1]:
+        acc = acc * u + c
+    return acc
+
+
+class TestHornerRows:
+    def test_ragged_rows_match_per_row_loop(self):
+        rng = np.random.default_rng(4)
+        u = 1.0 / _exterior_points(rng, 300)
+        lengths = (40, 40, 23, 7, 1, 0)
+        rows = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in lengths]
+        rows[2][5] = 0.0  # zero coefficients inside a row
+        got = _horner_rows(rows, u)
+        assert got.shape == (len(rows), len(u))
+        for row, values in zip(rows, got):
+            np.testing.assert_array_equal(_bits(values), _bits(_horner_loop(row, u)))
+
+    def test_single_point(self):
+        rng = np.random.default_rng(5)
+        u = 1.0 / _exterior_points(rng, 1)
+        rows = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in (9, 4)]
+        got = _horner_rows(rows, u)
+        for row, values in zip(rows, got):
+            np.testing.assert_array_equal(_bits(values), _bits(_horner_loop(row, u)))
+
+    def test_no_rows(self):
+        u = np.array([0.5 + 0.1j, -0.2j])
+        assert _horner_rows([], u).shape == (0, 2)
+
+    def test_rows_out_of_order_rejected(self):
+        with pytest.raises(ValueError):
+            _horner_rows([np.ones(2), np.ones(3)], np.array([0.5 + 0j]))
 
 
 class TestBoundaryContinuity:

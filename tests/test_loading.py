@@ -197,3 +197,22 @@ class TestFaberCoefficients:
     def test_rejects_radius_inside(self):
         with pytest.raises(ValueError):
             faber_coefficients_from_samples(np.ones(64), 0, 0.9)
+
+    def test_fft_matches_per_mode_sums(self):
+        # one FFT gives every trapezoid sum, aliased modes m >= q included
+        mp = ExteriorMap((0.1, 0.2, 0.1j))
+        q, r = 64, 1.3
+
+        def v(z):
+            return z**3 - 2.0 * z + 1.0 / (z - 5.0)
+
+        coeffs = faber_coefficients(v, mp, 80, r=r, q=q)
+        theta = 2.0 * np.pi * np.arange(q) / q
+        samples = v(mp.eval(r * np.exp(1j * theta)))
+        for m, got in enumerate(coeffs):
+            ref = faber_coefficients_from_samples(samples, m, r)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_fft_rejects_radius_inside(self):
+        with pytest.raises(ValueError):
+            faber_coefficients(lambda z: z, ExteriorMap((0.0, 0.3)), 3, r=1.0)
