@@ -21,6 +21,7 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from .errors import (
 from .faber import build_faber
 from .fields import (
     GridSpec,
+    _write_csv,
     field_grid,
     single_layer_exterior,
     single_layer_interior,
@@ -82,18 +84,18 @@ def _parse_complex_list(text: str, key: str) -> list:
         parts = token.split(",")
         if len(parts) != 2:
             raise ConfigError(f"{key}: expected re,im pairs, got {token!r}")
-        try:
-            out.append(complex(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad number in {token!r}") from exc
+        out.append(complex(_parse_float(parts[0], key), _parse_float(parts[1], key)))
     return out
 
 
 def _parse_float(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -201,15 +203,10 @@ def load_job(path: str, order=None, quadrature=None, out=None) -> JobConfig:
         parts = entries["grid"].split()
         if len(parts) != 6:
             raise ConfigError("grid needs: xmin xmax ymin ymax nx ny")
+        bounds = [_parse_float(part, "grid") for part in parts[:4]]
+        sizes = [_parse_int(part, "grid") for part in parts[4:]]
         try:
-            grid = GridSpec(
-                xmin=float(parts[0]),
-                xmax=float(parts[1]),
-                ymin=float(parts[2]),
-                ymax=float(parts[3]),
-                nx=int(parts[4]),
-                ny=int(parts[5]),
-            )
+            grid = GridSpec(*bounds, *sizes)
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
 
@@ -256,23 +253,14 @@ def _residuals_pass(summary: dict) -> bool:
 
 
 def _write_solution(job: JobConfig, sol, summary: dict) -> None:
-    path = job.output_path + "_solution.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("m,re_s,im_s,re_t,im_t\n")
-        for m in range(1, sol.order + 1):
-            fh.write(
-                ",".join(
-                    _FMT % v
-                    for v in (
-                        m,
-                        sol.s[m - 1].real,
-                        sol.s[m - 1].imag,
-                        sol.t[m - 1].real,
-                        sol.t[m - 1].imag,
-                    )
-                )
-                + "\n"
-            )
+    n = sol.order
+    s, t = sol.s[:n], sol.t[:n]
+    _write_csv(
+        job.output_path + "_solution.csv",
+        "m,re_s,im_s,re_t,im_t\n",
+        "%.17g,%.17g,%.17g,%.17g,%.17g\n",
+        (np.arange(1, n + 1), s.real, s.imag, t.real, t.imag),
+    )
     with open(job.output_path + "_summary.txt", "w", newline="\n") as fh:
         fh.write(f"c1 = {_FMT % sol.c1}\n")
         fh.write(f"c2 = {_FMT % sol.c2}\n")
@@ -358,14 +346,16 @@ def cmd_validate(job: JobConfig) -> int:
     bound = float((np.abs(c) - 2.0 * idx[:, None] * (1 + 1e-8)).max())
     checks.append(("grunsky_bound", bound, 0.0, bound <= 0.0))
     rng = np.random.default_rng(0)
-    worst_slack = np.inf
+    # np.min/np.max, unlike the builtins, propagate NaN, so a NaN fails
+    slacks = []
     for _ in range(5):
         lam = rng.normal(size=5) + 1j * rng.normal(size=5)
         lhs = sum(
             k * abs(np.dot(c[:5, k - 1], lam)) ** 2 for k in range(1, n + 1)
         )
         rhs = float(np.sum(np.arange(1, 6) * np.abs(lam) ** 2))
-        worst_slack = min(worst_slack, rhs - lhs)
+        slacks.append(rhs - lhs)
+    worst_slack = float(np.min(slacks))
     checks.append(
         ("grunsky_strong_inequality", -worst_slack, 1e-8, worst_slack >= -1e-8)
     )
@@ -379,9 +369,7 @@ def cmd_validate(job: JobConfig) -> int:
             summary["transmission"] < TRANSMISSION_TOL,
         )
     )
-    eqmax = max(
-        summary["equilibrium_1"], summary["equilibrium_2"], summary["equilibrium_3"]
-    )
+    eqmax = float(np.max([summary[f"equilibrium_{k}"] for k in (1, 2, 3)]))
     checks.append(("equilibrium", eqmax, EQUILIBRIUM_TOL, eqmax < EQUILIBRIUM_TOL))
 
     # both series at the same boundary points z = Psi(e^{i theta}), and
@@ -401,15 +389,12 @@ def cmd_validate(job: JobConfig) -> int:
 
     rule = QuadratureRule(job.quadrature_q)
     phi = density_on_boundary(sol, job.mapping, rule.theta)
-    worst = 0.0
-    for z, series in zip(z_in[nb:], s_in[nb:]):
-        quad = kelvin_single_layer(phi, job.mapping, job.material, z, rule)
-        worst = max(worst, abs(series - quad))
-    for w, series in zip(w_out[nb:], s_out[nb:]):
-        quad = kelvin_single_layer(
-            phi, job.mapping, job.material, complex(job.mapping.eval(w)), rule
-        )
-        worst = max(worst, abs(series - quad))
+    targets = [*z_in[nb:], *(complex(job.mapping.eval(w)) for w in w_out[nb:])]
+    errors = [
+        abs(series - kelvin_single_layer(phi, job.mapping, job.material, z, rule))
+        for z, series in zip(targets, [*s_in[nb:], *s_out[nb:]])
+    ]
+    worst = float(np.max(errors))
     checks.append(("oracle_quadrature", worst, ORACLE_TOL, worst < ORACLE_TOL))
 
     width = max(len(name) for name, *_ in checks)
@@ -423,10 +408,6 @@ def cmd_validate(job: JobConfig) -> int:
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
-def _format_complex(value: complex) -> str:
-    return f"{_FMT % value.real}{'+' if value.imag >= 0 else '-'}{_FMT % abs(value.imag)}j"
-
-
 def cmd_faber_table(job: JobConfig) -> int:
     table = build_faber(
         job.mapping, required_table_order(job.mapping, job.truncation_n)
@@ -436,13 +417,16 @@ def cmd_faber_table(job: JobConfig) -> int:
         ("monomial", table.monomial),
         ("grunsky", table.grunsky),
         ("gamma", table.gamma),
+        ("gamma0", table.gamma0[:, None]),
     ):
-        with open(f"{prefix}_{name}.csv", "w", newline="\n") as fh:
-            for row in matrix:
-                fh.write(",".join(_format_complex(v) for v in row) + "\n")
-    with open(f"{prefix}_gamma0.csv", "w", newline="\n") as fh:
-        for v in table.gamma0:
-            fh.write(_format_complex(v) + "\n")
+        # re±imj; the sign test imag >= 0 writes -0.0j as +0j
+        parts = (matrix.real, np.where(matrix.imag >= 0, "+", "-"), np.abs(matrix.imag))
+        _write_csv(
+            f"{prefix}_{name}.csv",
+            "",
+            ",".join(["%.17g%s%.17gj"] * matrix.shape[1]) + "\n",
+            [part[:, j] for j in range(matrix.shape[1]) for part in parts],
+        )
     print(f"wrote {prefix}_{{monomial,grunsky,gamma,gamma0}}.csv")
     return EXIT_OK
 

@@ -76,6 +76,8 @@ class ExteriorMap:
         coeffs = _as_complex_array(self.coefficients)
         if coeffs.ndim != 1:
             raise ValueError("coefficients must be a flat sequence")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         # trim trailing zeros so `order` is tight (a_M != 0 when M >= 1)
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:

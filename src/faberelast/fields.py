@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ExteriorMap
+from .conformal import _INSIDE_TOL, ExteriorMap
 from .errors import DomainError
 from .faber import FaberTable, faber_values
 from .loading import FarFieldLoading, Material, eval_u0
@@ -185,7 +185,7 @@ def single_layer_exterior(
     w = np.asarray(w, dtype=complex)
     scalar = w.ndim == 0
     wa = w.reshape(-1)
-    if np.any(np.abs(wa) < 1.0 - 1e-12):
+    if np.any(np.abs(wa) < 1.0 - _INSIDE_TOL):
         raise DomainError("exterior evaluation needs |w| >= 1")
     n = sol.order
     M = mapping.order
@@ -269,7 +269,7 @@ def displacement(
     """Total displacement at the preimage point w, |w| >= 1."""
     w = complex(w)
     r = abs(w)
-    if r < 1.0 - 1e-12:
+    if r < 1.0 - _INSIDE_TOL:
         raise DomainError("displacement is defined for |w| >= 1")
     z = complex(mapping._eval_raw(np.asarray(w)))
     u0 = complex(eval_u0(loading, table, mat, z))
@@ -386,8 +386,8 @@ def field_grid(
     )
 
 
-#: points per chunk of the CSV writer, rounded down to whole grid rows
-_CSV_CHUNK_POINTS = 4096
+#: values per chunk of the CSV writer, rounded down to whole lines
+_CSV_CHUNK_VALUES = 1 << 14
 _CSV_HEADER = "x,y,re_w,im_w,region,re_u0,im_u0,re_S,im_S,re_u,im_u\n"
 _CSV_ROW = "%s,%s,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 _REGION_TEXT = np.array(REGION_LABELS, dtype=object)
@@ -406,31 +406,31 @@ def _formatted(values: np.ndarray) -> np.ndarray:
     return np.array(text, dtype=object)[inverse]
 
 
-def write_field_csv(grid: FieldGrid, path) -> None:
-    """Dump a field grid with 17-significant-digit round-trip format.
+def _write_csv(path, header: str, row: str, columns) -> None:
+    """Write equal-length 1-D columns as lines of the format ``row``.
 
-    Non-finite values are written as ``nan``.  Rows are formatted a chunk
-    of whole grid rows at a time, so the text of the whole grid is never
-    held in memory at once.
+    Non-finite values of float columns are written as ``nan``.  Lines
+    are formatted a chunk at a time with one ``%`` call, so the text of
+    the whole file is never held in memory at once.
     """
-    x = _formatted(grid.z.real.ravel())
-    y = _formatted(grid.z.imag.ravel())
-    labels = _REGION_TEXT[grid.region.ravel()]
-    floats = [
-        _finite_or_nan(part(a).ravel())
-        for a in (grid.w, grid.u0, grid.S, grid.u)
-        for part in (np.real, np.imag)
-    ]
-    columns = (x, y, *floats[:2], labels, *floats[2:])
+    columns = [_finite_or_nan(c) if c.dtype.kind == "f" else c for c in columns]
     ncol = len(columns)
-    nx = grid.z.shape[-1]
-    step = max(1, _CSV_CHUNK_POINTS // nx) * nx
+    step = max(1, _CSV_CHUNK_VALUES // ncol)
     with open(path, "w", newline="\n") as fh:
-        fh.write(_CSV_HEADER)
-        for lo in range(0, len(x), step):
+        fh.write(header)
+        for lo in range(0, len(columns[0]), step):
             chunk = [col[lo : lo + step].tolist() for col in columns]
             k = len(chunk[0])
             flat = [None] * (ncol * k)
             for c, values in enumerate(chunk):
                 flat[c::ncol] = values
-            fh.write((_CSV_ROW * k) % tuple(flat))
+            fh.write((row * k) % tuple(flat))
+
+
+def write_field_csv(grid: FieldGrid, path) -> None:
+    """Dump a field grid in 17-significant-digit round-trip format."""
+    z, w, u0, S, u = (a.ravel() for a in (grid.z, grid.w, grid.u0, grid.S, grid.u))
+    columns = (_formatted(z.real), _formatted(z.imag), w.real, w.imag,
+               _REGION_TEXT[grid.region.ravel()],
+               u0.real, u0.imag, S.real, S.imag, u.real, u.imag)
+    _write_csv(path, _CSV_HEADER, _CSV_ROW, columns)

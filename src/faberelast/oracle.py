@@ -1,9 +1,12 @@
-"""Brute-force quadrature checks for every series result in the package.
+"""Brute-force quadrature checks for the series results of the package.
 
-Everything here integrates the actual boundary kernels with the
-periodic trapezoid rule and knows nothing about Faber polynomials or
+The quadrature routines integrate the actual boundary kernels with the
+periodic trapezoid rule and know nothing about Faber polynomials or
 Grunsky coefficients, so agreement with the series evaluators is a
-genuine two-route certification.  The rule is spectrally accurate for
+genuine two-route certification.  ``transmission_residual`` is the
+exception: it evaluates the series itself (``single_layer_interior``
+and ``eval_u0``) on the boundary and measures how far S + u0 is from
+the rigid motion there.  The rule is spectrally accurate for
 smooth periodic integrands, which is why a standoff distance from the
 boundary is enforced: closer targets would need specialized quadrature
 that the certification role does not require.

@@ -1,11 +1,12 @@
 import hashlib
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from faberelast.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, main
+from faberelast.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_VALIDATION, main
 from util import random_univalent_map
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -194,7 +195,12 @@ class TestValidateCommand:
 
 
 #: SHA-256 of the shipped figure outputs; any change to these bytes is a
-#: change of results, not a refactor
+#: change of results, not a refactor.  Measured with numpy 2.4.6 on
+#: Python 3.11 on an x86-64 host where numpy dispatches to its AVX2/FMA
+#: kernels: numpy picks its SIMD kernels at run time, and without FMA
+#: (e.g. NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3")
+#: complex products round differently and all three figures fail here on
+#: unchanged code.
 FIGURE_OUTPUT_SHA256 = {
     "fig1_solution.csv": "61506f19a2d36f7487d1b1908c5bf1756edc6131fdb269d537516a4c0d4de9fe",
     "fig2_solution.csv": "5a0b3f8deaeaa45228cbb29cfa839b87f3cbb1685ec4662eb51891ee2c58f944",
@@ -228,3 +234,225 @@ class TestFaberTableCommand:
             assert os.path.exists(f"tbl_{suffix}.csv")
         first = Path("tbl_gamma0.csv").read_text().splitlines()[0]
         assert first == "1+0j"
+
+
+class TestNonFiniteConfig:
+    CASES = [
+        ("map", "0,0 nan,0"),
+        ("map", "0,0 0.1,inf"),
+        ("A", "0,0 inf,0"),
+        ("B", "0,0 1,-inf"),
+        ("alpha1", "nan"),
+        ("kappa", "inf"),
+        ("grid", "-2 nan -2 2 11 11"),
+        ("grid", "-inf 2 -2 2 11 11"),
+        ("lambda", "nan"),
+        ("mu", "inf"),
+    ]
+
+    @pytest.mark.parametrize("key,value", CASES)
+    @pytest.mark.parametrize("command", ["solve", "field", "validate", "faber-table"])
+    def test_rejected_with_config_exit(self, tmp_path, monkeypatch, capsys,
+                                       command, key, value):
+        monkeypatch.chdir(tmp_path)
+        text = FIG1.format(out="nf")
+        if key in ("lambda", "mu"):
+            lame = {"lambda": "1", "mu": "1", key: value}
+            text = text.replace(
+                "alpha1 = 0.5\nkappa = 0.3",
+                f"lambda = {lame['lambda']}\nmu = {lame['mu']}",
+            )
+        else:
+            lines = text.splitlines()
+            text = "\n".join(
+                f"{key} = {value}" if line.startswith(f"{key} =") else line
+                for line in lines
+            )
+        cfg = tmp_path / "nf.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("nf_*"))
+
+
+class TestValidateNaN:
+    def _check_line(self, capsys, name):
+        out = capsys.readouterr().out
+        (line,) = [l for l in out.splitlines() if l.startswith(name + " ")]
+        return line
+
+    def test_nan_oracle_fails(self, tmp_path, monkeypatch, capsys):
+        import faberelast.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            cli, "kelvin_single_layer", lambda *a, **k: complex(np.nan, np.nan)
+        )
+        cfg = str(CONFIGS / "fig1.cfg")
+        assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
+        line = self._check_line(capsys, "oracle_quadrature")
+        assert "nan" in line and line.endswith("FAIL")
+
+    def test_nan_equilibrium_fails(self, tmp_path, monkeypatch, capsys):
+        # a NaN behind a finite first moment
+        import faberelast.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            cli, "equilibrium_residual", lambda *a, **k: np.array([0.0, np.nan, 0.0])
+        )
+        cfg = str(CONFIGS / "fig1.cfg")
+        assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
+        assert self._check_line(capsys, "equilibrium").endswith("FAIL")
+
+
+# Frozen copies of the per-value writers the CLI used before every CSV
+# file went through one chunked formatter; finite values must come out
+# byte for byte as they did.
+_FMT = "%.17g"
+
+
+def _frozen_solution_csv(sol):
+    lines = ["m,re_s,im_s,re_t,im_t\n"]
+    for m in range(1, sol.order + 1):
+        lines.append(
+            ",".join(
+                _FMT % v
+                for v in (
+                    m,
+                    sol.s[m - 1].real,
+                    sol.s[m - 1].imag,
+                    sol.t[m - 1].real,
+                    sol.t[m - 1].imag,
+                )
+            )
+            + "\n"
+        )
+    return "".join(lines).encode()
+
+
+def _frozen_format_complex(value):
+    return f"{_FMT % value.real}{'+' if value.imag >= 0 else '-'}{_FMT % abs(value.imag)}j"
+
+
+def _frozen_matrix_csv(matrix):
+    return "".join(
+        ",".join(_frozen_format_complex(v) for v in row) + "\n" for row in matrix
+    ).encode()
+
+
+def _frozen_vector_csv(values):
+    return "".join(_frozen_format_complex(v) + "\n" for v in values).encode()
+
+
+def _frozen_tables(table):
+    return {
+        "monomial": _frozen_matrix_csv(table.monomial),
+        "grunsky": _frozen_matrix_csv(table.grunsky),
+        "gamma": _frozen_matrix_csv(table.gamma),
+        "gamma0": _frozen_vector_csv(table.gamma0),
+    }
+
+
+def _pairs(values):
+    return " ".join(f"{complex(v).real!r},{complex(v).imag!r}" for v in values)
+
+
+SPECIAL = [-0.0, 5e-324, 1e300, -1e300, np.nan, 0.0, 1.0 / 3.0, -2.5]
+
+
+def _complex(re, im):
+    # built part by part: re + 1j*im would turn -0.0 parts into +0.0
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+class TestCsvWritersByteIdentical:
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "order12"])
+    def test_faber_table_matches_frozen_writer(self, tmp_path, name):
+        from faberelast.cli import load_job
+        from faberelast.faber import build_faber
+        from faberelast.solver import required_table_order
+
+        if name == "order12":
+            mp = random_univalent_map(np.random.default_rng(12145), 12)
+            cfg = tmp_path / "order12.cfg"
+            cfg.write_text(
+                f"map = {_pairs(mp.coefficient(k) for k in range(13))}\n"
+                "alpha1 = 0.5\nkappa = 0.3\nA = 0,0 1,0\nB = 0,0 1,0\n"
+            )
+            extra = ["--order", "132"]  # table order 132 + 12 + 1 = 145
+        else:
+            cfg = CONFIGS / f"{name}.cfg"
+            extra = []
+        out = str(tmp_path / name)
+        argv = ["faber-table", "--config", str(cfg), "--out", out, *extra]
+        assert main(argv) == EXIT_OK
+        job = load_job(str(cfg), order=132 if extra else None)
+        table = build_faber(job.mapping, required_table_order(job.mapping, job.truncation_n))
+        if name == "order12":
+            assert table.order == 145
+        for suffix, expected in _frozen_tables(table).items():
+            assert (tmp_path / f"{name}_{suffix}.csv").read_bytes() == expected, suffix
+
+    def _run_hand_table(self, tmp_path, monkeypatch, matrix):
+        import faberelast.cli as cli
+
+        fake = SimpleNamespace(
+            monomial=matrix, grunsky=matrix[:, ::-1], gamma=matrix.T, gamma0=matrix[:, 0]
+        )
+        monkeypatch.setattr(cli, "build_faber", lambda *a, **k: fake)
+        cfg = write_config(tmp_path, FIG1, out=str(tmp_path / "h"))
+        assert main(["faber-table", "--config", cfg]) == EXIT_OK
+        return fake
+
+    def test_hand_built_tables_match_frozen_writer(self, tmp_path, monkeypatch):
+        vals = np.array(SPECIAL)
+        matrix = _complex(vals[:, None], vals[None, ::-1])
+        matrix[2, 3] = complex(-0.0, -0.0)
+        fake = self._run_hand_table(tmp_path, monkeypatch, matrix)
+        for suffix, expected in _frozen_tables(fake).items():
+            assert (tmp_path / f"h_{suffix}.csv").read_bytes() == expected, suffix
+        first = (tmp_path / "h_monomial.csv").read_text().splitlines()[0].split(",")
+        assert first[:2] == ["-0-2.5j", "-0+0.33333333333333331j"]
+        # the sign test is imag >= 0, so -0.0j is written +0j
+        assert first[7] == "-0+0j"
+        assert first[3] == "-0-nanj"
+
+    def test_infinite_table_entries_written_as_nan(self, tmp_path, monkeypatch):
+        matrix = np.array([[complex(np.inf, 1.0), complex(1.0, np.inf)],
+                           [complex(-np.inf, -np.inf), complex(2.0, -0.0)]])
+        self._run_hand_table(tmp_path, monkeypatch, matrix)
+        lines = (tmp_path / "h_monomial.csv").read_text().splitlines()
+        assert lines == ["nan+1j,1+nanj", "nan-nanj,2+0j"]
+        assert (tmp_path / "h_gamma0.csv").read_text() == "nan+1j\nnan-nanj\n"
+
+    def _write_hand_solution(self, tmp_path, s, t):
+        from faberelast.cli import _write_solution
+        from faberelast.solver import DensitySolution
+
+        sol = DensitySolution(s=np.asarray(s), t=np.asarray(t), c1=0.0, c2=0.0,
+                              c3=0.0, order=len(s))
+        summary = {"transmission": 0.0, "equilibrium_1": 0.0,
+                   "equilibrium_2": 0.0, "equilibrium_3": 0.0}
+        _write_solution(SimpleNamespace(output_path=str(tmp_path / "h")), sol, summary)
+        return sol, (tmp_path / "h_solution.csv").read_bytes()
+
+    def test_hand_built_solution_matches_frozen_writer(self, tmp_path):
+        vals = np.array(SPECIAL)
+        s = _complex(vals, vals[::-1])
+        t = _complex(vals[::-1], vals)
+        sol, body = self._write_hand_solution(tmp_path, s, t)
+        assert body == _frozen_solution_csv(sol)
+        lines = body.decode().splitlines()
+        assert lines[1] == "1,-0,-2.5,-2.5,-0"
+        assert lines[2] == "2,4.9406564584124654e-324,0.33333333333333331,0.33333333333333331,4.9406564584124654e-324"
+        assert lines[3] == "3,1.0000000000000001e+300,0,0,1.0000000000000001e+300"
+        assert lines[5] == "5,nan,-1.0000000000000001e+300,-1.0000000000000001e+300,nan"
+
+    def test_infinite_solution_values_written_as_nan(self, tmp_path):
+        s = np.array([complex(np.inf, -np.inf), complex(1.0, 2.0)])
+        t = np.array([complex(3.0, np.nan), complex(-np.inf, 0.5)])
+        _, body = self._write_hand_solution(tmp_path, s, t)
+        assert body == b"m,re_s,im_s,re_t,im_t\n1,nan,nan,3,nan\n2,1,2,nan,0.5\n"

@@ -11,6 +11,13 @@ class TestEval:
         mp = ExteriorMap((0.0, 0.0))
         assert mp.eval(2.0 + 0.0j) == 2.0 + 0.0j
 
+    @pytest.mark.parametrize(
+        "coeffs", [(0.0, complex(np.nan, 0.0)), (0.0, 0.1, complex(0.0, np.inf)), (-np.inf,)]
+    )
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            ExteriorMap(coeffs)
+
     def test_ellipse_on_circle(self):
         a = 0.3
         mp = ExteriorMap((0.0, a))

@@ -664,7 +664,7 @@ class TestWriteFieldCsv:
         assert "inf" not in "".join(lines)
 
     def test_chunk_remainder(self, tmp_path):
-        # 7 * 1000 points is not a multiple of the whole-row chunk
+        # 7 * 1000 lines is not a multiple of the chunk
         grid = _hand_grid(np.random.default_rng(4), 1000, 7)
         write_field_csv(grid, tmp_path / "f.csv")
         text = (tmp_path / "f.csv").read_text()
