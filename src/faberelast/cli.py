@@ -419,8 +419,8 @@ def cmd_faber_table(job: JobConfig) -> int:
         ("gamma", table.gamma),
         ("gamma0", table.gamma0[:, None]),
     ):
-        # re±imj; the sign test imag >= 0 writes -0.0j as +0j
-        parts = (matrix.real, np.where(matrix.imag >= 0, "+", "-"), np.abs(matrix.imag))
+        # re±imj, signed by the sign bit so -0.0j and -nanj read back as written
+        parts = (matrix.real, np.where(np.signbit(matrix.imag), "-", "+"), np.abs(matrix.imag))
         _write_csv(
             f"{prefix}_{name}.csv",
             "",

@@ -263,48 +263,49 @@ class ExteriorMap:
         )
 
 
-#: segments per block of the bounding-box prune in _polyline_self_intersections
-_SEGMENT_BLOCK = 32
-#: block pairs tested at once: 64 * 32**2 segment pairs
-_BLOCK_PAIR_BATCH = 64
+#: candidate segment pairs generated at once in _polyline_self_intersections
+_PAIR_BATCH = 1 << 16
 
 
 def _polyline_self_intersections(points: np.ndarray) -> list:
     """Indices (i, j), i < j, of properly crossing segments of a closed
     polyline, sorted.
 
-    Segment i runs from point i to point i+1 (mod n).  Segments are
-    grouped in blocks of _SEGMENT_BLOCK; only pairs from blocks whose
-    bounding boxes overlap are tested, since crossing segments share a
-    point.  Neighbouring segments (j = i+1, and the wrap pair (0, n-1))
-    share an endpoint and are never tested.
+    Segment i runs from point i to point i+1 (mod n).  Crossing segments
+    share a point, so only pairs whose extents overlap on both axes are
+    tested.  They are found by sort and sweep along the axis of smaller
+    summed segment extent, where fewer extents overlap: with segments
+    sorted stably by the low end of that extent, each is paired with the
+    later ones whose low end lies inside its extent.  A later low end is
+    no lower than its own, so these are exactly the later segments that
+    overlap it, and every overlapping pair is made once, from whichever
+    member comes first.  Pairs are made _PAIR_BATCH at a time, which
+    bounds memory for any polyline.  Neighbouring segments (j = i+1, and
+    the wrap pair (0, n-1)) share an endpoint and are never tested.
     """
     n = len(points)
     px, py = points.real, points.imag
     qx, qy = np.roll(px, -1), np.roll(py, -1)
     dx, dy = qx - px, qy - py
 
-    starts = np.arange(0, n, _SEGMENT_BLOCK)
-    xlo = np.minimum.reduceat(np.minimum(px, qx), starts)
-    xhi = np.maximum.reduceat(np.maximum(px, qx), starts)
-    ylo = np.minimum.reduceat(np.minimum(py, qy), starts)
-    yhi = np.maximum.reduceat(np.maximum(py, qy), starts)
-    overlap = (
-        (xlo[:, None] <= xhi[None, :])
-        & (xlo[None, :] <= xhi[:, None])
-        & (ylo[:, None] <= yhi[None, :])
-        & (ylo[None, :] <= yhi[:, None])
-    )
-    bi, bj = np.nonzero(np.triu(overlap))
-    offsets = np.arange(_SEGMENT_BLOCK)
-    found_i, found_j = [], []
-    # a batch of block pairs at a time bounds the memory of the index arrays
-    for lo in range(0, len(bi), _BLOCK_PAIR_BATCH):
-        batch = slice(lo, lo + _BLOCK_PAIR_BATCH)
-        first = starts[bi[batch], None, None] + offsets[:, None]  # (pairs, 32, 1)
-        second = starts[bj[batch], None, None] + offsets  # (pairs, 1, 32)
-        i, j = (a.ravel() for a in np.broadcast_arrays(first, second))
-        keep = (j >= i + 2) & (j < n) & ~((i == 0) & (j == n - 1))
+    extents = [(np.minimum(a, b), np.maximum(a, b)) for a, b in ((px, qx), (py, qy))]
+    if np.abs(dy).sum() < np.abs(dx).sum():
+        extents.reverse()  # sweep along y
+    order = np.argsort(extents[0][0], kind="stable")
+    (lo, hi), (olo, ohi) = ((a[order], b[order]) for a, b in extents)
+    # in sweep order, segment r is paired with the counts[r] segments after it
+    counts = np.searchsorted(lo, hi, side="right") - np.arange(1, n + 1)
+    row_end = np.cumsum(counts)
+    total = int(counts.sum())
+    found = [np.empty(0, dtype=int)]  # crossing pairs as keys i*n + j
+    for start in range(0, total, _PAIR_BATCH):
+        k = np.arange(start, min(start + _PAIR_BATCH, total))
+        r = np.searchsorted(row_end, k, side="right")
+        s = r + 1 + k - (row_end[r] - counts[r])
+        keep = (olo[r] <= ohi[s]) & (olo[s] <= ohi[r])
+        a, b = order[r[keep]], order[s[keep]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        keep = (j >= i + 2) & ~((i == 0) & (j == n - 1))
         i, j = i[keep], j[keep]
         # orientation of both endpoints of segment j wrt segment i, and vice versa
         d1 = dx[i] * (py[j] - py[i]) - dy[i] * (px[j] - px[i])
@@ -312,12 +313,9 @@ def _polyline_self_intersections(points: np.ndarray) -> list:
         d3 = dx[j] * (py[i] - py[j]) - dy[j] * (px[i] - px[j])
         d4 = dx[j] * (qy[i] - py[j]) - dy[j] * (qx[i] - px[j])
         cross = (d1 * d2 < 0) & (d3 * d4 < 0)
-        found_i.append(i[cross])
-        found_j.append(j[cross])
-    i = np.concatenate(found_i)
-    j = np.concatenate(found_j)
-    order = np.lexsort((j, i))
-    return list(zip(i[order].tolist(), j[order].tolist()))
+        found.append(i[cross] * n + j[cross])
+    i, j = np.divmod(np.sort(np.concatenate(found)), n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def boundary_perimeter(mapping: ExteriorMap, n: int = 4096) -> float:

@@ -145,11 +145,10 @@ class TestFieldCommand:
         )
         assert main(["field", "--config", cfg]) == EXIT_CONFIG
 
-    def test_field_determinism_across_threads(self, tmp_path, monkeypatch):
+    def test_field_repeat_runs_write_identical_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, FIG1, out="t1")
         main(["field", "--config", cfg])
-        monkeypatch.setenv("FABERELAST_THREADS", "3")
         cfg2 = write_config(tmp_path, FIG1, name="job2.cfg", out="t2")
         main(["field", "--config", cfg2])
         assert (
@@ -332,7 +331,7 @@ def _frozen_solution_csv(sol):
 
 
 def _frozen_format_complex(value):
-    return f"{_FMT % value.real}{'+' if value.imag >= 0 else '-'}{_FMT % abs(value.imag)}j"
+    return f"{_FMT % value.real}{'-' if np.signbit(value.imag) else '+'}{_FMT % abs(value.imag)}j"
 
 
 def _frozen_matrix_csv(matrix):
@@ -416,17 +415,29 @@ class TestCsvWritersByteIdentical:
             assert (tmp_path / f"h_{suffix}.csv").read_bytes() == expected, suffix
         first = (tmp_path / "h_monomial.csv").read_text().splitlines()[0].split(",")
         assert first[:2] == ["-0-2.5j", "-0+0.33333333333333331j"]
-        # the sign test is imag >= 0, so -0.0j is written +0j
-        assert first[7] == "-0+0j"
-        assert first[3] == "-0-nanj"
+        # the sign comes from the sign bit: -0.0j is written -0j, +nan as +nanj
+        assert first[7] == "-0-0j"
+        assert first[3] == "-0+nanj"
 
     def test_infinite_table_entries_written_as_nan(self, tmp_path, monkeypatch):
         matrix = np.array([[complex(np.inf, 1.0), complex(1.0, np.inf)],
                            [complex(-np.inf, -np.inf), complex(2.0, -0.0)]])
         self._run_hand_table(tmp_path, monkeypatch, matrix)
         lines = (tmp_path / "h_monomial.csv").read_text().splitlines()
-        assert lines == ["nan+1j,1+nanj", "nan-nanj,2+0j"]
+        assert lines == ["nan+1j,1+nanj", "nan-nanj,2-0j"]
         assert (tmp_path / "h_gamma0.csv").read_text() == "nan+1j\nnan-nanj\n"
+
+    def test_table_dump_reads_back_with_sign_bit(self, tmp_path, monkeypatch):
+        vals = np.array([-0.0, 0.0, np.nan, -np.nan, 5e-324, -1e300, 1.0 / 3.0, -2.5])
+        assert np.signbit(vals[3]) and not np.signbit(vals[2])
+        matrix = _complex(vals[:, None], vals[None, ::-1])
+        self._run_hand_table(tmp_path, monkeypatch, matrix)
+        text = (tmp_path / "h_monomial.csv").read_text().splitlines()
+        back = np.array([[complex(v) for v in line.split(",")] for line in text])
+        assert np.array_equal(np.signbit(back.imag), np.signbit(matrix.imag))
+        finite = np.isfinite(matrix.real)
+        assert np.array_equal(np.signbit(back.real[finite]), np.signbit(matrix.real[finite]))
+        assert np.array_equal(back, matrix, equal_nan=True)
 
     def _write_hand_solution(self, tmp_path, s, t):
         from faberelast.cli import _write_solution

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,11 +238,77 @@ class TestSelfIntersections:
 
     @pytest.mark.parametrize("n", [4, 5, 33, 100, 257])
     def test_matches_loop_on_random_polylines(self, n):
-        # point counts that are not a multiple of the block size, with
-        # many crossings spread over many block pairs
+        # long segments in random directions: most extents overlap on both
+        # axes, and many pairs cross
         rng = np.random.default_rng(n)
         points = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert _polyline_self_intersections(points) == _self_intersections_loop(points)
+
+    @staticmethod
+    def _zigzag(n=2048):
+        # every segment spans the full x range; only the closing segment
+        # from (1, 1 - 1/n) back to the origin crosses the others
+        k = np.arange(n)
+        return (k % 2) + 1j * k / n
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_zigzag_matches_loop(self, transpose):
+        points = self._zigzag()
+        if transpose:
+            points = points.imag + 1j * points.real
+        expected = _self_intersections_loop(points)
+        assert len(expected) == 2045
+        assert _polyline_self_intersections(points) == expected
+
+    def test_zigzag_memory_bound(self):
+        points = self._zigzag()
+        tracemalloc.start()
+        try:
+            _polyline_self_intersections(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_repeated_points_and_axis_aligned_segments(self):
+        # half-integer lattice points: repeated points, zero-length,
+        # vertical, horizontal and collinear overlapping segments
+        rng = np.random.default_rng(7)
+        coords = np.round(2.0 * rng.normal(size=(2, 300))) / 2.0
+        points = np.repeat(coords[0] + 1j * coords[1], rng.integers(1, 3, size=300))
+        expected = _self_intersections_loop(points)
+        assert len(expected) > 0
+        assert _polyline_self_intersections(points) == expected
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # the path passes through the middle of segment 0 at a vertex
+            [0, 2, 2 + 1j, 1 + 1j, 1, 1 - 1j, -1j],
+            # segment 4 overlaps segment 0 along the x axis
+            [0, 2, 2 + 1j, 1 + 1j, 1, 3, 3 - 1j, -1j],
+            # segment 2 ends on segment 0; segment 3 runs back along it
+            [0, 2, 1 + 1j, 1, 0.5, 0.5 - 1j],
+        ],
+    )
+    def test_touching_and_collinear_segments_do_not_cross(self, points):
+        points = np.array(points, dtype=complex)
+        assert _self_intersections_loop(points) == []
+        assert _polyline_self_intersections(points) == []
+
+    @pytest.mark.parametrize(
+        "points, expected",
+        [
+            ([0, 1, 1j], []),
+            ([0, 1 + 1j, 1, 1j], [(0, 2)]),
+            (np.exp(0.8j * np.pi * np.arange(5)), [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]),
+        ],
+        ids=["triangle", "bowtie", "pentagram"],
+    )
+    def test_smallest_polylines(self, points, expected):
+        points = np.array(points, dtype=complex)
+        assert _self_intersections_loop(points) == expected
+        assert _polyline_self_intersections(points) == expected
 
 
 class TestConstruction:
