@@ -179,6 +179,12 @@ class ExteriorMap:
     def invert(self, z, tol: float = 1e-12, max_iter: int = 80):
         """Solve Psi(w) = z by damped Newton iteration.
 
+        The residual f = Psi(w) - z is carried from one iteration to the
+        next, so each step costs one evaluation of Psi' and one of Psi at
+        the points still above tolerance.  A step whose residual grew is
+        halved, up to 20 times; only those points are moved and evaluated
+        again.
+
         Returns
         -------
         w : ndarray of complex
@@ -193,28 +199,31 @@ class ExteriorMap:
         small = np.abs(w) < 0.3
         w[small] = 0.3 * np.exp(1j * np.angle(z[small] - a0 + 1e-30))
         target = tol * np.maximum(1.0, np.abs(z))
-        res = np.abs(self._eval_raw(w) - z)
-        active = res > target
+        f = self._eval_raw(w) - z
+        res = np.abs(f)
+        active = np.flatnonzero(res > target)
         for _ in range(max_iter):
-            if not np.any(active):
+            if active.size == 0:
                 break
-            wa = w[active]
+            wa, za, ra = w[active], z[active], res[active]
             dpsi = self._derivative_raw(wa)
             dpsi = np.where(np.abs(dpsi) < 1e-14, 1e-14, dpsi)
-            step = (self._eval_raw(wa) - z[active]) / dpsi
-            # damp steps that would overshoot past the pole
+            step = f[active] / dpsi
             new = wa - step
-            new_res = np.abs(self._eval_raw(new) - z[active])
+            fa = self._eval_raw(new) - za
+            new_res = np.abs(fa)
+            # damp steps that would overshoot past the pole
+            worse = np.flatnonzero(new_res > ra)
             for _ in range(20):
-                worse = new_res > res[active]
-                if not np.any(worse):
+                if worse.size == 0:
                     break
-                step = np.where(worse, 0.5 * step, step)
-                new = wa - step
-                new_res = np.abs(self._eval_raw(new) - z[active])
-            w[active] = new
-            res[active] = new_res
-            active = res > target
+                step[worse] = 0.5 * step[worse]
+                new[worse] = wa[worse] - step[worse]
+                fa[worse] = self._eval_raw(new[worse]) - za[worse]
+                new_res[worse] = np.abs(fa[worse])
+                worse = worse[new_res[worse] > ra[worse]]
+            w[active], f[active], res[active] = new, fa, new_res
+            active = active[new_res > target[active]]
         return w, res <= target
 
     # -- validation ---------------------------------------------------

@@ -58,34 +58,48 @@ def density_mode(mapping: ExteriorMap, m: int, rule: QuadratureRule) -> np.ndarr
     return np.exp(1j * m * rule.theta) / h
 
 
-def _check_standoff(x: complex, zeta: np.ndarray):
-    d = np.abs(x - zeta).min()
-    if d < STANDOFF:
+def _target_distances(x, zeta: np.ndarray):
+    """Targets as an array, their offsets x - zeta to the nodes along a
+    new last axis, and the distances; raises ProximityError when any
+    target is closer than STANDOFF to the boundary."""
+    x = np.asarray(x, dtype=complex)
+    d = x[..., None] - zeta
+    r = np.abs(d)
+    closest = r.min(axis=-1)
+    near = closest < STANDOFF
+    if np.any(near):
         raise ProximityError(
-            f"target at distance {d:.3g} from the boundary; need {STANDOFF}"
+            f"target at distance {closest[near].min():.3g} from the boundary; "
+            f"need {STANDOFF}"
         )
+    return x, d, r
+
+
+def _per_target(x: np.ndarray, out):
+    return complex(out) if x.ndim == 0 else out
 
 
 def kelvin_single_layer(
     phi_samples: np.ndarray,
     mapping: ExteriorMap,
     mat: Material,
-    x: complex,
+    x,
     rule: QuadratureRule,
-) -> complex:
+):
     """Single-layer potential of a sampled density, fundamental-matrix form.
 
     The kernel is the plane elastic fundamental matrix
     G_ij(d) = alpha1/(2 pi) delta_ij ln|d| - alpha2/(2 pi) d_i d_j/|d|^2
     applied to the density as a 2-vector; the result is returned in the
-    complex identification S_1 + i S_2.
+    complex identification S_1 + i S_2.  ``x`` is a scalar target, for
+    which a complex is returned, or an array of targets, for which an
+    array of the same shape is returned.  The boundary nodes are built
+    once per call; temporaries hold (number of targets) x q values.
     """
     zeta, h = boundary_nodes(mapping, rule)
-    x = complex(x)
-    _check_standoff(x, zeta)
-    d = x - zeta
-    r2 = np.abs(d) ** 2
-    log_part = (mat.alpha1 / (2.0 * np.pi)) * np.log(np.abs(d)) * phi_samples
+    x, d, r = _target_distances(x, zeta)
+    r2 = r**2
+    log_part = (mat.alpha1 / (2.0 * np.pi)) * np.log(r) * phi_samples
     dyad_part = (
         (mat.alpha2 / (2.0 * np.pi))
         * np.real(np.conj(d) * phi_samples)
@@ -93,38 +107,41 @@ def kelvin_single_layer(
         / r2
     )
     integrand = (log_part - dyad_part) * h
-    return complex(np.sum(integrand) * rule.weight)
+    return _per_target(x, np.sum(integrand, axis=-1) * rule.weight)
 
 
 def cauchy_operator(
     psi_samples: np.ndarray,
     mapping: ExteriorMap,
-    z: complex,
+    z,
     rule: QuadratureRule,
-) -> complex:
-    """(1/2 pi) integral of psi(zeta) / (z - zeta) over the boundary."""
+):
+    """(1/2 pi) integral of psi(zeta) / (z - zeta) over the boundary.
+
+    ``z`` is a scalar or an array of targets, as in kelvin_single_layer.
+    """
     zeta, h = boundary_nodes(mapping, rule)
-    z = complex(z)
-    _check_standoff(z, zeta)
-    return complex(
-        np.sum(psi_samples / (z - zeta) * h) * rule.weight / (2.0 * np.pi)
+    z, d, _ = _target_distances(z, zeta)
+    return _per_target(
+        z, np.sum(psi_samples / d * h, axis=-1) * rule.weight / (2.0 * np.pi)
     )
 
 
 def log_operator(
     phi_samples: np.ndarray,
     mapping: ExteriorMap,
-    z: complex,
+    z,
     rule: QuadratureRule,
-) -> complex:
-    """(1/2 pi) integral of ln|z - zeta| phi(zeta) over the boundary."""
+):
+    """(1/2 pi) integral of ln|z - zeta| phi(zeta) over the boundary.
+
+    ``z`` is a scalar or an array of targets, as in kelvin_single_layer.
+    """
     zeta, h = boundary_nodes(mapping, rule)
-    z = complex(z)
-    _check_standoff(z, zeta)
-    return complex(
-        np.sum(np.log(np.abs(z - zeta)) * phi_samples * h)
-        * rule.weight
-        / (2.0 * np.pi)
+    z, _, r = _target_distances(z, zeta)
+    return _per_target(
+        z,
+        np.sum(np.log(r) * phi_samples * h, axis=-1) * rule.weight / (2.0 * np.pi),
     )
 
 

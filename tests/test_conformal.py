@@ -311,6 +311,97 @@ class TestSelfIntersections:
         assert _polyline_self_intersections(points) == expected
 
 
+def _invert_reference(mapping, z, tol=1e-12, max_iter=80):
+    """The Newton loop that re-evaluated Psi at every active point on each
+    pass, kept as a frozen reference for ExteriorMap.invert."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    a0 = mapping.coefficient(0)
+    w = z - a0
+    small = np.abs(w) < 0.3
+    w[small] = 0.3 * np.exp(1j * np.angle(z[small] - a0 + 1e-30))
+    target = tol * np.maximum(1.0, np.abs(z))
+    res = np.abs(mapping._eval_raw(w) - z)
+    active = res > target
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        wa = w[active]
+        dpsi = mapping._derivative_raw(wa)
+        dpsi = np.where(np.abs(dpsi) < 1e-14, 1e-14, dpsi)
+        step = (mapping._eval_raw(wa) - z[active]) / dpsi
+        new = wa - step
+        new_res = np.abs(mapping._eval_raw(new) - z[active])
+        for _ in range(20):
+            worse = new_res > res[active]
+            if not np.any(worse):
+                break
+            step = np.where(worse, 0.5 * step, step)
+            new = wa - step
+            new_res = np.abs(mapping._eval_raw(new) - z[active])
+        w[active] = new
+        res[active] = new_res
+        active = res > target
+    return w, res <= target
+
+
+def _square_grid(n):
+    xs = np.linspace(-3.0, 3.0, n)
+    return (xs[None, :] + 1j * xs[:, None]).ravel()
+
+
+class TestInvertMatchesReference:
+    """invert must return the reference loop's iterates bit for bit."""
+
+    SETTINGS = [{}, {"max_iter": 3}, {"tol": 1e-15}]
+    HARD_MAPS = {
+        "ellipse a1=0.999": ExteriorMap((0.0, 0.999)),
+        "hypocycloid a2=0.49": ExteriorMap((0.0, 0.0, 0.49)),
+        "truncated square": ExteriorMap(
+            (0.0, 0.0, 0.0, -1 / 6, 0.0, 0.0, 0.0, 1 / 56, 0.0, 0.0, 0.0, -1 / 176)
+        ),
+        # not univalent: Newton leaves points unconverged here
+        "w + 0.6/w^2": ExteriorMap((0.0, 0.0, 0.6)),
+        "w + 1.2/w": ExteriorMap((0.0, 1.2)),
+        "w + 0.5/w^3": ExteriorMap((0.0, 0.0, 0.0, 0.5)),
+    }
+
+    @staticmethod
+    def _assert_same(mapping, z, settings):
+        w_ref, ok_ref = _invert_reference(mapping, z, **settings)
+        w, ok = mapping.invert(z, **settings)
+        assert np.array_equal(w.view(np.uint64), w_ref.view(np.uint64))
+        assert np.array_equal(ok, ok_ref)
+        return ok_ref
+
+    @pytest.mark.parametrize("settings", SETTINGS)
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_figure_grids(self, name, settings):
+        self._assert_same(FIG_MAPS[name], _square_grid(201), settings)
+
+    @pytest.mark.parametrize("settings", SETTINGS)
+    def test_random_maps(self, settings):
+        rng = np.random.default_rng(41)
+        for k in range(20):
+            mp = random_univalent_map(rng, 1 + k % 12)
+            z = np.concatenate(
+                [_square_grid(41), 2.0 * (rng.normal(size=50) + 1j * rng.normal(size=50))]
+            )
+            self._assert_same(mp, z, settings)
+
+    @pytest.mark.parametrize("settings", SETTINGS)
+    @pytest.mark.parametrize("name", list(HARD_MAPS))
+    def test_hard_and_non_univalent_maps(self, name, settings):
+        mp = self.HARD_MAPS[name]
+        converged = self._assert_same(mp, _square_grid(41), settings)
+        if name.startswith("w + ") and not settings:
+            assert not converged.all()
+
+    @pytest.mark.parametrize("settings", SETTINGS)
+    def test_at_the_shift(self, settings):
+        for mp in (FIG_MAPS["fig2"], ExteriorMap((0.3 - 0.2j, 0.2, 0.1j))):
+            self._assert_same(mp, mp.coefficient(0), settings)
+
+
 class TestConstruction:
     def test_rejects_other_radius(self):
         with pytest.raises(ValueError):

@@ -90,6 +90,64 @@ class TestKelvin:
             assert abs(series - quad) < 1e-6
 
 
+def _seeded_cases(count, seed):
+    """(map, rule, samples, targets) on seeded maps of order 0-12, rules of
+    64-4096 nodes and 1-40 targets, half inside and half outside."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        order = k % 13
+        shift = 0.2 * (rng.normal() + 1j * rng.normal())
+        mp = random_univalent_map(rng, order) if order else ExteriorMap((shift,))
+        rule = QuadratureRule(2 ** (6 + k % 7))
+        samples = rng.normal(size=rule.q) + 1j * rng.normal(size=rule.q)
+        n = int(rng.integers(1, 41))
+        outside = mp.eval(rng.uniform(1.6, 4.0, n // 2) * np.exp(2j * np.pi * rng.random(n // 2)))
+        # sum k|a_k| <= 0.8 keeps the boundary 0.2 away from a0
+        m = n - n // 2
+        inside = mp.coefficient(0) + 0.12 * rng.random(m) * np.exp(2j * np.pi * rng.random(m))
+        yield mp, rule, samples, np.concatenate([outside, inside])
+
+
+OPERATORS = {
+    "kelvin": lambda s, mp, z, rule: kelvin_single_layer(s, mp, FIG_MATERIAL, z, rule),
+    "cauchy": cauchy_operator,
+    "log": log_operator,
+}
+
+
+@pytest.mark.parametrize("name", list(OPERATORS))
+class TestArrayTargets:
+    def test_matches_per_target_calls_bitwise(self, name):
+        op = OPERATORS[name]
+        for mp, rule, samples, targets in _seeded_cases(40, 12):
+            got = op(samples, mp, targets, rule)
+            one = np.array([op(samples, mp, complex(z), rule) for z in targets])
+            assert got.shape == targets.shape
+            assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
+
+    def test_scalar_and_shaped_targets(self, name):
+        op = OPERATORS[name]
+        mp, rule, samples, targets = next(_seeded_cases(4, 13))
+        for z in (complex(targets[0]), targets[0], np.asarray(targets[0])):
+            assert type(op(samples, mp, z, rule)) is complex
+        grid = np.resize(targets, (3, 4))
+        got = op(samples, mp, grid, rule)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), op(samples, mp, grid.ravel(), rule))
+
+    def test_proximity_error_for_any_target(self, name):
+        op = OPERATORS[name]
+        mp = ExteriorMap(())
+        rule = QuadratureRule(256)
+        samples = np.ones(256, dtype=complex)
+        far = [0.0, 0.3j, 2.0, -3.0 + 1.0j]
+        for near in (1.01, 0.97j, -0.98):
+            for at in range(len(far) + 1):
+                targets = np.array(far[:at] + [near] + far[at:], dtype=complex)
+                with pytest.raises(ProximityError):
+                    op(samples, mp, targets, rule)
+
+
 class TestCauchyOperator:
     def test_positive_mode_interior(self):
         rng = np.random.default_rng(1)
