@@ -275,13 +275,13 @@ def _check_univalence(job: JobConfig) -> int:
     if not report.ok:
         print("map failed the univalence check:", file=sys.stderr)
         print(
-            f"  min |Psi'| on the sample grid: {report.min_abs_derivative:.3e}",
+            f"  min |Psi'| on the boundary samples: {report.min_abs_derivative:.3e}",
             file=sys.stderr,
         )
         if report.derivative_winding:
             print(
                 f"  Psi' has {report.derivative_winding} zero(s) outside the "
-                "unit circle (boundary winding count)",
+                "unit circle",
                 file=sys.stderr,
             )
         if report.crossing_segments:

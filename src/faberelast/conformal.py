@@ -32,12 +32,13 @@ def _as_complex_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnivalenceReport:
-    """Result of the sampled univalence check.
+    """Result of the univalence check.
 
-    ``derivative_winding`` is the winding number of Psi' along |w| = 1;
-    by the argument principle it equals the number of derivative zeros
-    outside the unit circle, so a nonzero value certifies failure even
-    when no sample lands near a zero.
+    ``derivative_zeros`` lists the zeros of Psi' on or outside the unit
+    circle (to the check's tolerance), and ``derivative_winding`` counts
+    those strictly outside it (by the argument principle, minus the
+    winding number of Psi' along |w| = 1).  ``min_abs_derivative`` is the
+    least |Psi'| over the boundary samples.
     """
 
     ok: bool
@@ -230,41 +231,29 @@ class ExteriorMap:
 
     def validate_univalence(
         self,
-        n_radial: int = 64,
-        n_angular: int = 512,
         n_boundary: int = 2048,
         derivative_tol: float = 1e-8,
     ) -> UnivalenceReport:
-        """Sampled univalence check; failures are reported, never raised.
+        """Univalence check; failures are reported, never raised.
 
-        Two tests: Psi' must not vanish on a radial/angular sample grid
-        covering |w| in [1, 4], and the boundary polyline at
-        ``n_boundary`` samples must be free of self-intersections.
+        Two tests: Psi' must not vanish on |w| >= 1, and the boundary
+        polyline at ``n_boundary`` samples must be free of
+        self-intersections.  The zeros of Psi' are the roots of the
+        polynomial w**(M+1) Psi'(w) = w**(M+1) - sum_k k a_k w**(M-k);
+        a root with |w| >= 1 - ``derivative_tol`` fails the map.
         """
-        radii = np.linspace(1.0, 4.0, n_radial)
-        angles = np.linspace(0.0, 2.0 * np.pi, n_angular, endpoint=False)
-        wgrid = radii[:, None] * np.exp(1j * angles)[None, :]
-        dvals = np.abs(self._derivative_raw(wgrid))
-        min_abs = float(dvals.min())
-        zero_idx = np.argwhere(dvals < derivative_tol)
-        zeros = tuple(complex(wgrid[i, j]) for i, j in zero_idx[:16])
+        a = self._coeff_array
+        roots = np.roots(np.concatenate(([1.0], -np.arange(len(a)) * a)))
+        radius = np.abs(roots)
+        zeros = tuple(complex(r) for r in roots[radius >= 1.0 - derivative_tol])
+        winding = int(np.count_nonzero(radius > 1.0 + derivative_tol))
 
         theta_b = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
-        dpsi_b = self._derivative_raw(np.exp(1j * theta_b))
-        winding = 0
-        if np.all(np.abs(dpsi_b) > derivative_tol):
-            phases = np.unwrap(np.angle(dpsi_b))
-            closing = float(np.angle(dpsi_b[0] / dpsi_b[-1]))
-            # Psi' is analytic and pole-free on |w| > 1 with Psi'(inf) = 1,
-            # so its zero count there is minus the counterclockwise winding
-            winding = -int(round((phases[-1] - phases[0] + closing) / (2.0 * np.pi)))
+        min_abs = float(np.abs(self._derivative_raw(np.exp(1j * theta_b))).min())
+        crossings = _polyline_self_intersections(self.boundary_point(theta_b))
 
-        pts = self.boundary_point(theta_b)
-        crossings = _polyline_self_intersections(pts)
-
-        ok = len(zeros) == 0 and winding == 0 and len(crossings) == 0
         return UnivalenceReport(
-            ok=ok,
+            ok=not zeros and not crossings,
             min_abs_derivative=min_abs,
             derivative_zeros=zeros,
             derivative_winding=winding,

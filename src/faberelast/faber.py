@@ -24,8 +24,10 @@ The change of basis for derivatives,
 has the closed form gamma_{m,j} = m d_{m-1-j} and gamma_{m,0} = m d_{m-1},
 where d_k are the Laurent coefficients of 1/Psi'(w) (keep the polynomial
 part of F_m'(Psi(w)) = m w**(m-1) / Psi'(w) + O(w**-2); Curtiss, Amer.
-Math. Monthly 78, 1971).  These coefficients drive the re-expansion of
-conjugated series in the transmission solve.
+Math. Monthly 78, 1971).  The table stores d alone, and the transmission
+solve reads only d: every re-expansion of a conjugated series there is a
+convolution or a Toeplitz product with conj(d).  The matrices Gamma and
+gamma0 are built from d on first read, for the table dumps and checks.
 """
 
 from __future__ import annotations
@@ -80,8 +82,7 @@ class FaberTable:
 
     mapping: ExteriorMap
     grunsky: np.ndarray  # (N, N); [m-1, k-1] = c_{m,k}
-    gamma: np.ndarray  # (N, N); [m-1, j-1] = gamma_{m,j}, strictly lower
-    gamma0: np.ndarray  # (N,);  [m-1] = gamma_{m,0}
+    d: np.ndarray  # (N,); [k] = d_k, Laurent coefficients of 1/Psi'(w)
     order: int
     _grunsky_wide: np.ndarray  # (N+1, N*M+1); [m, k] = c_{m,k}, exact full rows
 
@@ -89,6 +90,21 @@ class FaberTable:
         """All nonzero Grunsky coefficients of row m: c_{m,1} ... c_{m,mM}."""
         top = max(m * max(self.mapping.order, 1), 0)
         return self._grunsky_wide[m, 1 : top + 1]
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """(N, N); [m-1, j-1] = gamma_{m,j} = m d_{m-1-j}, strictly lower.
+
+        Built on first read, like gamma0; the solve reads d instead.
+        """
+        m = np.arange(1, self.order + 1)
+        lag = m[:, None] - m[None, :] - 1  # m - 1 - j at [m-1, j-1]
+        return np.where(lag >= 0, m[:, None] * self.d[np.maximum(lag, 0)], 0.0)
+
+    @cached_property
+    def gamma0(self) -> np.ndarray:
+        """(N,); [m-1] = gamma_{m,0} = m d_{m-1}."""
+        return np.arange(1, self.order + 1) * self.d
 
     @cached_property
     def monomial(self) -> np.ndarray:
@@ -127,26 +143,24 @@ def build_faber(mapping: ExteriorMap, n: int) -> FaberTable:
     if n < 1:
         raise ValueError("table order must be at least 1")
     wide = _grunsky_wide(mapping, n)  # at least n columns past k = 0
-    grunsky = wide[1:, 1 : n + 1].copy()
-
-    d = _inverse_derivative_series(_tail(mapping), n)
-    m = np.arange(1, n + 1)
-    lag = m[:, None] - m[None, :] - 1  # m - 1 - j at [m-1, j-1]
-    gamma = np.where(lag >= 0, m[:, None] * d[np.maximum(lag, 0)], 0.0)
     return FaberTable(
         mapping=mapping,
-        grunsky=grunsky,
-        gamma=gamma,
-        gamma0=m * d,
+        grunsky=wide[1:, 1 : n + 1].copy(),
+        d=_inverse_derivative_series(_tail(mapping), n),
         order=n,
         _grunsky_wide=wide,
     )
 
 
-def grunsky_matrix(mapping: ExteriorMap, table: FaberTable) -> np.ndarray:
-    """Grunsky matrix c_{m,k}, m,k = 1..N, by exact series composition."""
+def check_table_map(mapping: ExteriorMap, table: FaberTable) -> None:
+    """Raise ValueError unless ``table`` was built for ``mapping``."""
     if table.mapping is not mapping and table.mapping != mapping:
         raise ValueError("table was built for a different map")
+
+
+def grunsky_matrix(mapping: ExteriorMap, table: FaberTable) -> np.ndarray:
+    """Grunsky matrix c_{m,k}, m,k = 1..N, by exact series composition."""
+    check_table_map(mapping, table)
     return table.grunsky.copy()
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conformal import _INSIDE_TOL, ExteriorMap
 from .errors import DomainError
-from .faber import FaberTable, faber_values
+from .faber import FaberTable, check_table_map, faber_values
 from .loading import FarFieldLoading, Material, eval_u0
 from .solver import DensitySolution
 
@@ -187,6 +187,7 @@ def single_layer_exterior(
     wa = w.reshape(-1)
     if np.any(np.abs(wa) < 1.0 - _INSIDE_TOL):
         raise DomainError("exterior evaluation needs |w| >= 1")
+    check_table_map(mapping, table)
     n = sol.order
     M = mapping.order
     if table.order < n + M:

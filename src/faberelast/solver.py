@@ -19,6 +19,12 @@ at most (M-2) x (M-2); every entry beyond that block is a closed-form
 diagonal scaling, so truncation at order N only limits the loading
 degree, never the solve itself.
 
+Gamma is never formed here.  With gamma_{m,j} = m d_{m-1-j}, where d_k
+are the Laurent coefficients of 1/Psi' (see faber), each product with
+conj(Gamma) reads d alone: y comes from convolutions with conj(d), and
+the coupled block and the constant channel from a Toeplitz matrix in
+conj(d) times the Hankel matrix of the a_k.
+
 Rotation-channel constants
 --------------------------
 Decomposing the rigid motion c1 + i c2 - i c3 z in the same two-
@@ -42,7 +48,7 @@ import numpy as np
 
 from .conformal import ExteriorMap
 from .errors import DegenerateRotationError, SingularBlockError, TruncationError
-from .faber import FaberTable, build_faber
+from .faber import FaberTable, _tail, build_faber, check_table_map
 from .loading import FarFieldLoading, Material
 
 #: condition-number ceiling for the coupled block
@@ -121,16 +127,6 @@ def build_AD(mapping: ExteriorMap, n: int) -> tuple:
     return A, D
 
 
-def _accumulate_ftilde(table: FaberTable, j: int, weight: complex, coeffs, const):
-    """Add weight * conj(Ftilde_j) re-expanded over conj(F_l) + constant."""
-    if j <= 0:
-        return const
-    scale = weight / j
-    if j > 1:
-        coeffs[: j - 1] += scale * np.conj(table.gamma[j - 1, : j - 1])
-    return const + scale * np.conj(table.gamma0[j - 1])
-
-
 def build_y(
     mapping: ExteriorMap,
     table: FaberTable,
@@ -158,43 +154,31 @@ def build_y(
     M = mapping.order
     p = loading.degree
     ntab = table.order
-    if p + M > ntab:
+    # the rotation forcing J1 reaches Ftilde_{M+1} even at degree 0
+    if max(p, 1) + M > ntab:
         raise TruncationError(
             f"loading degree {p} with map order {M} needs a Faber table of "
-            f"order {p + M}, have {ntab}"
+            f"order {max(p, 1) + M}, have {ntab}"
         )
-    width = ntab
-    kap = mat.kappa
-
-    c1v = np.zeros(width, dtype=complex)  # J1 coefficients over conj(F_l)
-    c2v = np.zeros(width, dtype=complex)  # J2 coefficients
-    j1const = 0.0 + 0.0j
-    j2const = 0.0 + 0.0j
-
-    pref = -2j / (kap + 1.0)
-    for k in range(0, M + 1):
-        ak = mapping.coefficient(k)
-        if ak != 0:
-            j1const = _accumulate_ftilde(table, k + 1, pref * ak, c1v, j1const)
-
-    for m in range(1, min(p, width) + 1):
-        bm = loading.coefficient_B(m)
-        if bm != 0:
-            c2v[m - 1] += np.conj(bm)
-        am = loading.coefficient_A(m)
-        if am != 0:
-            wgt = m * np.conj(am)
-            for k in range(-1, M + 1):
-                ak = mapping.coefficient(k)
-                if ak != 0:
-                    j2const = _accumulate_ftilde(
-                        table, k + m, wgt * ak, c2v, j2const
-                    )
+    a = np.concatenate(([1.0], _tail(mapping)))  # a_{-1} = 1, a_0 .. a_M
+    # weights b_j of conj(Ftilde_j), j = 0 .. ntab, for J1 and J2; the m = 0
+    # term of J2 has zero weight and keeps the convolution defined at p = 0
+    b = np.zeros((2, ntab + 1), dtype=complex)
+    b[0, : M + 2] = -2j / (mat.kappa + 1.0) * a
+    mA = np.arange(p + 1) * np.conj(loading.A[: p + 1])
+    b[1, : p + M + 1] = np.convolve(mA, a)[1:]
+    # Ftilde_j = F_j'/j = sum_{l<j} d_{j-1-l} F_l, so the weight of conj(F_l)
+    # is sum_j b_j conj(d_{j-1-l}): a convolution with conj(d_{i-1}) reversed
+    lagged = np.concatenate(([0.0], np.conj(table.d)))[::-1]
+    c1v, c2v = (np.convolve(row, lagged)[ntab:] for row in b)
+    j1const, j2const = c1v[0], c2v[0]
+    c1v, c2v = c1v[1:], c2v[1:]  # J1, J2 coefficients over conj(F_l), l >= 1
+    c2v[:p] += np.conj(loading.B[1 : p + 1])
 
     y1full = -c1v / mat.alpha2
     y2full = -c2v / mat.alpha2
     tail_scale = max(1.0, np.abs(y1full).max(initial=0.0), np.abs(y2full).max(initial=0.0))
-    if n < width and (
+    if n < ntab and (
         np.abs(y1full[n:]).max(initial=0.0) > 1e-13 * tail_scale
         or np.abs(y2full[n:]).max(initial=0.0) > 1e-13 * tail_scale
     ):
@@ -205,19 +189,25 @@ def build_y(
     return y1full[:n], y2full[:n], -j1const / mat.alpha2, -j2const / mat.alpha2
 
 
+def _conj_d_hankel(mapping: ExteriorMap, table: FaberTable, rows: int, cols: int):
+    """W[i, j-1] = sum_k conj(d_{k-1-i}) a_{k+j}, i = 0..rows-1, j = 1..cols.
+
+    The Toeplitz factor T[i, k] = conj(d_{k-1-i}) (k > i) times the Hankel
+    factor H[k, j] = a_{k+j}; with gamma_{k,i} = k d_{k-1-i}, row i is
+    sum_k conj(gamma_{k,i}) a_{k+j} / k.  Only k < M reaches a nonzero a_{k+j}.
+    """
+    M = mapping.order
+    k = np.arange(1, M)
+    lag = k[None, :] - np.arange(rows)[:, None] - 1
+    T = np.where(lag >= 0, np.conj(table.d)[np.maximum(lag, 0)], 0.0)
+    a = np.zeros(M + cols + 1, dtype=complex)
+    a[: M + 1] = _tail(mapping)
+    return T @ a[k[:, None] + np.arange(1, cols + 1)[None, :]]
+
+
 def coupling_block(mapping: ExteriorMap, table: FaberTable, n: int) -> np.ndarray:
     """The matrix conj(Gamma)^T D A; entry (i, j) vanishes for i+j >= M."""
-    M = mapping.order
-    E = np.zeros((n, n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i + j >= M:
-                continue
-            acc = 0.0 + 0.0j
-            for k in range(i + 1, M - j + 1):
-                acc += np.conj(table.gamma[k - 1, i - 1]) * mapping.coefficient(k + j) / k
-            E[i - 1, j - 1] = acc
-    return E
+    return _conj_d_hankel(mapping, table, n + 1, n)[1:]
 
 
 def _solve_one(E: np.ndarray, kappa: float, y: np.ndarray) -> np.ndarray:
@@ -318,16 +308,7 @@ def solve_c12(
                    - 2i kappa c3 a0/(kappa+1)).
     Solving for c1 + i c2 gives the expression below.
     """
-    M = mapping.order
-    lhs = 0.0 + 0.0j
-    for m in range(1, len(s) + 1):
-        for j in range(1, M - m + 1):
-            lhs += (
-                np.conj(s[m - 1])
-                * mapping.coefficient(m + j)
-                * np.conj(table.gamma0[j - 1])
-                / j
-            )
+    lhs = np.conj(s) @ _conj_d_hankel(mapping, table, 1, len(s))[0]
     a0 = mapping.coefficient(0)
     kap = mat.kappa
     c12 = (
@@ -352,6 +333,8 @@ def solve_full(
         raise TruncationError(
             f"loading has degree {loading.degree}, above the truncation order {n}"
         )
+    if table is not None:
+        check_table_map(mapping, table)
     if table is None or table.order < required_table_order(mapping, n) - 1:
         table = build_faber(mapping, required_table_order(mapping, n))
     y1, y2, j01, j02 = build_y(mapping, table, loading, mat, n)

@@ -416,3 +416,57 @@ class TestConstruction:
         mp = ExteriorMap((0.3, 0.2))
         assert mp.coefficient(-1) == 1.0
         assert mp.coefficient(5) == 0.0
+
+
+class TestDerivativeZeros:
+    """Zeros of Psi' come from the roots of w**(M+1) Psi'(w), not from samples."""
+
+    # the deltoid w + 0.5/w**2 has three cusps on |w| = 1; rotating a2 moves
+    # them off any sample angle
+    @pytest.mark.parametrize(
+        "angle", [0.0, 0.001, -0.001, 3 * 2 * np.pi / 2048, 0.5 * 2 * np.pi / 2048, 1.0, 2.5]
+    )
+    def test_rotated_deltoid_rejected(self, angle):
+        report = ExteriorMap((0.0, 0.0, 0.5 * np.exp(1j * angle))).validate_univalence()
+        assert not report.ok
+        assert len(report.derivative_zeros) == 3
+        np.testing.assert_allclose(np.abs(report.derivative_zeros), 1.0, atol=1e-12)
+        assert report.derivative_winding == 0
+
+    @pytest.mark.parametrize(
+        "coeffs", [(0.0, 0.0, 0.49), (0.0, 0.999), (0.1, -0.999j), (0.0, 0.0, 0.49j)]
+    )
+    def test_near_degenerate_shapes_pass(self, coeffs):
+        report = ExteriorMap(coeffs).validate_univalence()
+        assert report.ok
+        assert report.derivative_zeros == ()
+        assert report.derivative_winding == 0
+        assert 0.0 < report.min_abs_derivative < 0.03
+
+    def test_zeros_outside_counted(self):
+        # Psi' = 1 - 3/w**4 for w + 1/w**3: four zeros at |w| = 3**(1/4)
+        report = ExteriorMap((0.0, 0.0, 0.0, 1.0)).validate_univalence()
+        assert report.derivative_winding == 4
+        np.testing.assert_allclose(np.abs(report.derivative_zeros), 3.0**0.25, rtol=1e-12)
+
+    def test_zeros_are_roots_of_derivative(self):
+        rng = np.random.default_rng(8)
+        for order in (2, 5, 12, 24):
+            mp = random_univalent_map(rng, order, margin=0.9)
+            big = ExteriorMap((0.0, *(4.0 * np.array(mp.coefficients[1:]))))
+            report = big.validate_univalence()
+            assert not report.ok
+            assert report.derivative_winding == len(report.derivative_zeros) > 0
+            for w in report.derivative_zeros:
+                assert abs(big._derivative_raw(w)) < 1e-10
+
+    def test_min_abs_derivative_on_boundary_samples(self):
+        mp = FIG_MAPS["fig3"]
+        theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+        expected = np.abs(mp.derivative(np.exp(1j * theta))).min()
+        assert mp.validate_univalence().min_abs_derivative == expected
+
+    def test_random_admissible_maps_pass(self):
+        rng = np.random.default_rng(9)
+        for order in range(1, 25):
+            assert random_univalent_map(rng, order, margin=0.99).validate_univalence().ok

@@ -15,6 +15,7 @@ from faberelast import (
     eval_u0,
     required_table_order,
     solve_block,
+    solve_c12,
     solve_c3,
     solve_full,
     solve_t,
@@ -22,6 +23,7 @@ from faberelast import (
     transmission_residual,
 )
 from util import (
+    FIG_LOADING,
     FIG_MAPS,
     FIG_MATERIAL,
     random_loading,
@@ -425,3 +427,259 @@ class TestDensityOnBoundary:
         np.testing.assert_allclose(
             density_on_boundary(sol, mapping, theta), expected, rtol=1e-14
         )
+
+
+# -- frozen copies of the Gamma-based assembly, kept as references ---------
+
+
+def _ref_accumulate_ftilde(table, j, weight, coeffs, const):
+    if j <= 0:
+        return const
+    scale = weight / j
+    if j > 1:
+        coeffs[: j - 1] += scale * np.conj(table.gamma[j - 1, : j - 1])
+    return const + scale * np.conj(table.gamma0[j - 1])
+
+
+def _ref_build_y(mapping, table, loading, mat, n):
+    M = mapping.order
+    p = loading.degree
+    width = table.order
+    c1v = np.zeros(width, dtype=complex)
+    c2v = np.zeros(width, dtype=complex)
+    j1const = 0.0 + 0.0j
+    j2const = 0.0 + 0.0j
+    pref = -2j / (mat.kappa + 1.0)
+    for k in range(0, M + 1):
+        ak = mapping.coefficient(k)
+        if ak != 0:
+            j1const = _ref_accumulate_ftilde(table, k + 1, pref * ak, c1v, j1const)
+    for m in range(1, min(p, width) + 1):
+        bm = loading.coefficient_B(m)
+        if bm != 0:
+            c2v[m - 1] += np.conj(bm)
+        am = loading.coefficient_A(m)
+        if am != 0:
+            wgt = m * np.conj(am)
+            for k in range(-1, M + 1):
+                ak = mapping.coefficient(k)
+                if ak != 0:
+                    j2const = _ref_accumulate_ftilde(table, k + m, wgt * ak, c2v, j2const)
+    y1full = -c1v / mat.alpha2
+    y2full = -c2v / mat.alpha2
+    return y1full[:n], y2full[:n], -j1const / mat.alpha2, -j2const / mat.alpha2
+
+
+def _ref_coupling_block(mapping, table, n):
+    M = mapping.order
+    E = np.zeros((n, n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i + j >= M:
+                continue
+            acc = 0.0 + 0.0j
+            for k in range(i + 1, M - j + 1):
+                acc += np.conj(table.gamma[k - 1, i - 1]) * mapping.coefficient(k + j) / k
+            E[i - 1, j - 1] = acc
+    return E
+
+
+def _ref_c12_lhs(s, mapping, table):
+    M = mapping.order
+    lhs = 0.0 + 0.0j
+    for m in range(1, len(s) + 1):
+        for j in range(1, M - m + 1):
+            lhs += (
+                np.conj(s[m - 1])
+                * mapping.coefficient(m + j)
+                * np.conj(table.gamma0[j - 1])
+                / j
+            )
+    return lhs
+
+
+def _ref_gamma(table):
+    """The eager Gamma and gamma0 construction of the Gamma-storing table."""
+    n = table.order
+    d = table.d
+    m = np.arange(1, n + 1)
+    lag = m[:, None] - m[None, :] - 1
+    gamma = np.where(lag >= 0, m[:, None] * d[np.maximum(lag, 0)], 0.0)
+    return gamma, m * d
+
+
+def _close(new, ref, rtol=1e-13):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    scale = max(np.abs(ref).max(initial=0.0), np.abs(new).max(initial=0.0))
+    assert np.abs(new - ref).max(initial=0.0) <= rtol * scale
+
+
+def _seeded_map(rng, order):
+    if order == 0:
+        return ExteriorMap((0.3 - 0.2j,))
+    return random_univalent_map(rng, order, margin=0.9)
+
+
+def _loadings(rng, p):
+    full = random_loading(rng, p)
+    zeros = np.zeros(p + 1, dtype=complex)
+    return {
+        "full": full,
+        "A_only": FarFieldLoading(full.A, zeros),
+        "B_only": FarFieldLoading(zeros, full.B),
+        "zero": FarFieldLoading([0.0], [0.0]),
+    }
+
+
+ORDERS_AND_DEGREES = [
+    (0, 1), (0, 40), (1, 1), (1, 60), (2, 3), (2, 120), (3, 1), (3, 80),
+    (5, 20), (5, 200), (8, 10), (8, 150), (12, 120), (12, 200), (24, 60), (24, 200),
+]
+
+
+class TestAssemblyMatchesGammaReference:
+    """The d-based assembly against the Gamma-based loops it replaced."""
+
+    @pytest.mark.parametrize("order,degree", ORDERS_AND_DEGREES)
+    def test_build_y(self, order, degree):
+        rng = np.random.default_rng(1000 * order + degree)
+        mp = _seeded_map(rng, order)
+        n = degree + order
+        for extra in (0, 17):  # the required table and a larger one
+            table = build_faber(mp, required_table_order(mp, n) + extra)
+            for load in _loadings(rng, degree).values():
+                new = build_y(mp, table, load, FIG_MATERIAL, n)
+                ref = _ref_build_y(mp, table, load, FIG_MATERIAL, n)
+                for got, want in zip(new, ref):
+                    _close(got, want)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 8, 12, 24])
+    def test_coupling_block(self, order):
+        rng = np.random.default_rng(order)
+        mp = _seeded_map(rng, order)
+        table = build_faber(mp, 2 * order + 30)
+        h = max(0, order - 2)
+        for n in {h, h + 1, 8, 30}:
+            _close(coupling_block(mp, table, n), _ref_coupling_block(mp, table, n))
+
+    @pytest.mark.parametrize("order,degree", ORDERS_AND_DEGREES)
+    def test_solve_c12(self, order, degree):
+        rng = np.random.default_rng(2000 + 1000 * order + degree)
+        mp = _seeded_map(rng, order)
+        n = degree + order
+        table = build_faber(mp, required_table_order(mp, n) + 5)
+        load = random_loading(rng, degree)
+        for length in sorted({1, max(order - 1, 1), n}):
+            s = rng.normal(size=length) + 1j * rng.normal(size=length)
+            c3, j01, j02 = 0.3, 0.2 - 0.1j, -0.4 + 0.7j
+            c1, c2 = solve_c12(s, c3, j01, j02, mp, table, load, FIG_MATERIAL)
+            kap = FIG_MATERIAL.kappa
+            ref = (
+                -0.5 * FIG_MATERIAL.alpha2 * (_ref_c12_lhs(s, mp, table) - c3 * j01 - j02)
+                + 0.5 * (kap * load.coefficient_A(0) - np.conj(load.coefficient_B(0)))
+                + 1j * kap * c3 * mp.coefficient(0) / (kap + 1.0)
+            )
+            _close(complex(c1, c2), ref)
+
+    @pytest.mark.parametrize("order,degree", [(1, 1), (3, 20), (12, 120), (24, 200)])
+    def test_solutions_match_reference_pipeline(self, order, degree):
+        rng = np.random.default_rng(3000 + order)
+        mp = _seeded_map(rng, order)
+        load = random_loading(rng, degree)
+        n = degree + order
+        table = build_faber(mp, required_table_order(mp, n))
+        sol = solve_full(mp, load, FIG_MATERIAL, n, table=table)
+        y1, y2, j01, j02 = _ref_build_y(mp, table, load, FIG_MATERIAL, n)
+        u1, u2 = solve_block(mp, table, y1, y2, FIG_MATERIAL, n)
+        c3 = solve_c3(u1, u2, mp, load, FIG_MATERIAL)
+        s = c3 * u1 + u2
+        lhs = _ref_c12_lhs(s, mp, table)
+        kap = FIG_MATERIAL.kappa
+        c12 = (
+            -0.5 * FIG_MATERIAL.alpha2 * (lhs - c3 * j01 - j02)
+            + 0.5 * (kap * load.coefficient_A(0) - np.conj(load.coefficient_B(0)))
+            + 1j * kap * c3 * mp.coefficient(0) / (kap + 1.0)
+        )
+        _close(sol.s, s)
+        _close(sol.c3, c3)
+        _close(complex(sol.c1, sol.c2), c12, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "order12"])
+    def test_lazy_gamma_equals_eager_construction(self, name):
+        if name == "order12":
+            mp = random_univalent_map(np.random.default_rng(12145), 12)
+            table = build_faber(mp, 145)
+        else:
+            mp = FIG_MAPS[name]
+            table = build_faber(mp, required_table_order(mp, 48))
+        gamma, gamma0 = _ref_gamma(table)
+        assert np.array_equal(table.gamma.view(np.uint64), gamma.view(np.uint64))
+        assert np.array_equal(table.gamma0.view(np.uint64), gamma0.view(np.uint64))
+
+    def test_gamma_not_built_by_solve(self):
+        mp = random_univalent_map(np.random.default_rng(5), 6)
+        n = 30
+        table = build_faber(mp, required_table_order(mp, n))
+        solve_full(mp, random_loading(np.random.default_rng(6), 20), FIG_MATERIAL, n,
+                   table=table)
+        assert "gamma" not in vars(table)
+        assert "gamma0" not in vars(table)
+        assert table.gamma is table.gamma and table.gamma0 is table.gamma0
+
+
+class TestTableForAnotherMap:
+    def _maps(self):
+        rng = np.random.default_rng(77)
+        return random_univalent_map(rng, 3), random_univalent_map(rng, 3)
+
+    def test_solve_full_rejects(self):
+        mp, other = self._maps()
+        n = 10
+        table = build_faber(other, required_table_order(mp, n))
+        with pytest.raises(ValueError, match="different map"):
+            solve_full(mp, FIG_LOADING, FIG_MATERIAL, n, table=table)
+
+    def test_small_foreign_table_also_rejected(self):
+        mp, other = self._maps()
+        with pytest.raises(ValueError, match="different map"):
+            solve_full(mp, FIG_LOADING, FIG_MATERIAL, 10, table=build_faber(other, 2))
+
+    def test_single_layer_exterior_rejects(self):
+        from faberelast import single_layer_exterior
+
+        mp, other = self._maps()
+        n = 10
+        sol = solve_full(mp, FIG_LOADING, FIG_MATERIAL, n)
+        table = build_faber(other, required_table_order(mp, n))
+        with pytest.raises(ValueError, match="different map"):
+            single_layer_exterior(sol, table, mp, FIG_MATERIAL, 2.0 + 0.5j)
+
+    def test_grunsky_matrix_rejects(self):
+        from faberelast import grunsky_matrix
+
+        mp, other = self._maps()
+        with pytest.raises(ValueError, match="different map"):
+            grunsky_matrix(mp, build_faber(other, 6))
+
+    def test_equal_map_accepted(self):
+        mp, _ = self._maps()
+        twin = ExteriorMap(mp.coefficients)
+        assert twin is not mp
+        n = 10
+        table = build_faber(twin, required_table_order(mp, n))
+        sol = solve_full(mp, FIG_LOADING, FIG_MATERIAL, n, table=table)
+        ref = solve_full(mp, FIG_LOADING, FIG_MATERIAL, n)
+        assert np.array_equal(sol.s, ref.s) and sol.c3 == ref.c3
+
+
+def test_degree_zero_loading_needs_table_past_map_order():
+    # J1 reaches Ftilde_{M+1}, so a table of order M is one short
+    mp = ExteriorMap((0.0, 0.1, 0.05, 0.02))
+    load = FarFieldLoading([1.0], [0.5])
+    with pytest.raises(TruncationError, match="order 4, have 3"):
+        build_y(mp, build_faber(mp, 3), load, FIG_MATERIAL, 3)
+    y1, y2, j01, j02 = build_y(mp, build_faber(mp, 4), load, FIG_MATERIAL, 3)
+    ref = _ref_build_y(mp, build_faber(mp, 4), load, FIG_MATERIAL, 3)
+    for got, want in zip((y1, y2, j01, j02), ref):
+        _close(got, want)
