@@ -1,14 +1,37 @@
 """Single-layer potential and total displacement from a density solution.
 
-Interior and exterior evaluation use two different but matching series.
-Inside the inclusion everything is a combination of Faber polynomials
-and their derivatives at z.  Outside, each term is rewritten through
-the exact finite Grunsky rows of the map,
+Every term of the single layer is linear in the density coefficients
+(s_m, t_m), so each evaluator first gathers them into a few coefficient
+vectors and then sums those at all points in one pass.  With the map
+Psi(w) = w + sum_{k=0}^M a_k w**-k, a_{-1} = 1 and n the highest mode
+with s_n or t_n nonzero, both share the weights
 
-    F_m(Psi(w)) - w**m            = sum_{k=1}^{mM} c_{m,k} w**-k,
-    Ftilde_m(Psi(w)) - G_m(w)     = -(1/(m Psi'(w))) sum_k k c_{m,k} w**-k-1,
+    W_j = sum_m s_m conj(a_{j+m}) + t_m conj(a_{j-m}),  j = -n-1 .. n+M.
 
-so only decaying powers of w are ever summed.  That removes the
+Inside the inclusion the field is four Faber sums at z:
+
+    2S = - alpha1 sum_m (t_m/m) F_m + alpha2 z conj(sum_m (t_m/m) F_m')
+         - alpha1 conj(sum_m (conj(s_m)/m) F_m)
+         - alpha2 conj(sum_{j>=1} (W_j/j) F_j').
+
+Outside, each term is rewritten through the exact finite Grunsky rows
+of the map, with u = 1/w,
+
+    F_m(Psi(w)) - w**m          = sum_{k=1}^{mM} c_{m,k} u**k,
+    F_m'(Psi(w))/m - G_m(w)     = -(1/(m Psi'(w))) sum_k k c_{m,k} u**(k+1),
+
+so the field is four polynomials in u, the Kolosov-Muskhelishvili
+potentials in the w-plane:
+
+    P1 = sum_m (conj(s_m)/m) sum_k c_{m,k} u**k + (conj(t_m)/m) u**m,
+    P2 = sum_m (t_m/m) sum_k c_{m,k} u**k + (s_m/m) u**m,
+    P3 = - sum_m s_m u**(m+1) - sum_m (t_m/m) sum_k k c_{m,k} u**(k+1),
+    P4 = sum_{j>=1} (W_j/j) sum_k k c_{j,k} u**(k+1) + sum_{j<=0} W_j u**(1-j),
+
+    2S = - alpha1 (conj(P1) + P2) + alpha2 Psi conj(P3/Psi')
+         + alpha2 conj(P4/Psi').
+
+Only decaying powers of w are ever summed.  That removes the
 catastrophic cancellation a literal evaluation of F_m(z) - w**m would
 hit at large |w| (the two sides grow like |w|**m) and keeps the far
 field accurate out to arbitrary radius.
@@ -95,10 +118,21 @@ class FieldGrid:
             yield FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
 
 
-def _active_modes(sol: DensitySolution) -> list:
-    """The modes m = 1..order with s_m or t_m nonzero, in increasing order."""
-    n = sol.order
-    return (np.flatnonzero((sol.s[:n] != 0) | (sol.t[:n] != 0)) + 1).tolist()
+def _weights(sol: DensitySolution, mapping: ExteriorMap) -> tuple:
+    """Effective degree n, s_1..s_n, t_1..t_n and the weights W.
+
+    n is the highest mode with s_n or t_n nonzero (1 for a zero
+    solution).  W[j + n + 1] = W_j for j = -n-1 .. n+M.
+    """
+    active = np.flatnonzero((sol.s[: sol.order] != 0) | (sol.t[: sol.order] != 0))
+    n = int(active[-1]) + 1 if len(active) else 1
+    s, t = sol.s[:n], sol.t[:n]
+    M = mapping.order
+    conj_a = np.conj([mapping.coefficient(k) for k in range(-1, M + 1)])
+    W = np.zeros(2 * n + M + 2, dtype=complex)
+    W[: n + M + 1] += np.convolve(s[::-1], conj_a)  # s_m conj(a_{j+m})
+    W[n + 1 :] += np.convolve(t, conj_a)  # t_m conj(a_{j-m})
+    return n, s, t, W
 
 
 def single_layer_interior(
@@ -112,66 +146,24 @@ def single_layer_interior(
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     za = np.atleast_1d(z)
+    n, s, t, W = _weights(sol, mapping)
     M = mapping.order
-    modes = _active_modes(sol)
-    n = modes[-1] if modes else 0  # effective degree
     F, Fp = faber_values(mapping, n + M, za)
-
-    def ftilde(j):
-        if j <= 0:
-            return 0.0
-        return Fp[j] / j
-
-    a1 = mat.alpha1
-    a2 = mat.alpha2
-    twoS = np.zeros_like(za)
-    for m in modes:
-        sm = sol.s[m - 1]
-        tm = sol.t[m - 1]
-        if tm != 0:
-            twoS += -a1 * (tm / m) * F[m]
-            twoS += a2 * za * np.conj(tm * ftilde(m))
-        if sm != 0:
-            twoS += -a1 * (sm / m) * np.conj(F[m])
-        inner_s = 0.0
-        inner_t = 0.0
-        for k in range(-1, M + 1):
-            ak = mapping.coefficient(k)
-            if ak == 0:
-                continue
-            if sm != 0 and k > m:
-                inner_s = inner_s + ak * np.conj(ftilde(k - m))
-            if tm != 0:
-                inner_t = inner_t + ak * np.conj(ftilde(k + m))
-        twoS += -a2 * (np.conj(sm) * inner_s + np.conj(tm) * inner_t)
+    j = np.arange(1, n + M + 1)
+    coef = np.zeros((3, n + M + 1), dtype=complex)
+    coef[0, 1 : n + 1] = t / j[:n]
+    coef[1, 1 : n + 1] = np.conj(s) / j[:n]
+    coef[2, 1:] = W[n + 2 :] / j
+    sum_F = np.einsum("rk,k...->r...", coef[:2], F)
+    sum_Fp = np.einsum("rk,k...->r...", coef[::2], Fp)
+    twoS = (
+        -mat.alpha1 * sum_F[0]
+        + mat.alpha2 * za * np.conj(sum_Fp[0])
+        - mat.alpha1 * np.conj(sum_F[1])
+        - mat.alpha2 * np.conj(sum_Fp[1])
+    )
     out = 0.5 * twoS
     return complex(out[0]) if scalar else out.reshape(z.shape)
-
-
-def _horner_rows(rows, u: np.ndarray) -> np.ndarray:
-    """Values sum_k row[k] u**k of coefficient rows given longest first.
-
-    Returns an array of shape (len(rows), len(u)).  The rows are stacked
-    left-aligned, highest coefficient first, so the rows still running
-    at each step are a prefix of the stack, and every element goes
-    through the same ``acc = acc*u + c`` sequence as a loop over one row.
-    """
-    lengths = [len(row) for row in rows]
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("rows must come longest first")
-    width = lengths[0] if rows else 0
-    coef = np.zeros((len(rows), width), dtype=complex)
-    for r, row in enumerate(rows):
-        coef[r, : len(row)] = row[::-1]
-    acc = np.zeros((len(rows), len(u)), dtype=complex)
-    k = len(rows)
-    for step in range(width):
-        while lengths[k - 1] <= step:  # row k-1 has run out
-            k -= 1
-        head = acc[:k]
-        head *= u
-        head += coef[:k, step, None]
-    return acc
 
 
 def single_layer_exterior(
@@ -188,73 +180,40 @@ def single_layer_exterior(
     if np.any(np.abs(wa) < 1.0 - _INSIDE_TOL):
         raise DomainError("exterior evaluation needs |w| >= 1")
     check_table_map(mapping, table)
-    n = sol.order
     M = mapping.order
-    if table.order < n + M:
+    if table.order < sol.order + M:
         raise ValueError("Faber table too small for the solution order")
+    n, s, t, W = _weights(sol, mapping)
+    j = np.arange(1, n + M + 1)
+    width = (n + M) * M + 1  # powers u**0 .. u**((n+M)M) of the Grunsky rows
+    # P1..P4 by rows; X[r] weights the rows c_{j,k} of F_j(Psi(w)) - w**j
+    X = np.zeros((4, n + M), dtype=complex)
+    X[0, :n] = np.conj(s) / j[:n]
+    X[1, :n] = t / j[:n]
+    X[2, :n] = -X[1, :n]
+    X[3] = W[n + 2 :] / j
+    rows = X @ table._grunsky_wide[1 : n + M + 1, :width]
+    rows[2:] *= np.arange(width)  # k c_{j,k}, at u**(k+1) below
+    coef = np.zeros((4, max(width + 1, n + 3)), dtype=complex)
+    coef[:2, :width] = rows[:2]
+    coef[2:, 1 : width + 1] = rows[2:]
+    coef[0, 1 : n + 1] += np.conj(t) / j[:n]
+    coef[1, 1 : n + 1] += s / j[:n]
+    coef[2, 2 : n + 2] -= s
+    coef[3, 1 : n + 3] += W[n + 1 :: -1]  # W_j u**(1-j), j <= 0
+
     u = 1.0 / wa
+    P = np.zeros((4, len(wa)), dtype=complex)
+    for c in coef.T[::-1]:
+        P *= u
+        P += c[:, None]
     psi = mapping.eval(wa)
-    inv_dpsi = 1.0 / mapping.derivative(wa)
-    modes = _active_modes(sol)
-    taps = [(k, np.conj(mapping.coefficient(k))) for k in range(-1, M + 1)]
-    taps = [(k, cak) for k, cak in taps if cak != 0]
-
-    # pass 1: F_m(Psi(w)) - w**m = sum_k c_{m,k} u**k, and v1; the
-    # highest mode has the longest Grunsky row, so it leads the stack
-    comp = _horner_rows([table.grunsky_row(m) for m in modes[::-1]], u)[::-1]
-    comp *= u
-    v1 = np.zeros_like(wa)
-    for i, m in enumerate(modes):
-        sm = sol.s[m - 1]
-        tm = sol.t[m - 1]
-        um = u**m  # the expression shapes below are part of the output bits
-        if sm != 0:
-            v1 += (sm / m) * (np.conj(comp[i]) + um)
-        if tm != 0:
-            v1 += (tm / m) * (comp[i] + np.conj(um))
-    del comp  # no view of it is left, so pass 2 reuses the memory
-
-    # pass 2: Ftilde_j(Psi(w)) - G_j(w) for every j the modes reach
-    reach = set()
-    for m in modes:
-        if sol.s[m - 1] != 0:
-            reach.update(k - m for k, _ in taps)
-        if sol.t[m - 1] != 0:
-            reach.update(k + m for k, _ in taps)
-            reach.add(m)
-    js = sorted((j for j in reach if j > 0), reverse=True)
-    rows = map(table.grunsky_row, js)
-    tilde = _horner_rows([row * np.arange(1, len(row) + 1) for row in rows], u)
-    # tilde_j = sum_k k c_{j,k} u^{k-1}; multiply the two u powers back in
-    tilde *= u
-    tilde *= u
-    np.negative(tilde, out=tilde)
-    tilde *= inv_dpsi
-    tilde /= np.array(js)[:, None]
-    tg = dict(zip(js, tilde))
-    for j in reach:
-        if j <= 0:
-            tg[j] = -(u ** (1 - j)) * inv_dpsi
-
-    v2 = np.zeros_like(wa)
-    v3 = np.zeros_like(wa)
-    for m in modes:
-        sm = sol.s[m - 1]
-        tm = sol.t[m - 1]
-        um = u**m  # as in pass 1, the expression shapes are part of the bits
-        if sm != 0:
-            v2 += -sm * (u * um) * inv_dpsi  # -G_{-m}
-        if tm != 0:
-            v2 += tm * tg[m]
-        inner_s = 0.0
-        inner_t = 0.0
-        for k, cak in taps:
-            if sm != 0:
-                inner_s = inner_s + cak * tg[k - m]
-            if tm != 0:
-                inner_t = inner_t + cak * tg[k + m]
-        v3 += sm * inner_s + tm * inner_t
-    twoS = -mat.alpha1 * v1 + mat.alpha2 * psi * np.conj(v2) - mat.alpha2 * np.conj(v3)
+    dpsi = mapping.derivative(wa)
+    twoS = (
+        -mat.alpha1 * (np.conj(P[0]) + P[1])
+        + mat.alpha2 * psi * np.conj(P[2] / dpsi)
+        + mat.alpha2 * np.conj(P[3] / dpsi)
+    )
     out = 0.5 * twoS
     return complex(out[0]) if scalar else out.reshape(w.shape)
 

@@ -125,9 +125,11 @@ def eval_u0(loading: FarFieldLoading, table: FaberTable, mat: Material, z):
     F, Fp = faber_values(table.mapping, p, za)
     A = loading.A[: p + 1]
     B = loading.B[: p + 1]
-    total = mat.kappa * np.tensordot(A, F, axes=(0, 0))
-    total -= za * np.conj(np.tensordot(A, Fp, axes=(0, 0)))
-    total -= np.conj(np.tensordot(B, F, axes=(0, 0)))
+    # einsum, not tensordot: a threaded BLAS spins up its threads for
+    # these thin products and then costs more than the whole sum
+    total = mat.kappa * np.einsum("m,m...->...", A, F)
+    total -= za * np.conj(np.einsum("m,m...->...", A, Fp))
+    total -= np.conj(np.einsum("m,m...->...", B, F))
     out = 0.5 * total
     return complex(out[0]) if scalar else out.reshape(z.shape)
 
