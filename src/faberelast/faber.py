@@ -28,6 +28,11 @@ Math. Monthly 78, 1971).  The table stores d alone, and the transmission
 solve reads only d: every re-expansion of a conjugated series there is a
 convolution or a Toeplitz product with conj(d).  The matrices Gamma and
 gamma0 are built from d on first read, for the table dumps and checks.
+The field evaluators read d too: the Faber coefficients of
+sum_m c_m F_m' are one correlation of (m c_m) with d
+(``_derivative_coefficients``), so they evaluate F alone.
+``faber_values`` keeps the differentiated recurrence, as the reference
+that closed form is checked against.
 """
 
 from __future__ import annotations
@@ -74,6 +79,18 @@ def _inverse_derivative_series(a: np.ndarray, count: int) -> np.ndarray:
         top = min(len(a) - 1, k - 1)
         d[k] = np.dot(ia[1 : top + 1], d[k - 2 :: -1][:top])
     return d
+
+
+def _derivative_coefficients(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """e_0 .. e_{N-1} with sum_m c_m F_m' = sum_j e_j F_j, for c_0 .. c_N.
+
+    By gamma_{m,j} = m d_{m-1-j}, e_j = sum_{m>j} m c_m d_{m-1-j}: one
+    correlation of (m c_m) with d_0 .. d_{N-1}, which must be in ``d``.
+    """
+    N = len(c) - 1
+    # the reversed (m c_m) ends in 0 * c_0, so the convolution never
+    # sees an empty input, even for N = 0
+    return np.convolve((np.arange(N + 1) * c)[::-1], d[: N + 1])[:N][::-1]
 
 
 @dataclass(frozen=True)
@@ -178,7 +195,7 @@ def eval_faber(table: FaberTable, m: int, z):
     """F_m(z) by the recurrence."""
     _check_index(table, m)
     z = np.asarray(z, dtype=complex)
-    out = faber_values(table.mapping, m, z)[0][m]
+    out = _point_values(_tail(table.mapping), m, np.atleast_1d(z))[m]
     return complex(out[0]) if z.ndim == 0 else out
 
 
@@ -204,17 +221,24 @@ def eval_G(mapping: ExteriorMap, k: int, w):
     return complex(out) if scalar else out
 
 
+def _point_values(a: np.ndarray, n: int, z: np.ndarray) -> np.ndarray:
+    """F_0..F_n at the points z, shape (n+1,) + shape(z), by the recurrence."""
+    F = np.zeros((n + 1,) + z.shape, dtype=complex)
+    F[0] = 1.0
+    return _recurrence(a, F, lambda m: z * F[m])
+
+
 def faber_values(mapping: ExteriorMap, n: int, z):
     """Values of F_0..F_n and their derivatives at z, by the recurrence.
 
-    Returns a pair of arrays of shape (n+1,) + shape(z).  This is the
-    workhorse used by the field evaluators; it costs O(n * M) vector
-    operations instead of O(n^2) for row-wise Horner evaluation.
+    Returns a pair of arrays of shape (n+1,) + shape(z).  It costs
+    O(n * M) vector operations instead of O(n^2) for row-wise Horner
+    evaluation.  The field evaluators take derivatives through d
+    instead (``_derivative_coefficients``); the differentiated
+    recurrence here is their independent reference.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     a = _tail(mapping)
-    F = np.zeros((n + 1,) + z.shape, dtype=complex)
-    F[0] = 1.0
-    _recurrence(a, F, lambda m: z * F[m])
+    F = _point_values(a, n, z)
     Fp = np.zeros_like(F)
     return F, _recurrence(a, Fp, lambda m: z * Fp[m] + F[m])

@@ -8,11 +8,16 @@ with s_n or t_n nonzero, both share the weights
 
     W_j = sum_m s_m conj(a_{j+m}) + t_m conj(a_{j-m}),  j = -n-1 .. n+M.
 
-Inside the inclusion the field is four Faber sums at z:
+Inside the inclusion the field is a Kolosov-Muskhelishvili displacement
+of two Faber series, summed as u0 is (``loading._km_displacement``).
+With alpha1 = kappa alpha2 (see Material),
 
-    2S = - alpha1 sum_m (t_m/m) F_m + alpha2 z conj(sum_m (t_m/m) F_m')
-         - alpha1 conj(sum_m (conj(s_m)/m) F_m)
-         - alpha2 conj(sum_{j>=1} (W_j/j) F_j').
+    S = -(alpha2/2) (kappa phi(z) - z conj(phi'(z)) - conj(psi(z))),
+    phi = sum_m (t_m/m) F_m,
+    psi = - kappa sum_m (conj(s_m)/m) F_m - sum_{j>=1} (W_j/j) F_j',
+
+and every derivative there is re-expanded in F_0 .. F_{n+M-1} through
+the coefficients d of 1/Psi' (see faber), so only F itself is evaluated.
 
 Outside, each term is rewritten through the exact finite Grunsky rows
 of the map, with u = 1/w,
@@ -45,8 +50,8 @@ import numpy as np
 
 from .conformal import _INSIDE_TOL, ExteriorMap
 from .errors import DomainError
-from .faber import FaberTable, check_table_map, faber_values
-from .loading import FarFieldLoading, Material, eval_u0
+from .faber import FaberTable, _derivative_coefficients, check_table_map
+from .loading import FarFieldLoading, Material, _km_displacement, eval_u0
 from .solver import DensitySolution
 
 _BOUNDARY_TOL = 1e-10
@@ -143,27 +148,21 @@ def single_layer_interior(
     z,
 ):
     """Single-layer value S at z in the closed inclusion."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    za = np.atleast_1d(z)
-    n, s, t, W = _weights(sol, mapping)
+    check_table_map(mapping, table)
     M = mapping.order
-    F, Fp = faber_values(mapping, n + M, za)
+    if table.order < sol.order + M:
+        raise ValueError("Faber table too small for the solution order")
+    n, s, t, W = _weights(sol, mapping)
     j = np.arange(1, n + M + 1)
-    coef = np.zeros((3, n + M + 1), dtype=complex)
-    coef[0, 1 : n + 1] = t / j[:n]
-    coef[1, 1 : n + 1] = np.conj(s) / j[:n]
-    coef[2, 1:] = W[n + 2 :] / j
-    sum_F = np.einsum("rk,k...->r...", coef[:2], F)
-    sum_Fp = np.einsum("rk,k...->r...", coef[::2], Fp)
-    twoS = (
-        -mat.alpha1 * sum_F[0]
-        + mat.alpha2 * za * np.conj(sum_Fp[0])
-        - mat.alpha1 * np.conj(sum_F[1])
-        - mat.alpha2 * np.conj(sum_Fp[1])
-    )
-    out = 0.5 * twoS
-    return complex(out[0]) if scalar else out.reshape(z.shape)
+    scale = -0.5 * mat.alpha2
+    # psi reaches index n+M-1, past n when M > 1
+    phi = np.zeros(max(n + 1, n + M), dtype=complex)
+    psi = np.zeros_like(phi)
+    phi[1 : n + 1] = scale * t / j[:n]
+    psi[1 : n + 1] = -mat.kappa * scale * np.conj(s) / j[:n]
+    W_over_j = np.concatenate(([0.0], scale * W[n + 2 :] / j))
+    psi[: n + M] -= _derivative_coefficients(W_over_j, table.d)
+    return _km_displacement(phi, psi, table, mat.kappa, z)
 
 
 def single_layer_exterior(
@@ -218,6 +217,25 @@ def single_layer_exterior(
     return complex(out[0]) if scalar else out.reshape(w.shape)
 
 
+def _field_values(sol, table, mapping, mat, loading, z, w, exterior) -> tuple:
+    """u0, S and u at the 1-D points z; w holds the preimages where exterior.
+
+    Exterior points take u0 + S from the exterior series, all others the
+    rigid motion, with S from the interior series.
+    """
+    u0 = np.asarray(eval_u0(loading, table, mat, z))
+    S = np.zeros_like(z)
+    u = np.zeros_like(z)
+    if exterior.any():
+        S[exterior] = single_layer_exterior(sol, table, mapping, mat, w[exterior])
+        u[exterior] = u0[exterior] + S[exterior]
+    inner = ~exterior
+    if inner.any():
+        S[inner] = single_layer_interior(sol, table, mapping, mat, z[inner])
+        u[inner] = sol.rigid_motion(z[inner])
+    return u0, S, u
+
+
 def displacement(
     sol: DensitySolution,
     table: FaberTable,
@@ -232,19 +250,12 @@ def displacement(
     if r < 1.0 - _INSIDE_TOL:
         raise DomainError("displacement is defined for |w| >= 1")
     z = complex(mapping._eval_raw(np.asarray(w)))
-    u0 = complex(eval_u0(loading, table, mat, z))
-    if r <= 1.0 + _BOUNDARY_TOL:
-        S = complex(single_layer_interior(sol, table, mapping, mat, z))
-        return FieldSample(
-            z=z,
-            w=w,
-            region=REGION_BOUNDARY,
-            u0=u0,
-            S=S,
-            u=complex(sol.rigid_motion(z)),
-        )
-    S = complex(single_layer_exterior(sol, table, mapping, mat, w))
-    return FieldSample(z=z, w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)
+    exterior = r > 1.0 + _BOUNDARY_TOL
+    u0, S, u = (complex(v[0]) for v in _field_values(
+        sol, table, mapping, mat, loading, np.array([z]), np.array([w]), np.array([exterior])
+    ))
+    region = REGION_EXTERIOR if exterior else REGION_BOUNDARY
+    return FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
 
 
 def _points_in_polygon(z: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -318,20 +329,9 @@ def field_grid(
         outside = undecided[~_points_in_polygon(Z[undecided], poly)]
         region[outside] = BOUNDARY  # ambiguous: report as boundary
         ambiguous[outside] = True
-    exterior = region == EXTERIOR
     w = np.where((region != INTERIOR) & ~ambiguous, wv, complex(np.nan, np.nan))
 
-    u0 = np.asarray(eval_u0(loading, table, mat, Z))
-    S = np.zeros_like(Z)
-    u = np.zeros_like(Z)
-
-    if exterior.any():
-        S[exterior] = single_layer_exterior(sol, table, mapping, mat, wv[exterior])
-        u[exterior] = u0[exterior] + S[exterior]
-    inner = ~exterior
-    if inner.any():
-        S[inner] = single_layer_interior(sol, table, mapping, mat, Z[inner])
-        u[inner] = sol.rigid_motion(Z[inner])
+    u0, S, u = _field_values(sol, table, mapping, mat, loading, Z, wv, region == EXTERIOR)
 
     shape = (grid.ny, grid.nx)
     return FieldGrid(

@@ -8,6 +8,12 @@ displacement, stored through their Faber coefficient vectors (A_m) and
               - z * sum_m conj(A_m) conj(F_m'(z))
               - sum_m conj(B_m) conj(F_m(z)).
 
+That is the Kolosov-Muskhelishvili form kappa h - z conj(h') - conj(l).
+It is summed from the values of F_0 .. F_p alone: h' is re-expanded in
+the Faber basis through the coefficients d of 1/Psi' (see faber), so no
+derivative recurrence runs.  The interior single layer of fields is the
+same form of two other Faber series and goes through the same sum.
+
 Keeping the loading as finite coefficient vectors keeps the downstream
 solve exact; the contour-sampling helper below converts a function-
 defined loading into coefficients with spectral accuracy.
@@ -21,7 +27,7 @@ import numpy as np
 
 from .conformal import ExteriorMap
 from .errors import ConvexityError
-from .faber import FaberTable, faber_values
+from .faber import FaberTable, _derivative_coefficients, _point_values, _tail
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,10 @@ class Material:
     synthetic route accepts kappa outside the physical range (1, 3];
     some published field plots use such values and they are needed to
     reproduce them.
+
+    Both constructors give alpha1 = kappa alpha2 (up to rounding), and
+    the solve and the interior single layer rely on it: they read only
+    alpha2 and kappa.
     """
 
     alpha1: float
@@ -114,24 +124,35 @@ class FarFieldLoading:
         )
 
 
+def _km_displacement(phi, psi, table: FaberTable, kappa: float, z):
+    """kappa phi(z) - z conj(phi'(z)) - conj(psi(z)) at z, a point or an array.
+
+    phi and psi are Faber coefficient vectors of equal length N + 1;
+    phi' enters through its Faber coefficients from d, so only F_0..F_N
+    are evaluated.  ``table.d`` must hold d_0 .. d_{N-1}.
+    """
+    z = np.asarray(z, dtype=complex)
+    za = np.atleast_1d(z)
+    N = len(phi) - 1
+    coef = np.zeros((3, N + 1), dtype=complex)
+    coef[0] = phi
+    coef[1, :N] = _derivative_coefficients(phi, table.d)
+    coef[2] = psi
+    # einsum, not tensordot: a threaded BLAS spins up its threads for
+    # these thin products and then costs more than the whole sum
+    sums = np.einsum("rk,k...->r...", coef, _point_values(_tail(table.mapping), N, za))
+    out = kappa * sums[0] - za * np.conj(sums[1]) - np.conj(sums[2])
+    return complex(out[0]) if z.ndim == 0 else out
+
+
 def eval_u0(loading: FarFieldLoading, table: FaberTable, mat: Material, z):
     """Background displacement u0(z); valid in the whole plane."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    za = np.atleast_1d(z)
     p = loading.degree
     if p > table.order:
         raise IndexError("loading degree exceeds the Faber table order")
-    F, Fp = faber_values(table.mapping, p, za)
-    A = loading.A[: p + 1]
-    B = loading.B[: p + 1]
-    # einsum, not tensordot: a threaded BLAS spins up its threads for
-    # these thin products and then costs more than the whole sum
-    total = mat.kappa * np.einsum("m,m...->...", A, F)
-    total -= za * np.conj(np.einsum("m,m...->...", A, Fp))
-    total -= np.conj(np.einsum("m,m...->...", B, F))
-    out = 0.5 * total
-    return complex(out[0]) if scalar else out.reshape(z.shape)
+    # 2 u0 is the KM displacement of (A, B); halving them is exact
+    return _km_displacement(0.5 * loading.A[: p + 1], 0.5 * loading.B[: p + 1],
+                            table, mat.kappa, z)
 
 
 def faber_coefficients_from_samples(samples, m: int, r: float) -> complex:

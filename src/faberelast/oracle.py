@@ -6,7 +6,12 @@ Grunsky coefficients, so agreement with the series evaluators is a
 genuine two-route certification.  ``transmission_residual`` is the
 exception: it evaluates the series itself (``single_layer_interior``
 and ``eval_u0``) on the boundary and measures how far S + u0 is from
-the rigid motion there.  The rule is spectrally accurate for
+the rigid motion there.  Both series take their derivatives through the
+coefficients d of 1/Psi', as the solve does, so that residual cannot
+catch a wrong d.  The independent checks of d are the Gamma identity
+test against the derivative recurrence, the Kelvin quadrature here,
+which ``validate`` compares with both series, and the benchmark's
+Cauchy-integral u0.  The rule is spectrally accurate for
 smooth periodic integrands, which is why a standoff distance from the
 boundary is enforced: closer targets would need specialized quadrature
 that the certification role does not require.

@@ -13,6 +13,7 @@ from faberelast import (
     required_table_order,
     solve_full,
 )
+from faberelast.faber import _derivative_coefficients
 from util import (
     FIG_LOADING,
     FIG_MATERIAL,
@@ -199,6 +200,32 @@ class TestHighDegree:
         zb = table.mapping.boundary_point(2.0 * np.pi * np.arange(64) / 64)
         expected = ellipse_faber_closed_form(80, zb, a)
         np.testing.assert_allclose(eval_faber(table, 80, zb), expected, rtol=1e-12)
+
+
+class TestDerivativeCoefficients:
+    @pytest.mark.parametrize("degree", (0, 1, 2, 30, 200))
+    @pytest.mark.parametrize("order", (0, 1, 3, 12, 24))
+    def test_series_derivative_matches_recurrence(self, order, degree):
+        # sum c_m F_m' summed over F through d, against the derivative
+        # recurrence, at points inside, on and outside the boundary
+        rng = np.random.default_rng(100 * order + degree)
+        mp = ExteriorMap(()) if order == 0 else random_univalent_map(rng, order, margin=0.95)
+        table = build_faber(mp, max(degree, 1))
+        c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        e = _derivative_coefficients(c, table.d)
+        assert e.shape == (degree,)
+        zb = mp.boundary_point(rng.uniform(0.0, 2.0 * np.pi, 40))
+        a0 = mp.coefficient(0)
+        z_out = mp.eval(rng.uniform(1.0, 2.5, 200) * np.exp(2j * np.pi * rng.uniform(size=200)))
+        for z in (a0 + rng.uniform(size=40) * (zb - a0), zb, z_out[np.abs(z_out) <= 3.0][:40]):
+            F, Fp = faber_values(mp, degree, z)
+            ref = np.einsum("m,m...->...", c, Fp)
+            got = np.einsum("j,j...->...", e, F[:degree])
+            scale = np.abs(ref).max()
+            if scale == 0.0:
+                np.testing.assert_array_equal(got, 0.0)
+            else:
+                assert np.abs(got - ref).max() <= 1e-13 * scale
 
 
 class TestEvaluation:

@@ -19,6 +19,7 @@ from faberelast import (
     single_layer_exterior,
     single_layer_interior,
     solve_full,
+    transmission_residual,
     write_field_csv,
 )
 from faberelast.faber import faber_values
@@ -78,6 +79,19 @@ class TestInterior:
         z = complex(mapping.boundary_point(np.linspace(0, 2 * np.pi, 64)).mean())
         got = single_layer_interior(sol, table, mapping, mat, z)
         assert abs(got - kelvin_single_layer(phi, mapping, mat, z, rule)) < 1e-6
+
+
+    @pytest.mark.parametrize("name", ("fig1", "fig3"))
+    def test_table_too_small(self, name):
+        # the series reads d_0 .. d_{n+M-1}; a table one short must raise
+        mapping, mat, _, table, sol = solved_figure(name, 12)
+        small = build_faber(mapping, sol.order + mapping.order - 1)
+        with pytest.raises(ValueError, match="Faber table too small"):
+            single_layer_interior(sol, small, mapping, mat, 0.1j)
+        exact = build_faber(mapping, sol.order + mapping.order)
+        assert single_layer_interior(sol, exact, mapping, mat, 0.1j) == pytest.approx(
+            single_layer_interior(sol, table, mapping, mat, 0.1j), abs=1e-15
+        )
 
 
 class TestExterior:
@@ -337,6 +351,7 @@ def _solved(mp, degree, seed):
 
 #: shapes outside the sampler's sum k|a_k| <= margin < 1 condition
 _HARD_SHAPES = {
+    "ellipse a1=0.99": ExteriorMap((0.0, 0.99)),
     "ellipse a1=0.999": ExteriorMap((0.0, 0.999)),
     "hypocycloid a2=0.49": ExteriorMap((0.0, 0.0, 0.49)),
     "truncated square": ExteriorMap(
@@ -391,6 +406,33 @@ class TestEnvelope:
         got = single_layer_exterior(sol, table, mp, FIG_MATERIAL, w)
         ref = kelvin_single_layer(phi, mp, FIG_MATERIAL, mp.eval(w), rule)
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ("hypocycloid a2=0.49", "truncated square"))
+    def test_hard_shapes_interior_against_quadrature(self, name):
+        # the shapes with room for the quadrature's standoff inside
+        mp = _HARD_SHAPES[name]
+        table, sol = _solved(mp, 30, 5)
+        rule = QuadratureRule(2048)
+        phi = density_on_boundary(sol, mp, rule.theta)
+        z = 0.5 * mp.boundary_point(2.0 * np.pi * np.arange(12) / 12 + 0.1)
+        got = single_layer_interior(sol, table, mp, FIG_MATERIAL, z)
+        ref = kelvin_single_layer(phi, mp, FIG_MATERIAL, z, rule)
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("degree", (30, 120))
+    def test_relative_transmission_residual(self, degree):
+        shapes = {
+            "ellipse a1=0.9": ExteriorMap((0.0, 0.9)),
+            "random M=24": random_univalent_map(np.random.default_rng(24), 24, margin=0.99),
+            **_HARD_SHAPES,
+        }
+        for name, mp in shapes.items():
+            table, sol = _solved(mp, degree, degree)
+            loading = random_loading(np.random.default_rng(degree), degree)
+            zb = mp.boundary_point(2.0 * np.pi * np.arange(512) / 512)
+            residual = transmission_residual(sol, mp, table, loading, FIG_MATERIAL, 512)
+            scale = np.abs(eval_u0(loading, table, FIG_MATERIAL, zb)).max()
+            assert residual <= 5e-15 * scale, (name, residual / scale)
 
     def test_scalar_points_give_complex(self):
         mapping, mat, _, table, sol = solved_figure("fig2")
@@ -487,6 +529,31 @@ class TestDisplacement:
         mapping, mat, loading, table, sol = solved_figure("fig1", 12)
         with pytest.raises(DomainError):
             displacement(sol, table, mapping, mat, loading, 0.5)
+
+    @pytest.mark.parametrize("name", ("fig2", "random"))
+    def test_matches_the_evaluators_bitwise(self, name):
+        if name == "random":
+            mapping = random_univalent_map(np.random.default_rng(3), 5)
+            table, sol = _solved(mapping, 20, 3)
+            mat, loading = FIG_MATERIAL, random_loading(np.random.default_rng(3), 20)
+        else:
+            mapping, mat, loading, table, sol = solved_figure(name)
+        # displacement's region rule: |w| <= 1 + 1e-10 is boundary
+        for radius, region in ((1.0, "boundary"), (1.0 + 0.5e-10, "boundary"),
+                               (1.0 + 2e-10, "exterior"), (1.7, "exterior")):
+            for theta in (0.3, 2.0, 4.4):
+                w = radius * np.exp(1j * theta)
+                smp = displacement(sol, table, mapping, mat, loading, w)
+                z = smp.z
+                assert smp.region == region and smp.w == w
+                assert abs(z - mapping.eval(w)) <= 1e-15
+                assert smp.u0 == eval_u0(loading, table, mat, z)
+                if region == "boundary":
+                    assert smp.S == single_layer_interior(sol, table, mapping, mat, z)
+                    assert smp.u == sol.rigid_motion(z)
+                else:
+                    assert smp.S == single_layer_exterior(sol, table, mapping, mat, w)
+                    assert smp.u == smp.u0 + smp.S
 
 
 class TestFieldGrid:

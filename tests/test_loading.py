@@ -11,8 +11,14 @@ from faberelast import (
     eval_u0,
     faber_coefficients,
     faber_coefficients_from_samples,
+    faber_values,
 )
-from util import FIG_MATERIAL, ellipse_faber_closed_form
+from util import (
+    FIG_MATERIAL,
+    ellipse_faber_closed_form,
+    random_loading,
+    random_univalent_map,
+)
 
 
 class TestMaterial:
@@ -162,6 +168,49 @@ class TestEvalU0:
             grad_div_y = (div(z + 1j * h) - div(z - 1j * h)) / (2.0 * h)
             residual = mu * lap + (lam + mu) * (grad_div_x + 1j * grad_div_y)
             assert abs(residual) < 1e-4
+
+
+def _frozen_eval_u0(loading, table, mat, z):
+    """eval_u0 as it was when it took F' from the derivative recurrence."""
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    za = np.atleast_1d(z)
+    p = loading.degree
+    F, Fp = faber_values(table.mapping, p, za)
+    A = loading.A[: p + 1]
+    B = loading.B[: p + 1]
+    total = mat.kappa * np.einsum("m,m...->...", A, F)
+    total -= za * np.conj(np.einsum("m,m...->...", A, Fp))
+    total -= np.conj(np.einsum("m,m...->...", B, F))
+    out = 0.5 * total
+    return complex(out[0]) if scalar else out.reshape(z.shape)
+
+
+class TestEvalU0AgainstFrozen:
+    """F' through d against the recurrence, pointwise to 1e-12 relative."""
+
+    @staticmethod
+    def _assert_close(mp, degree, seed, z):
+        table = build_faber(mp, max(degree, 1) + mp.order + 1)
+        load = random_loading(np.random.default_rng(seed), degree)
+        got = eval_u0(load, table, FIG_MATERIAL, z)
+        ref = _frozen_eval_u0(load, table, FIG_MATERIAL, z)
+        assert np.shape(got) == np.shape(ref)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    def test_high_degree_grid(self):
+        x = np.linspace(-3.0, 3.0, 81)
+        mp = random_univalent_map(np.random.default_rng(12), 12)
+        self._assert_close(mp, 120, 120, x[None, :] + 1j * x[:, None])
+
+    @pytest.mark.parametrize("order", (0, 1, 3, 12))
+    @pytest.mark.parametrize("degree", (0, 1, 2, 40))
+    def test_random_maps(self, order, degree):
+        rng = np.random.default_rng(10 * order + degree)
+        mp = ExteriorMap(()) if order == 0 else random_univalent_map(rng, order, margin=0.9)
+        z = 3.0 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+        self._assert_close(mp, degree, degree, z)
+        self._assert_close(mp, degree, degree, complex(z[0]))
 
 
 class TestFaberCoefficients:

@@ -655,6 +655,16 @@ class TestTableForAnotherMap:
         with pytest.raises(ValueError, match="different map"):
             single_layer_exterior(sol, table, mp, FIG_MATERIAL, 2.0 + 0.5j)
 
+    def test_single_layer_interior_rejects(self):
+        from faberelast import single_layer_interior
+
+        mp, other = self._maps()
+        n = 10
+        sol = solve_full(mp, FIG_LOADING, FIG_MATERIAL, n)
+        table = build_faber(other, required_table_order(mp, n))
+        with pytest.raises(ValueError, match="different map"):
+            single_layer_interior(sol, table, mp, FIG_MATERIAL, 0.1 + 0.1j)
+
     def test_grunsky_matrix_rejects(self):
         from faberelast import grunsky_matrix
 
