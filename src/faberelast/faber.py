@@ -30,7 +30,9 @@ convolution or a Toeplitz product with conj(d).  The matrices Gamma and
 gamma0 are built from d on first read, for the table dumps and checks.
 The field evaluators read d too: the Faber coefficients of
 sum_m c_m F_m' are one correlation of (m c_m) with d
-(``_derivative_coefficients``), so they evaluate F alone.
+(``_derivative_coefficients``), so they evaluate F alone.  The solve's
+right-hand side folds its conjugated weights with conj(d) through the
+same correlation (``_fold_d``).
 ``faber_values`` keeps the differentiated recurrence, as the reference
 that closed form is checked against.
 """
@@ -81,16 +83,24 @@ def _inverse_derivative_series(a: np.ndarray, count: int) -> np.ndarray:
     return d
 
 
+def _fold_d(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """e_j = sum_{m>j} g_m d_{m-1-j} for j = 0 .. len(g)-1.
+
+    The d-fold of a Faber derivative series: with g_m = m c_m it gives
+    the Faber coefficients of sum_m c_m F_m', by gamma_{m,j} = m d_{m-1-j}.
+    One convolution of g with (0, d) reversed; ``d`` must hold
+    d_0 .. d_{len(g)-2}.  The last entry is always 0.
+    """
+    d = d[: len(g) - 1]
+    return np.convolve(g, np.concatenate(([0.0], d))[::-1])[len(d) :]
+
+
 def _derivative_coefficients(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """e_0 .. e_{N-1} with sum_m c_m F_m' = sum_j e_j F_j, for c_0 .. c_N.
 
-    By gamma_{m,j} = m d_{m-1-j}, e_j = sum_{m>j} m c_m d_{m-1-j}: one
-    correlation of (m c_m) with d_0 .. d_{N-1}, which must be in ``d``.
+    ``d`` must hold d_0 .. d_{N-1}.
     """
-    N = len(c) - 1
-    # the reversed (m c_m) ends in 0 * c_0, so the convolution never
-    # sees an empty input, even for N = 0
-    return np.convolve((np.arange(N + 1) * c)[::-1], d[: N + 1])[:N][::-1]
+    return _fold_d(np.arange(len(c)) * c, d)[:-1]
 
 
 @dataclass(frozen=True)

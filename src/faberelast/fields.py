@@ -36,14 +36,32 @@ potentials in the w-plane:
     2S = - alpha1 (conj(P1) + P2) + alpha2 Psi conj(P3/Psi')
          + alpha2 conj(P4/Psi').
 
-Only decaying powers of w are ever summed.  That removes the
+Only decaying powers of w are summed for S.  That removes the
 catastrophic cancellation a literal evaluation of F_m(z) - w**m would
 hit at large |w| (the two sides grow like |w|**m) and keeps the far
 field accurate out to arbitrary radius.
+
+The background field u0 = (kappa h - z conj(h') - conj(l))/2 of
+loading goes through the same rows outside: with
+F_m'(Psi(w)) Psi'(w) = m w**(m-1) - sum_k k c_{m,k} u**(k+1), each of
+h, h' Psi' and l is a polynomial in w (from A_m, B_m alone) plus one in
+u (from the Grunsky rows), so no Faber recurrence runs at an exterior
+point.  The u-rows of P1..P4, h, h' Psi' and l come from one product
+of their weights with the Grunsky rows, computed once per call.
+
+Every row is summed by blocked (Paterson-Stockmeyer) evaluation: a row
+of K coefficients is cut into blocks of B = ceil(sqrt(K)), one matrix
+product with the powers u**0 .. u**(B-1) sums all blocks at all points,
+and Horner runs over the block sums in u**B, so a row costs about
+sqrt(K) array steps instead of K.  |u| <= 1 keeps the power table
+bounded; the rows in w go through the same kernel in w.  Points are taken in chunks sized from the number of rows
+times blocks, so the block sums of one chunk stay near 4 MB however
+many points a grid has.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +69,7 @@ import numpy as np
 from .conformal import _INSIDE_TOL, ExteriorMap
 from .errors import DomainError
 from .faber import FaberTable, _derivative_coefficients, check_table_map
-from .loading import FarFieldLoading, Material, _km_displacement, eval_u0
+from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials, eval_u0
 from .solver import DensitySolution
 
 _BOUNDARY_TOL = 1e-10
@@ -123,16 +141,21 @@ class FieldGrid:
             yield FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
 
 
-def _weights(sol: DensitySolution, mapping: ExteriorMap) -> tuple:
+def _weights(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> tuple:
     """Effective degree n, s_1..s_n, t_1..t_n and the weights W.
 
     n is the highest mode with s_n or t_n nonzero (1 for a zero
-    solution).  W[j + n + 1] = W_j for j = -n-1 .. n+M.
+    solution).  W[j + n + 1] = W_j for j = -n-1 .. n+M.  Raises
+    ValueError unless ``table`` was built for ``mapping`` and reaches
+    order n + M.
     """
+    check_table_map(mapping, table)
+    M = mapping.order
+    if table.order < sol.order + M:
+        raise ValueError("Faber table too small for the solution order")
     active = np.flatnonzero((sol.s[: sol.order] != 0) | (sol.t[: sol.order] != 0))
     n = int(active[-1]) + 1 if len(active) else 1
     s, t = sol.s[:n], sol.t[:n]
-    M = mapping.order
     conj_a = np.conj([mapping.coefficient(k) for k in range(-1, M + 1)])
     W = np.zeros(2 * n + M + 2, dtype=complex)
     W[: n + M + 1] += np.convolve(s[::-1], conj_a)  # s_m conj(a_{j+m})
@@ -140,19 +163,10 @@ def _weights(sol: DensitySolution, mapping: ExteriorMap) -> tuple:
     return n, s, t, W
 
 
-def single_layer_interior(
-    sol: DensitySolution,
-    table: FaberTable,
-    mapping: ExteriorMap,
-    mat: Material,
-    z,
-):
-    """Single-layer value S at z in the closed inclusion."""
-    check_table_map(mapping, table)
+def _interior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Material, z):
+    """Single-layer value S at z in the closed inclusion, from ``_weights``."""
+    n, s, t, W = weights
     M = mapping.order
-    if table.order < sol.order + M:
-        raise ValueError("Faber table too small for the solution order")
-    n, s, t, W = _weights(sol, mapping)
     j = np.arange(1, n + M + 1)
     scale = -0.5 * mat.alpha2
     # psi reaches index n+M-1, past n when M > 1
@@ -165,6 +179,125 @@ def single_layer_interior(
     return _km_displacement(phi, psi, table, mat.kappa, z)
 
 
+def single_layer_interior(
+    sol: DensitySolution,
+    table: FaberTable,
+    mapping: ExteriorMap,
+    mat: Material,
+    z,
+):
+    """Single-layer value S at z in the closed inclusion."""
+    return _interior(_weights(sol, table, mapping), table, mapping, mat, z)
+
+
+#: complex values in the block sums of one chunk of points (4 MB)
+_BLOCK_VALUES = 1 << 18
+
+
+def _blocked_horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[r, k] x**k for each row r at the 1-D points x, shape (R, len(x)).
+
+    Paterson-Stockmeyer: the K coefficients of each row are cut into nb
+    blocks of B = ceil(sqrt(K)).  One product with the power table
+    x**0 .. x**(B-1), built by doubling, sums every block, and Horner then
+    runs over the nb block sums in x**B: about sqrt(K) array steps in
+    place of K.  Points go in chunks, so the block sums of a chunk hold
+    about _BLOCK_VALUES values.
+    """
+    R, K = coef.shape
+    B = math.isqrt(K - 1) + 1
+    nb = -(-K // B)
+    blocks = np.zeros((R, nb * B), dtype=complex)
+    blocks[:, :K] = coef
+    # blocks[i, r] is block i of row r
+    blocks = blocks.reshape(R, nb, B).transpose(1, 0, 2).copy()
+    out = np.empty((R, len(x)), dtype=complex)
+    step = max(1, _BLOCK_VALUES // (nb * R))
+    for lo in range(0, len(x), step):
+        out[:, lo : lo + step] = _horner_over_blocks(blocks, x[lo : lo + step])
+    return out
+
+
+def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One chunk of ``_blocked_horner``: blocks has shape (nb, R, B).
+
+    A function of its own, so one chunk's block sums are freed before
+    the next chunk's are made.
+    """
+    nb, R, B = blocks.shape
+    # x**0 .. x**(B-1) by doubling: ceil(log2 B) products of whole slabs,
+    # where cumprod along the first axis costs about ten times as much
+    powers = np.empty((B, len(x)), dtype=complex)
+    powers[0] = 1.0
+    k = 1
+    while k < B:
+        m = min(k, B - k)
+        np.multiply(powers[:m], powers[k - 1] * x, out=powers[k : k + m])
+        k += m
+    sums = (blocks.reshape(nb * R, B) @ powers).reshape(nb, R, len(x))
+    step_power = powers[-1] * x
+    acc = sums[-1]
+    for part in sums[-2::-1]:
+        acc *= step_power
+        acc += part
+    return acc
+
+
+def _exterior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Material,
+              w: np.ndarray, loading: FarFieldLoading | None = None) -> tuple:
+    """(u0, S) at z = Psi(w) for the 1-D points w, |w| >= 1.
+
+    u0 is None without a loading.  All decaying parts come from one
+    product with the Grunsky rows and one blocked pass in u = 1/w.  Their
+    shapes do not depend on the loading while its degree p <= n + M, so
+    S then has the same bits with or without one.
+    """
+    n, s, t, W = weights
+    M = mapping.order
+    h, l = _u0_potentials(loading, table) if loading is not None else ([0j], [0j])
+    p = len(h) - 1
+    top = max(n + M, p)
+    width = top * M + 1  # powers u**0 .. u**(top M) of the Grunsky rows
+    j = np.arange(1, top + 1)
+    # X[r] weights the rows c_{j,k} of F_j(Psi(w)) - w**j: P1, P2, h, l, P3, P4
+    X = np.zeros((6, top), dtype=complex)
+    X[0, :n] = np.conj(s) / j[:n]
+    X[1, :n] = t / j[:n]
+    X[2, :p] = h[1:]
+    X[3, :p] = l[1:]
+    X[4, :n] = -X[1, :n]
+    X[5, : n + M] = W[n + 2 :] / j[: n + M]
+    rows = X @ table._grunsky_wide[1 : top + 1, :width]
+    k = np.arange(width)
+    # rows of P1, P2, h, l, P3, P4 and h' Psi' in u; k c_{j,k} sits at u**(k+1)
+    coef = np.zeros((7, max(width + 1, n + 3)), dtype=complex)
+    coef[:4, :width] = rows[:4]
+    coef[4:6, 1 : width + 1] = k * rows[4:]
+    coef[6, 1 : width + 1] = -k * rows[2]
+    coef[0, 1 : n + 1] += np.conj(t) / j[:n]
+    coef[1, 1 : n + 1] += s / j[:n]
+    coef[4, 2 : n + 2] -= s
+    coef[5, 1 : n + 3] += W[n + 1 :: -1]  # W_j u**(1-j), j <= 0
+
+    P1, P2, H, L, P3, P4, dH = _blocked_horner(coef, 1.0 / w)
+    psi = mapping.eval(w)
+    dpsi = mapping.derivative(w)
+    S = 0.5 * (
+        -mat.alpha1 * (np.conj(P1) + P2)
+        + mat.alpha2 * psi * np.conj(P3 / dpsi)
+        + mat.alpha2 * np.conj(P4 / dpsi)
+    )
+    if loading is None:
+        return None, S
+    # the growing parts of h, h' Psi' and l: polynomials in w
+    grow = np.zeros((3, p + 1), dtype=complex)
+    grow[0], grow[2] = h, l
+    grow[1, :p] = j[:p] * h[1:]
+    gH, gdH, gL = _blocked_horner(grow, w)
+    u0 = mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
+    return u0, S
+
+
 def single_layer_exterior(
     sol: DensitySolution,
     table: FaberTable,
@@ -174,64 +307,31 @@ def single_layer_exterior(
 ):
     """Single-layer value S at z = Psi(w), |w| >= 1."""
     w = np.asarray(w, dtype=complex)
-    scalar = w.ndim == 0
     wa = w.reshape(-1)
     if np.any(np.abs(wa) < 1.0 - _INSIDE_TOL):
         raise DomainError("exterior evaluation needs |w| >= 1")
-    check_table_map(mapping, table)
-    M = mapping.order
-    if table.order < sol.order + M:
-        raise ValueError("Faber table too small for the solution order")
-    n, s, t, W = _weights(sol, mapping)
-    j = np.arange(1, n + M + 1)
-    width = (n + M) * M + 1  # powers u**0 .. u**((n+M)M) of the Grunsky rows
-    # P1..P4 by rows; X[r] weights the rows c_{j,k} of F_j(Psi(w)) - w**j
-    X = np.zeros((4, n + M), dtype=complex)
-    X[0, :n] = np.conj(s) / j[:n]
-    X[1, :n] = t / j[:n]
-    X[2, :n] = -X[1, :n]
-    X[3] = W[n + 2 :] / j
-    rows = X @ table._grunsky_wide[1 : n + M + 1, :width]
-    rows[2:] *= np.arange(width)  # k c_{j,k}, at u**(k+1) below
-    coef = np.zeros((4, max(width + 1, n + 3)), dtype=complex)
-    coef[:2, :width] = rows[:2]
-    coef[2:, 1 : width + 1] = rows[2:]
-    coef[0, 1 : n + 1] += np.conj(t) / j[:n]
-    coef[1, 1 : n + 1] += s / j[:n]
-    coef[2, 2 : n + 2] -= s
-    coef[3, 1 : n + 3] += W[n + 1 :: -1]  # W_j u**(1-j), j <= 0
-
-    u = 1.0 / wa
-    P = np.zeros((4, len(wa)), dtype=complex)
-    for c in coef.T[::-1]:
-        P *= u
-        P += c[:, None]
-    psi = mapping.eval(wa)
-    dpsi = mapping.derivative(wa)
-    twoS = (
-        -mat.alpha1 * (np.conj(P[0]) + P[1])
-        + mat.alpha2 * psi * np.conj(P[2] / dpsi)
-        + mat.alpha2 * np.conj(P[3] / dpsi)
-    )
-    out = 0.5 * twoS
-    return complex(out[0]) if scalar else out.reshape(w.shape)
+    _, out = _exterior(_weights(sol, table, mapping), table, mapping, mat, wa)
+    return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
 
 def _field_values(sol, table, mapping, mat, loading, z, w, exterior) -> tuple:
     """u0, S and u at the 1-D points z; w holds the preimages where exterior.
 
-    Exterior points take u0 + S from the exterior series, all others the
-    rigid motion, with S from the interior series.
+    Exterior points take u0 and S from the exterior series, and u = u0 + S.
+    All others take u0 from its Faber series, S from the interior series
+    and u from the rigid motion.
     """
-    u0 = np.asarray(eval_u0(loading, table, mat, z))
+    weights = _weights(sol, table, mapping)
+    u0 = np.zeros_like(z)
     S = np.zeros_like(z)
     u = np.zeros_like(z)
     if exterior.any():
-        S[exterior] = single_layer_exterior(sol, table, mapping, mat, w[exterior])
+        u0[exterior], S[exterior] = _exterior(weights, table, mapping, mat, w[exterior], loading)
         u[exterior] = u0[exterior] + S[exterior]
     inner = ~exterior
     if inner.any():
-        S[inner] = single_layer_interior(sol, table, mapping, mat, z[inner])
+        u0[inner] = eval_u0(loading, table, mat, z[inner])
+        S[inner] = _interior(weights, table, mapping, mat, z[inner])
         u[inner] = sol.rigid_motion(z[inner])
     return u0, S, u
 
@@ -309,7 +409,9 @@ def field_grid(
 
     All exterior points go through one call of the exterior series and
     all other points through one call of the interior series; the
-    result is a FieldGrid of arrays of shape (ny, nx).
+    result is a FieldGrid of arrays of shape (ny, nx).  An exterior
+    sample holds u0 and S at Psi(w) for its Newton preimage w, which
+    lies within the inversion tolerance of z.
     """
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)

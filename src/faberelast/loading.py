@@ -9,10 +9,15 @@ displacement, stored through their Faber coefficient vectors (A_m) and
               - sum_m conj(B_m) conj(F_m(z)).
 
 That is the Kolosov-Muskhelishvili form kappa h - z conj(h') - conj(l).
-It is summed from the values of F_0 .. F_p alone: h' is re-expanded in
-the Faber basis through the coefficients d of 1/Psi' (see faber), so no
-derivative recurrence runs.  The interior single layer of fields is the
-same form of two other Faber series and goes through the same sum.
+``eval_u0`` sums it from the values of F_0 .. F_p alone: h' is
+re-expanded in the Faber basis through the coefficients d of 1/Psi' (see
+faber), so no derivative recurrence runs.  The interior single layer of
+fields is the same form of two other Faber series and goes through the
+same sum.  At exterior points z = Psi(w), fields evaluates u0 without
+any recurrence, through the Grunsky rows: F_m(Psi(w)) = w**m +
+sum_k c_{m,k} w**-k and F_m'(Psi(w)) Psi'(w) = m w**(m-1) -
+sum_k k c_{m,k} w**-(k+1) make h, h' Psi' and l polynomials in w and
+1/w.
 
 Keeping the loading as finite coefficient vectors keeps the downstream
 solve exact; the contour-sampling helper below converts a function-
@@ -145,14 +150,18 @@ def _km_displacement(phi, psi, table: FaberTable, kappa: float, z):
     return complex(out[0]) if z.ndim == 0 else out
 
 
-def eval_u0(loading: FarFieldLoading, table: FaberTable, mat: Material, z):
-    """Background displacement u0(z); valid in the whole plane."""
+def _u0_potentials(loading: FarFieldLoading, table: FaberTable) -> tuple:
+    """Faber coefficients of h/2 and l/2, up to the loading degree."""
     p = loading.degree
     if p > table.order:
         raise IndexError("loading degree exceeds the Faber table order")
     # 2 u0 is the KM displacement of (A, B); halving them is exact
-    return _km_displacement(0.5 * loading.A[: p + 1], 0.5 * loading.B[: p + 1],
-                            table, mat.kappa, z)
+    return 0.5 * loading.A[: p + 1], 0.5 * loading.B[: p + 1]
+
+
+def eval_u0(loading: FarFieldLoading, table: FaberTable, mat: Material, z):
+    """Background displacement u0(z); valid in the whole plane."""
+    return _km_displacement(*_u0_potentials(loading, table), table, mat.kappa, z)
 
 
 def faber_coefficients_from_samples(samples, m: int, r: float) -> complex:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .conformal import ExteriorMap
 from .errors import DegenerateRotationError, SingularBlockError, TruncationError
-from .faber import FaberTable, _tail, build_faber, check_table_map
+from .faber import FaberTable, _fold_d, _tail, build_faber, check_table_map
 from .loading import FarFieldLoading, Material
 
 #: condition-number ceiling for the coupled block
@@ -168,9 +168,9 @@ def build_y(
     mA = np.arange(p + 1) * np.conj(loading.A[: p + 1])
     b[1, : p + M + 1] = np.convolve(mA, a)[1:]
     # Ftilde_j = F_j'/j = sum_{l<j} d_{j-1-l} F_l, so the weight of conj(F_l)
-    # is sum_j b_j conj(d_{j-1-l}): a convolution with conj(d_{i-1}) reversed
-    lagged = np.concatenate(([0.0], np.conj(table.d)))[::-1]
-    c1v, c2v = (np.convolve(row, lagged)[ntab:] for row in b)
+    # is sum_j b_j conj(d_{j-1-l}), the d-fold of b with conj(d)
+    conj_d = np.conj(table.d)
+    c1v, c2v = (_fold_d(row, conj_d) for row in b)
     j1const, j2const = c1v[0], c2v[0]
     c1v, c2v = c1v[1:], c2v[1:]  # J1, J2 coefficients over conj(F_l), l >= 1
     c2v[:p] += np.conj(loading.B[1 : p + 1])

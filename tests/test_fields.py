@@ -23,7 +23,14 @@ from faberelast import (
     write_field_csv,
 )
 from faberelast.faber import faber_values
-from faberelast.fields import BOUNDARY, EXTERIOR, INTERIOR
+from faberelast.fields import (
+    _BLOCK_VALUES,
+    BOUNDARY,
+    EXTERIOR,
+    INTERIOR,
+    _blocked_horner,
+    _field_values,
+)
 from faberelast.solver import DensitySolution
 from util import FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
 
@@ -360,6 +367,87 @@ _HARD_SHAPES = {
 }
 
 
+def _plain_horner(coef, x):
+    acc = np.zeros((coef.shape[0], len(x)), dtype=complex)
+    for c in coef.T[::-1]:
+        acc = acc * x + c[:, None]
+    return acc
+
+
+def _horner_scale(coef, x):
+    """sum_k |c_k| |x|**k per row and point, the scale of Horner's roundoff."""
+    return np.abs(coef) @ (np.abs(x)[None, :] ** np.arange(coef.shape[1])[:, None])
+
+
+#: blocked against plain Horner, relative to _horner_scale; both carry
+#: roundoff of a few ulps of that scale
+KERNEL_TOL = 1e-14
+
+
+class TestBlockedHorner:
+    # B = ceil(sqrt(K)) is 8 for K = 63 and 64 and 9 for K = 65.  Rows in
+    # u = 1/w take |x| = 1 and x -> 0 (|w| = 1e6); rows in w take |x| > 1,
+    # where K stays small enough for x**K to stay finite.
+    @pytest.mark.parametrize("K, radius", [
+        (K, radius) for K in (1, 63, 64, 65, 1718) for radius in (1.0, 1e-6)
+    ] + [(K, radius) for K in (1, 63, 64, 65, 121) for radius in (1.5, 10.0)])
+    def test_matches_plain_horner(self, K, radius):
+        rng = np.random.default_rng(K)
+        coef = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
+        x = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 9))
+        got = _blocked_horner(coef, x)
+        assert got.shape == (3, 9)
+        err = np.abs(got - _plain_horner(coef, x))
+        assert (err <= KERNEL_TOL * _horner_scale(coef, x)).all()
+
+    def test_point_counts_around_the_chunk(self):
+        R, K = 7, 1718
+        B = 42  # ceil(sqrt(1718))
+        chunk = _BLOCK_VALUES // (-(-K // B) * R)
+        rng = np.random.default_rng(1)
+        coef = rng.normal(size=(R, K)) + 1j * rng.normal(size=(R, K))
+        x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, chunk + 1))
+        ref = _plain_horner(coef, x)
+        scale = _horner_scale(coef, x)
+        assert _blocked_horner(coef, x[:0]).shape == (R, 0)
+        for count in (1, chunk - 1, chunk, chunk + 1):
+            got = _blocked_horner(coef, x[:count])
+            assert got.shape == (R, count)
+            err = np.abs(got - ref[:, :count])
+            assert (err <= KERNEL_TOL * scale[:, :count]).all(), count
+
+
+#: maps of the exterior u0 envelope, by name
+_U0_MAPS = {
+    "M=0": ExteriorMap(()),
+    **{f"M={order}": random_univalent_map(np.random.default_rng(order), order, margin=0.99)
+       for order in (1, 12, 24)},
+    **_HARD_SHAPES,
+}
+
+
+class TestExteriorU0:
+    """u0 at exterior points from the Grunsky rows, against eval_u0."""
+
+    @pytest.mark.parametrize("name", sorted(_U0_MAPS))
+    def test_matches_eval_u0(self, name):
+        mp = _U0_MAPS[name]
+        table = build_faber(mp, 201 + max(mp.order, 1))
+        zero = _mode_solution(1)
+        theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 32)
+        for degree in (0, 1, 60, 200):
+            for radius in (1.0, 1.0 + 2e-10, 1.5, 10.0, 100.0):
+                # 100**200 overflows double: degree 150 at |w| = 100
+                p = min(degree, 150) if radius == 100.0 else degree
+                loading = random_loading(np.random.default_rng(p), p)
+                w = radius * np.exp(1j * theta)
+                z = mp.eval(w)
+                got, S, _ = _field_values(zero, table, mp, FIG_MATERIAL, loading, z, w,
+                                          np.ones(len(w), dtype=bool))
+                np.testing.assert_array_equal(S, 0.0)
+                _assert_matches_frozen(got, eval_u0(loading, table, FIG_MATERIAL, z))
+
+
 class TestEnvelope:
     """Seeded draws over map order <= 24, degree <= 200, margin <= 0.99."""
 
@@ -547,11 +635,17 @@ class TestDisplacement:
                 z = smp.z
                 assert smp.region == region and smp.w == w
                 assert abs(z - mapping.eval(w)) <= 1e-15
-                assert smp.u0 == eval_u0(loading, table, mat, z)
                 if region == "boundary":
+                    assert smp.u0 == eval_u0(loading, table, mat, z)
                     assert smp.S == single_layer_interior(sol, table, mapping, mat, z)
                     assert smp.u == sol.rigid_motion(z)
                 else:
+                    # exterior u0 comes from the Grunsky rows, as on a grid
+                    u0, _, _ = _field_values(sol, table, mapping, mat, loading,
+                                             np.array([z]), np.array([w]), np.array([True]))
+                    assert smp.u0 == u0[0]
+                    ref = eval_u0(loading, table, mat, z)
+                    assert abs(smp.u0 - ref) <= 1e-13 * abs(ref)
                     assert smp.S == single_layer_exterior(sol, table, mapping, mat, w)
                     assert smp.u == smp.u0 + smp.S
 
@@ -622,14 +716,19 @@ def _same(a, b):
 
 
 def _reference_sample(sol, table, mapping, mat, loading, z):
-    """One grid point classified and evaluated on its own."""
+    """One grid point classified and evaluated on its own.
+
+    Exterior points are evaluated at Psi(w) for the Newton preimage w, u0
+    by the exterior series; elsewhere u0 is evaluated at z.
+    """
     wv, converged = mapping.invert(z)
     w, r = complex(wv[0]), abs(wv[0])
     assert converged[0]
-    u0 = complex(eval_u0(loading, table, mat, z))
     if r > 1.0 + 1e-10:
+        u0 = displacement(sol, table, mapping, mat, loading, w).u0
         S = complex(single_layer_exterior(sol, table, mapping, mat, w))
         return FieldSample(z=z, w=w, region="exterior", u0=u0, S=S, u=u0 + S)
+    u0 = complex(eval_u0(loading, table, mat, z))
     S = complex(single_layer_interior(sol, table, mapping, mat, z))
     region = "boundary" if abs(r - 1.0) <= 1e-10 else "interior"
     if region == "interior":
