@@ -42,20 +42,25 @@ hit at large |w| (the two sides grow like |w|**m) and keeps the far
 field accurate out to arbitrary radius.
 
 The background field u0 = (kappa h - z conj(h') - conj(l))/2 of
-loading goes through the same rows outside: with
-F_m'(Psi(w)) Psi'(w) = m w**(m-1) - sum_k k c_{m,k} u**(k+1), each of
-h, h' Psi' and l is a polynomial in w (from A_m, B_m alone) plus one in
-u (from the Grunsky rows), so no Faber recurrence runs at an exterior
-point.  The u-rows of P1..P4, h, h' Psi' and l come from one product
-of their weights with the Grunsky rows, computed once per call.
+loading goes through the same rows at a probe, where z = Psi(w) holds
+exactly: with F_m'(Psi(w)) Psi'(w) = m w**(m-1) - sum_k k c_{m,k}
+u**(k+1), each of h, h' Psi' and l is a polynomial in w (from A_m, B_m
+alone) plus one in u (from the Grunsky rows), so no Faber recurrence
+runs there.  The u-rows of P1..P4, and those of h, h' Psi' and l, each
+come from one product of their weights with the Grunsky rows per call.
+A grid point lies only within the Newton tolerance of Psi(w), so on a
+grid u0 is summed at z itself, by ``eval_u0``.
 
 Every row is summed by blocked (Paterson-Stockmeyer) evaluation: a row
 of K coefficients is cut into blocks of B = ceil(sqrt(K)), one matrix
 product with the powers u**0 .. u**(B-1) sums all blocks at all points,
 and Horner runs over the block sums in u**B, so a row costs about
 sqrt(K) array steps instead of K.  |u| <= 1 keeps the power table
-bounded; the rows in w go through the same kernel in w.  Points are taken in chunks sized from the number of rows
-times blocks, so the block sums of one chunk stay near 4 MB however
+bounded; the rows in w go through the same kernel in w.  Rows of at
+most 32 terms (the figure configs) take blocks of one term, which is
+plain Horner with no matrix product, so none of their point arrays goes
+through BLAS.  Points are taken in chunks sized from the number of rows
+times blocks, so the block sums of one chunk stay near 1 MB however
 many points a grid has.
 """
 
@@ -190,29 +195,36 @@ def single_layer_interior(
     return _interior(_weights(sol, table, mapping), table, mapping, mat, z)
 
 
-#: complex values in the block sums of one chunk of points (4 MB)
-_BLOCK_VALUES = 1 << 18
+#: complex values in the block sums of one chunk of points (1 MB)
+_BLOCK_VALUES = 1 << 16
+#: rows of at most this many terms are summed by plain Horner (blocks of
+#: one term, no matrix product): a product that thin saves little, and a
+#: threaded BLAS can make it cost more than the whole sum
+_HORNER_TERMS = 32
 
 
 def _blocked_horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k coef[r, k] x**k for each row r at the 1-D points x, shape (R, len(x)).
 
     Paterson-Stockmeyer: the K coefficients of each row are cut into nb
-    blocks of B = ceil(sqrt(K)).  One product with the power table
-    x**0 .. x**(B-1), built by doubling, sums every block, and Horner then
-    runs over the nb block sums in x**B: about sqrt(K) array steps in
-    place of K.  Points go in chunks, so the block sums of a chunk hold
-    about _BLOCK_VALUES values.
+    blocks of B = ceil(sqrt(K)), or of B = 1 for K <= _HORNER_TERMS.  One
+    product with the power table x**0 .. x**(B-1), built by doubling,
+    sums every block, and Horner then runs over the nb block sums in
+    x**B: about sqrt(K) array steps in place of K.  Points go in chunks,
+    so the block sums of a chunk hold about _BLOCK_VALUES values.
     """
     R, K = coef.shape
-    B = math.isqrt(K - 1) + 1
+    B = 1 if K <= _HORNER_TERMS else math.isqrt(K - 1) + 1
     nb = -(-K // B)
     blocks = np.zeros((R, nb * B), dtype=complex)
     blocks[:, :K] = coef
     # blocks[i, r] is block i of row r
     blocks = blocks.reshape(R, nb, B).transpose(1, 0, 2).copy()
+    # blocks of one term are the coefficients themselves: no block sums
+    step = max(1, _BLOCK_VALUES // (nb * R) if B > 1 else len(x))
+    if len(x) <= step:
+        return _horner_over_blocks(blocks, x)
     out = np.empty((R, len(x)), dtype=complex)
-    step = max(1, _BLOCK_VALUES // (nb * R))
     for lo in range(0, len(x), step):
         out[:, lo : lo + step] = _horner_over_blocks(blocks, x[lo : lo + step])
     return out
@@ -225,18 +237,22 @@ def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     the next chunk's are made.
     """
     nb, R, B = blocks.shape
-    # x**0 .. x**(B-1) by doubling: ceil(log2 B) products of whole slabs,
-    # where cumprod along the first axis costs about ten times as much
-    powers = np.empty((B, len(x)), dtype=complex)
-    powers[0] = 1.0
-    k = 1
-    while k < B:
-        m = min(k, B - k)
-        np.multiply(powers[:m], powers[k - 1] * x, out=powers[k : k + m])
-        k += m
-    sums = (blocks.reshape(nb * R, B) @ powers).reshape(nb, R, len(x))
-    step_power = powers[-1] * x
-    acc = sums[-1]
+    if B > 1:
+        # x**0 .. x**(B-1) by doubling: ceil(log2 B) products of whole
+        # slabs, where cumprod along the first axis costs ten times as much
+        powers = np.empty((B, len(x)), dtype=complex)
+        powers[0] = 1.0
+        k = 1
+        while k < B:
+            m = min(k, B - k)
+            np.multiply(powers[:m], powers[k - 1] * x, out=powers[k : k + m])
+            k += m
+        sums = (blocks.reshape(nb * R, B) @ powers).reshape(nb, R, len(x))
+        step_power = powers[-1] * x
+    else:
+        sums, step_power = blocks, x  # (nb, R, 1): plain Horner in x
+    acc = np.empty((R, len(x)), dtype=complex)
+    acc[:] = sums[-1]
     for part in sums[-2::-1]:
         acc *= step_power
         acc += part
@@ -247,39 +263,32 @@ def _exterior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Mate
               w: np.ndarray, loading: FarFieldLoading | None = None) -> tuple:
     """(u0, S) at z = Psi(w) for the 1-D points w, |w| >= 1.
 
-    u0 is None without a loading.  All decaying parts come from one
-    product with the Grunsky rows and one blocked pass in u = 1/w.  Their
-    shapes do not depend on the loading while its degree p <= n + M, so
-    S then has the same bits with or without one.
+    u0 is None without a loading.  The decaying parts of S and of u0 each
+    come from one product with the Grunsky rows and one blocked pass in
+    u = 1/w, so S has the same bits with or without a loading.
     """
     n, s, t, W = weights
     M = mapping.order
-    h, l = _u0_potentials(loading, table) if loading is not None else ([0j], [0j])
-    p = len(h) - 1
-    top = max(n + M, p)
-    width = top * M + 1  # powers u**0 .. u**(top M) of the Grunsky rows
-    j = np.arange(1, top + 1)
-    # X[r] weights the rows c_{j,k} of F_j(Psi(w)) - w**j: P1, P2, h, l, P3, P4
-    X = np.zeros((6, top), dtype=complex)
+    j = np.arange(1, n + M + 1)
+    width = (n + M) * M + 1  # powers u**0 .. u**((n+M)M) of the Grunsky rows
+    # P1..P4 by rows; X[r] weights the rows c_{j,k} of F_j(Psi(w)) - w**j
+    X = np.zeros((4, n + M), dtype=complex)
     X[0, :n] = np.conj(s) / j[:n]
     X[1, :n] = t / j[:n]
-    X[2, :p] = h[1:]
-    X[3, :p] = l[1:]
-    X[4, :n] = -X[1, :n]
-    X[5, : n + M] = W[n + 2 :] / j[: n + M]
-    rows = X @ table._grunsky_wide[1 : top + 1, :width]
-    k = np.arange(width)
-    # rows of P1, P2, h, l, P3, P4 and h' Psi' in u; k c_{j,k} sits at u**(k+1)
-    coef = np.zeros((7, max(width + 1, n + 3)), dtype=complex)
-    coef[:4, :width] = rows[:4]
-    coef[4:6, 1 : width + 1] = k * rows[4:]
-    coef[6, 1 : width + 1] = -k * rows[2]
+    X[2, :n] = -X[1, :n]
+    X[3] = W[n + 2 :] / j
+    rows = X @ table._grunsky_wide[1 : n + M + 1, :width]
+    rows[2:] *= np.arange(width)  # k c_{j,k}, at u**(k+1) below
+    coef = np.zeros((4, max(width + 1, n + 3)), dtype=complex)
+    coef[:2, :width] = rows[:2]
+    coef[2:, 1 : width + 1] = rows[2:]
     coef[0, 1 : n + 1] += np.conj(t) / j[:n]
     coef[1, 1 : n + 1] += s / j[:n]
-    coef[4, 2 : n + 2] -= s
-    coef[5, 1 : n + 3] += W[n + 1 :: -1]  # W_j u**(1-j), j <= 0
+    coef[2, 2 : n + 2] -= s
+    coef[3, 1 : n + 3] += W[n + 1 :: -1]  # W_j u**(1-j), j <= 0
 
-    P1, P2, H, L, P3, P4, dH = _blocked_horner(coef, 1.0 / w)
+    u = 1.0 / w
+    P1, P2, P3, P4 = _blocked_horner(coef, u)
     psi = mapping.eval(w)
     dpsi = mapping.derivative(w)
     S = 0.5 * (
@@ -289,11 +298,19 @@ def _exterior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Mate
     )
     if loading is None:
         return None, S
-    # the growing parts of h, h' Psi' and l: polynomials in w
+    h, l = _u0_potentials(loading, table)
+    p = len(h) - 1
+    width = p * M + 1
+    # decaying parts of h, l and h' Psi' in u; -k c_{m,k} sits at u**(k+1)
+    hl = np.stack([h[1:], l[1:]]) @ table._grunsky_wide[1 : p + 1, :width]
+    coef = np.zeros((3, width + 1), dtype=complex)
+    coef[:2, :width] = hl
+    coef[2, 1:] = -np.arange(width) * hl[0]
+    # growing parts: polynomials in w, m A_m w**(m-1) for h' Psi'
     grow = np.zeros((3, p + 1), dtype=complex)
-    grow[0], grow[2] = h, l
-    grow[1, :p] = j[:p] * h[1:]
-    gH, gdH, gL = _blocked_horner(grow, w)
+    grow[0], grow[1] = h, l
+    grow[2, :p] = np.arange(1, p + 1) * h[1:]
+    (H, L, dH), (gH, gL, gdH) = _blocked_horner(coef, u), _blocked_horner(grow, w)
     u0 = mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
     return u0, S
 
@@ -314,23 +331,31 @@ def single_layer_exterior(
     return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
 
-def _field_values(sol, table, mapping, mat, loading, z, w, exterior) -> tuple:
+def _field_values(sol, table, mapping, mat, loading, z, w, exterior, on_map) -> tuple:
     """u0, S and u at the 1-D points z; w holds the preimages where exterior.
 
-    Exterior points take u0 and S from the exterior series, and u = u0 + S.
-    All others take u0 from its Faber series, S from the interior series
-    and u from the rigid motion.
+    Exterior points take S from the exterior series at Psi(w), and
+    u = u0 + S.  Where z = Psi(w) holds exactly (``on_map``, as for a
+    probe) their u0 comes from the same pass; a grid point lies only
+    within the Newton tolerance of Psi(w), so there u0 is summed at z
+    itself from its Faber series, as at every other point.  All other
+    points take S from the interior series and u from the rigid motion.
     """
     weights = _weights(sol, table, mapping)
     u0 = np.zeros_like(z)
     S = np.zeros_like(z)
     u = np.zeros_like(z)
+    at_z = ~exterior if on_map else np.ones_like(exterior)
     if exterior.any():
-        u0[exterior], S[exterior] = _exterior(weights, table, mapping, mat, w[exterior], loading)
-        u[exterior] = u0[exterior] + S[exterior]
+        u0_ext, S[exterior] = _exterior(weights, table, mapping, mat, w[exterior],
+                                        loading if on_map else None)
+        if on_map:
+            u0[exterior] = u0_ext
+    if at_z.any():
+        u0[at_z] = eval_u0(loading, table, mat, z[at_z])
+    u[exterior] = u0[exterior] + S[exterior]
     inner = ~exterior
     if inner.any():
-        u0[inner] = eval_u0(loading, table, mat, z[inner])
         S[inner] = _interior(weights, table, mapping, mat, z[inner])
         u[inner] = sol.rigid_motion(z[inner])
     return u0, S, u
@@ -352,7 +377,8 @@ def displacement(
     z = complex(mapping._eval_raw(np.asarray(w)))
     exterior = r > 1.0 + _BOUNDARY_TOL
     u0, S, u = (complex(v[0]) for v in _field_values(
-        sol, table, mapping, mat, loading, np.array([z]), np.array([w]), np.array([exterior])
+        sol, table, mapping, mat, loading, np.array([z]), np.array([w]), np.array([exterior]),
+        on_map=True,
     ))
     region = REGION_EXTERIOR if exterior else REGION_BOUNDARY
     return FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
@@ -410,8 +436,8 @@ def field_grid(
     All exterior points go through one call of the exterior series and
     all other points through one call of the interior series; the
     result is a FieldGrid of arrays of shape (ny, nx).  An exterior
-    sample holds u0 and S at Psi(w) for its Newton preimage w, which
-    lies within the inversion tolerance of z.
+    sample holds u0 at z and S at Psi(w) for its Newton preimage w,
+    which lies within the inversion tolerance of z.
     """
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
@@ -433,7 +459,8 @@ def field_grid(
         ambiguous[outside] = True
     w = np.where((region != INTERIOR) & ~ambiguous, wv, complex(np.nan, np.nan))
 
-    u0, S, u = _field_values(sol, table, mapping, mat, loading, Z, wv, region == EXTERIOR)
+    u0, S, u = _field_values(sol, table, mapping, mat, loading, Z, wv, region == EXTERIOR,
+                             on_map=False)
 
     shape = (grid.ny, grid.nx)
     return FieldGrid(

@@ -25,6 +25,7 @@ from faberelast import (
 from faberelast.faber import faber_values
 from faberelast.fields import (
     _BLOCK_VALUES,
+    _HORNER_TERMS,
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
@@ -385,12 +386,13 @@ KERNEL_TOL = 1e-14
 
 
 class TestBlockedHorner:
-    # B = ceil(sqrt(K)) is 8 for K = 63 and 64 and 9 for K = 65.  Rows in
-    # u = 1/w take |x| = 1 and x -> 0 (|w| = 1e6); rows in w take |x| > 1,
-    # where K stays small enough for x**K to stay finite.
+    # Blocks hold one term up to K = _HORNER_TERMS = 32; above it
+    # B = ceil(sqrt(K)) is 6 for K = 33, 8 for K = 63 and 64 and 9 for
+    # K = 65.  Rows in u = 1/w take |x| = 1 and x -> 0 (|w| = 1e6); rows in
+    # w take |x| > 1, where K stays small enough for x**K to stay finite.
     @pytest.mark.parametrize("K, radius", [
-        (K, radius) for K in (1, 63, 64, 65, 1718) for radius in (1.0, 1e-6)
-    ] + [(K, radius) for K in (1, 63, 64, 65, 121) for radius in (1.5, 10.0)])
+        (K, radius) for K in (1, 32, 33, 63, 64, 65, 1718) for radius in (1.0, 1e-6)
+    ] + [(K, radius) for K in (1, 32, 33, 63, 64, 65, 121) for radius in (1.5, 10.0)])
     def test_matches_plain_horner(self, K, radius):
         rng = np.random.default_rng(K)
         coef = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
@@ -415,6 +417,17 @@ class TestBlockedHorner:
             assert got.shape == (R, count)
             err = np.abs(got - ref[:, :count])
             assert (err <= KERNEL_TOL * scale[:, :count]).all(), count
+
+    def test_point_counts_with_one_term_blocks(self):
+        R, K = 4, _HORNER_TERMS
+        rng = np.random.default_rng(2)
+        coef = rng.normal(size=(R, K)) + 1j * rng.normal(size=(R, K))
+        x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, _BLOCK_VALUES // R + 1))
+        for count in (0, 1, len(x)):
+            got = _blocked_horner(coef, x[:count])
+            assert got.shape == (R, count)
+            err = np.abs(got - _plain_horner(coef, x[:count]))
+            assert (err <= KERNEL_TOL * _horner_scale(coef, x[:count])).all(), count
 
 
 #: maps of the exterior u0 envelope, by name
@@ -443,7 +456,7 @@ class TestExteriorU0:
                 w = radius * np.exp(1j * theta)
                 z = mp.eval(w)
                 got, S, _ = _field_values(zero, table, mp, FIG_MATERIAL, loading, z, w,
-                                          np.ones(len(w), dtype=bool))
+                                          np.ones(len(w), dtype=bool), on_map=True)
                 np.testing.assert_array_equal(S, 0.0)
                 _assert_matches_frozen(got, eval_u0(loading, table, FIG_MATERIAL, z))
 
@@ -640,9 +653,9 @@ class TestDisplacement:
                     assert smp.S == single_layer_interior(sol, table, mapping, mat, z)
                     assert smp.u == sol.rigid_motion(z)
                 else:
-                    # exterior u0 comes from the Grunsky rows, as on a grid
-                    u0, _, _ = _field_values(sol, table, mapping, mat, loading,
-                                             np.array([z]), np.array([w]), np.array([True]))
+                    # a probe's exterior u0 comes from the Grunsky rows
+                    u0, _, _ = _field_values(sol, table, mapping, mat, loading, np.array([z]),
+                                             np.array([w]), np.array([True]), on_map=True)
                     assert smp.u0 == u0[0]
                     ref = eval_u0(loading, table, mat, z)
                     assert abs(smp.u0 - ref) <= 1e-13 * abs(ref)
@@ -716,19 +729,14 @@ def _same(a, b):
 
 
 def _reference_sample(sol, table, mapping, mat, loading, z):
-    """One grid point classified and evaluated on its own.
-
-    Exterior points are evaluated at Psi(w) for the Newton preimage w, u0
-    by the exterior series; elsewhere u0 is evaluated at z.
-    """
+    """One grid point classified and evaluated on its own."""
     wv, converged = mapping.invert(z)
     w, r = complex(wv[0]), abs(wv[0])
     assert converged[0]
+    u0 = complex(eval_u0(loading, table, mat, z))
     if r > 1.0 + 1e-10:
-        u0 = displacement(sol, table, mapping, mat, loading, w).u0
         S = complex(single_layer_exterior(sol, table, mapping, mat, w))
         return FieldSample(z=z, w=w, region="exterior", u0=u0, S=S, u=u0 + S)
-    u0 = complex(eval_u0(loading, table, mat, z))
     S = complex(single_layer_interior(sol, table, mapping, mat, z))
     region = "boundary" if abs(r - 1.0) <= 1e-10 else "interior"
     if region == "interior":
