@@ -170,10 +170,12 @@ def load_job(path: str, order=None, quadrature=None, out=None) -> JobConfig:
     else:
         if "alpha1" not in entries or "kappa" not in entries:
             raise ConfigError("synthetic material needs both alpha1 and kappa")
-        material = Material.from_figure_params(
-            _parse_float(entries["alpha1"], "alpha1"),
-            _parse_float(entries["kappa"], "kappa"),
-        )
+        alpha1 = _parse_float(entries["alpha1"], "alpha1")
+        kappa = _parse_float(entries["kappa"], "kappa")
+        try:
+            material = Material.from_figure_params(alpha1, kappa)
+        except ValueError as exc:
+            raise ConfigError(f"synthetic material: {exc}") from exc
 
     A = _parse_complex_list(entries.get("A", ""), "A") or [0.0 + 0.0j]
     B = _parse_complex_list(entries.get("B", ""), "B") or [0.0 + 0.0j]

@@ -139,7 +139,7 @@ class ExteriorMap:
 
     def _check_domain(self, w):
         w = np.asarray(w, dtype=complex)
-        if np.any(np.abs(w) < 1.0 - _INSIDE_TOL):
+        if not np.all(np.abs(w) >= 1.0 - _INSIDE_TOL):  # NaN fails too
             raise DomainError("evaluation point inside the unit disk")
         return w
 

@@ -42,14 +42,17 @@ hit at large |w| (the two sides grow like |w|**m) and keeps the far
 field accurate out to arbitrary radius.
 
 The background field u0 = (kappa h - z conj(h') - conj(l))/2 of
-loading goes through the same rows at a probe, where z = Psi(w) holds
-exactly: with F_m'(Psi(w)) Psi'(w) = m w**(m-1) - sum_k k c_{m,k}
-u**(k+1), each of h, h' Psi' and l is a polynomial in w (from A_m, B_m
-alone) plus one in u (from the Grunsky rows), so no Faber recurrence
-runs there.  The u-rows of P1..P4, and those of h, h' Psi' and l, each
-come from one product of their weights with the Grunsky rows per call.
-A grid point lies only within the Newton tolerance of Psi(w), so on a
-grid u0 is summed at z itself, by ``eval_u0``.
+loading goes through the same rows at a probe (``displacement``), where
+z = Psi(w) holds exactly: with F_m'(Psi(w)) Psi'(w) = m w**(m-1) -
+sum_k k c_{m,k} u**(k+1), each of h, h' Psi' and l is a polynomial in w
+(from A_m, B_m alone) plus one in u (from the Grunsky rows), so no
+Faber recurrence runs there.  Two private builders make the rows of S
+and of u0, each from one product with the Grunsky rows, at given w,
+Psi(w) and Psi'(w); a probe computes Psi and Psi' once for both.
+A grid point lies only within the Newton tolerance of Psi(w), so
+``field_grid`` takes u0 at z itself from ``eval_u0``, and S from the
+public evaluators: ``single_layer_exterior`` at the exterior preimages,
+``single_layer_interior`` at every other point.
 
 Every row is summed by blocked (Paterson-Stockmeyer) evaluation: a row
 of K coefficients is cut into blocks of B = ceil(sqrt(K)), one matrix
@@ -168,9 +171,15 @@ def _weights(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> t
     return n, s, t, W
 
 
-def _interior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Material, z):
-    """Single-layer value S at z in the closed inclusion, from ``_weights``."""
-    n, s, t, W = weights
+def single_layer_interior(
+    sol: DensitySolution,
+    table: FaberTable,
+    mapping: ExteriorMap,
+    mat: Material,
+    z,
+):
+    """Single-layer value S at z in the closed inclusion."""
+    n, s, t, W = _weights(sol, table, mapping)
     M = mapping.order
     j = np.arange(1, n + M + 1)
     scale = -0.5 * mat.alpha2
@@ -182,17 +191,6 @@ def _interior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Mate
     W_over_j = np.concatenate(([0.0], scale * W[n + 2 :] / j))
     psi[: n + M] -= _derivative_coefficients(W_over_j, table.d)
     return _km_displacement(phi, psi, table, mat.kappa, z)
-
-
-def single_layer_interior(
-    sol: DensitySolution,
-    table: FaberTable,
-    mapping: ExteriorMap,
-    mat: Material,
-    z,
-):
-    """Single-layer value S at z in the closed inclusion."""
-    return _interior(_weights(sol, table, mapping), table, mapping, mat, z)
 
 
 #: complex values in the block sums of one chunk of points (1 MB)
@@ -259,15 +257,10 @@ def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _exterior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Material,
-              w: np.ndarray, loading: FarFieldLoading | None = None) -> tuple:
-    """(u0, S) at z = Psi(w) for the 1-D points w, |w| >= 1.
-
-    u0 is None without a loading.  The decaying parts of S and of u0 each
-    come from one product with the Grunsky rows and one blocked pass in
-    u = 1/w, so S has the same bits with or without a loading.
-    """
-    n, s, t, W = weights
+def _exterior_S(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap, mat: Material,
+                w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """S at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
+    n, s, t, W = _weights(sol, table, mapping)
     M = mapping.order
     j = np.arange(1, n + M + 1)
     width = (n + M) * M + 1  # powers u**0 .. u**((n+M)M) of the Grunsky rows
@@ -286,21 +279,20 @@ def _exterior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Mate
     coef[1, 1 : n + 1] += s / j[:n]
     coef[2, 2 : n + 2] -= s
     coef[3, 1 : n + 3] += W[n + 1 :: -1]  # W_j u**(1-j), j <= 0
-
-    u = 1.0 / w
-    P1, P2, P3, P4 = _blocked_horner(coef, u)
-    psi = mapping.eval(w)
-    dpsi = mapping.derivative(w)
-    S = 0.5 * (
+    P1, P2, P3, P4 = _blocked_horner(coef, 1.0 / w)
+    return 0.5 * (
         -mat.alpha1 * (np.conj(P1) + P2)
         + mat.alpha2 * psi * np.conj(P3 / dpsi)
         + mat.alpha2 * np.conj(P4 / dpsi)
     )
-    if loading is None:
-        return None, S
+
+
+def _exterior_u0(loading: FarFieldLoading, table: FaberTable, mapping: ExteriorMap,
+                 mat: Material, w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """u0 at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
     h, l = _u0_potentials(loading, table)
     p = len(h) - 1
-    width = p * M + 1
+    width = p * mapping.order + 1
     # decaying parts of h, l and h' Psi' in u; -k c_{m,k} sits at u**(k+1)
     hl = np.stack([h[1:], l[1:]]) @ table._grunsky_wide[1 : p + 1, :width]
     coef = np.zeros((3, width + 1), dtype=complex)
@@ -310,9 +302,8 @@ def _exterior(weights: tuple, table: FaberTable, mapping: ExteriorMap, mat: Mate
     grow = np.zeros((3, p + 1), dtype=complex)
     grow[0], grow[1] = h, l
     grow[2, :p] = np.arange(1, p + 1) * h[1:]
-    (H, L, dH), (gH, gL, gdH) = _blocked_horner(coef, u), _blocked_horner(grow, w)
-    u0 = mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
-    return u0, S
+    (H, L, dH), (gH, gL, gdH) = _blocked_horner(coef, 1.0 / w), _blocked_horner(grow, w)
+    return mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
 
 
 def single_layer_exterior(
@@ -325,40 +316,11 @@ def single_layer_exterior(
     """Single-layer value S at z = Psi(w), |w| >= 1."""
     w = np.asarray(w, dtype=complex)
     wa = w.reshape(-1)
-    if np.any(np.abs(wa) < 1.0 - _INSIDE_TOL):
+    if not np.all(np.abs(wa) >= 1.0 - _INSIDE_TOL):
         raise DomainError("exterior evaluation needs |w| >= 1")
-    _, out = _exterior(_weights(sol, table, mapping), table, mapping, mat, wa)
+    out = _exterior_S(sol, table, mapping, mat, wa, mapping._eval_raw(wa),
+                      mapping._derivative_raw(wa))
     return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
-
-
-def _field_values(sol, table, mapping, mat, loading, z, w, exterior, on_map) -> tuple:
-    """u0, S and u at the 1-D points z; w holds the preimages where exterior.
-
-    Exterior points take S from the exterior series at Psi(w), and
-    u = u0 + S.  Where z = Psi(w) holds exactly (``on_map``, as for a
-    probe) their u0 comes from the same pass; a grid point lies only
-    within the Newton tolerance of Psi(w), so there u0 is summed at z
-    itself from its Faber series, as at every other point.  All other
-    points take S from the interior series and u from the rigid motion.
-    """
-    weights = _weights(sol, table, mapping)
-    u0 = np.zeros_like(z)
-    S = np.zeros_like(z)
-    u = np.zeros_like(z)
-    at_z = ~exterior if on_map else np.ones_like(exterior)
-    if exterior.any():
-        u0_ext, S[exterior] = _exterior(weights, table, mapping, mat, w[exterior],
-                                        loading if on_map else None)
-        if on_map:
-            u0[exterior] = u0_ext
-    if at_z.any():
-        u0[at_z] = eval_u0(loading, table, mat, z[at_z])
-    u[exterior] = u0[exterior] + S[exterior]
-    inner = ~exterior
-    if inner.any():
-        S[inner] = _interior(weights, table, mapping, mat, z[inner])
-        u[inner] = sol.rigid_motion(z[inner])
-    return u0, S, u
 
 
 def displacement(
@@ -372,16 +334,21 @@ def displacement(
     """Total displacement at the preimage point w, |w| >= 1."""
     w = complex(w)
     r = abs(w)
-    if r < 1.0 - _INSIDE_TOL:
+    if not r >= 1.0 - _INSIDE_TOL:
         raise DomainError("displacement is defined for |w| >= 1")
-    z = complex(mapping._eval_raw(np.asarray(w)))
-    exterior = r > 1.0 + _BOUNDARY_TOL
-    u0, S, u = (complex(v[0]) for v in _field_values(
-        sol, table, mapping, mat, loading, np.array([z]), np.array([w]), np.array([exterior]),
-        on_map=True,
-    ))
-    region = REGION_EXTERIOR if exterior else REGION_BOUNDARY
-    return FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
+    wa = np.array([w])
+    psi = mapping._eval_raw(wa)
+    z = complex(psi[0])
+    if r <= 1.0 + _BOUNDARY_TOL:
+        u0 = eval_u0(loading, table, mat, z)
+        S = single_layer_interior(sol, table, mapping, mat, z)
+        return FieldSample(z=z, w=w, region=REGION_BOUNDARY, u0=u0, S=S,
+                           u=complex(sol.rigid_motion(z)))
+    # z = Psi(w) exactly, so u0 comes from the Grunsky rows too
+    dpsi = mapping._derivative_raw(wa)
+    u0 = complex(_exterior_u0(loading, table, mapping, mat, wa, psi, dpsi)[0])
+    S = complex(_exterior_S(sol, table, mapping, mat, wa, psi, dpsi)[0])
+    return FieldSample(z=z, w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)
 
 
 def _points_in_polygon(z: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -433,11 +400,12 @@ def field_grid(
     boundary samples carry the rigid-motion displacement of the
     inclusion; their S column holds the interior series value.
 
-    All exterior points go through one call of the exterior series and
-    all other points through one call of the interior series; the
-    result is a FieldGrid of arrays of shape (ny, nx).  An exterior
-    sample holds u0 at z and S at Psi(w) for its Newton preimage w,
-    which lies within the inversion tolerance of z.
+    Then come three calls of the public evaluators: ``eval_u0`` at
+    every grid point z, ``single_layer_exterior`` at the Newton
+    preimages w of all exterior points, and ``single_layer_interior`` at
+    all other points.  The result is a FieldGrid of arrays of shape
+    (ny, nx).  An exterior sample holds u0 at z and S at Psi(w), which
+    lies within the inversion tolerance of z, and u = u0 + S.
     """
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
@@ -459,8 +427,13 @@ def field_grid(
         ambiguous[outside] = True
     w = np.where((region != INTERIOR) & ~ambiguous, wv, complex(np.nan, np.nan))
 
-    u0, S, u = _field_values(sol, table, mapping, mat, loading, Z, wv, region == EXTERIOR,
-                             on_map=False)
+    exterior = region == EXTERIOR
+    u0 = eval_u0(loading, table, mat, Z)
+    S = np.empty_like(Z)
+    S[exterior] = single_layer_exterior(sol, table, mapping, mat, wv[exterior])
+    S[~exterior] = single_layer_interior(sol, table, mapping, mat, Z[~exterior])
+    u = u0 + S
+    u[~exterior] = sol.rigid_motion(Z[~exterior])
 
     shape = (grid.ny, grid.nx)
     return FieldGrid(

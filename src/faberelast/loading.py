@@ -77,8 +77,9 @@ class Material:
     def from_figure_params(cls, alpha1: float, kappa: float) -> "Material":
         if alpha1 <= 0:
             raise ValueError("alpha1 must be positive")
-        if kappa == 0:
-            raise ValueError("kappa must be nonzero")
+        # kappa + 1 divides the rotation channel of the solve
+        if kappa == 0 or kappa == -1:
+            raise ValueError("kappa must be neither 0 nor -1")
         return cls(alpha1=alpha1, alpha2=alpha1 / kappa, kappa=kappa)
 
 

@@ -325,6 +325,22 @@ class TestNonFiniteConfig:
         assert not list(tmp_path.glob("nf_*"))
 
 
+class TestOutOfRangeMaterial:
+    @pytest.mark.parametrize("key,value", [("alpha1", "-0.5"), ("kappa", "0"), ("kappa", "-1")])
+    @pytest.mark.parametrize("command", ["solve", "field", "validate", "faber-table"])
+    def test_rejected_with_config_exit(self, tmp_path, monkeypatch, capsys,
+                                       command, key, value):
+        monkeypatch.chdir(tmp_path)
+        lines = FIG1.format(out="bad").splitlines()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(
+            f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines
+        ))
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bad_*"))
+
+
 class TestValidateNaN:
     def _check_line(self, capsys, name):
         out = capsys.readouterr().out

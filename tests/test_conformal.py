@@ -50,8 +50,9 @@ class TestEval:
 
     def test_domain_error_inside(self):
         mp = ExteriorMap((0.0, 0.2))
-        with pytest.raises(DomainError):
-            mp.eval(0.5 + 0.0j)
+        for w in (0.5 + 0.0j, complex(np.nan, 0.0)):
+            with pytest.raises(DomainError):
+                mp.eval(w)
         # the tolerance band just below 1 is allowed
         mp.eval((1.0 - 1e-13) + 0.0j)
 
@@ -81,8 +82,9 @@ class TestDerivative:
 
     def test_domain_error(self):
         mp = ExteriorMap((0.0, 0.2))
-        with pytest.raises(DomainError):
-            mp.derivative(0.3 + 0.1j)
+        for w in (0.3 + 0.1j, complex(np.nan, np.nan)):
+            with pytest.raises(DomainError):
+                mp.derivative(w)
 
 
 class TestBoundaryGeometry:

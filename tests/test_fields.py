@@ -30,7 +30,7 @@ from faberelast.fields import (
     EXTERIOR,
     INTERIOR,
     _blocked_horner,
-    _field_values,
+    _exterior_u0,
 )
 from faberelast.solver import DensitySolution
 from util import FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
@@ -116,8 +116,9 @@ class TestExterior:
         mp = ExteriorMap((0.0, 0.2))
         table = build_faber(mp, 8)
         sol = _mode_solution(4, t={1: 1.0})
-        with pytest.raises(DomainError):
-            single_layer_exterior(sol, table, mp, FIG_MATERIAL, 0.99)
+        for w in (0.99, complex(np.nan, 0.0), np.array([2.0, np.nan])):
+            with pytest.raises(DomainError):
+                single_layer_exterior(sol, table, mp, FIG_MATERIAL, w)
 
     def test_disk_single_mode_closed_form(self):
         # 2S_ext = (alpha2 - alpha1) conj(1/w) for t_1 = 1 on the disk
@@ -455,8 +456,8 @@ class TestExteriorU0:
                 loading = random_loading(np.random.default_rng(p), p)
                 w = radius * np.exp(1j * theta)
                 z = mp.eval(w)
-                got, S, _ = _field_values(zero, table, mp, FIG_MATERIAL, loading, z, w,
-                                          np.ones(len(w), dtype=bool), on_map=True)
+                got = _exterior_u0(loading, table, mp, FIG_MATERIAL, w, z, mp.derivative(w))
+                S = single_layer_exterior(zero, table, mp, FIG_MATERIAL, w)
                 np.testing.assert_array_equal(S, 0.0)
                 _assert_matches_frozen(got, eval_u0(loading, table, FIG_MATERIAL, z))
 
@@ -628,8 +629,9 @@ class TestDisplacement:
 
     def test_domain_error(self):
         mapping, mat, loading, table, sol = solved_figure("fig1", 12)
-        with pytest.raises(DomainError):
-            displacement(sol, table, mapping, mat, loading, 0.5)
+        for w in (0.5, complex(np.nan, 0.0), complex(1.5, np.nan)):
+            with pytest.raises(DomainError):
+                displacement(sol, table, mapping, mat, loading, w)
 
     @pytest.mark.parametrize("name", ("fig2", "random"))
     def test_matches_the_evaluators_bitwise(self, name):
@@ -654,8 +656,9 @@ class TestDisplacement:
                     assert smp.u == sol.rigid_motion(z)
                 else:
                     # a probe's exterior u0 comes from the Grunsky rows
-                    u0, _, _ = _field_values(sol, table, mapping, mat, loading, np.array([z]),
-                                             np.array([w]), np.array([True]), on_map=True)
+                    wa = np.array([w])
+                    u0 = _exterior_u0(loading, table, mapping, mat, wa, np.array([z]),
+                                      mapping.derivative(wa))
                     assert smp.u0 == u0[0]
                     ref = eval_u0(loading, table, mat, z)
                     assert abs(smp.u0 - ref) <= 1e-13 * abs(ref)
@@ -708,6 +711,28 @@ class TestFieldGrid:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 1, 5)
+
+    def test_points_go_through_the_public_evaluators(self, monkeypatch):
+        # benchmarks/tracing.py times and counts the grid's points by
+        # replacing these module globals, so every point must reach them
+        import faberelast.fields as fields
+
+        seen = {"exterior": 0, "interior": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                seen[key] += np.size(args[4])
+                return fn(*args)
+            return wrapper
+
+        for key in seen:
+            name = f"single_layer_{key}"
+            monkeypatch.setattr(fields, name, counting(key, getattr(fields, name)))
+        mapping, mat, loading, table, sol = solved_figure("fig2", 16)
+        grid = field_grid(sol, table, mapping, mat, loading, GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21))
+        exterior = int((grid.region == EXTERIOR).sum())
+        assert 0 < exterior < len(grid)
+        assert seen == {"exterior": exterior, "interior": len(grid) - exterior}
 
     def test_repeat_grids_write_identical_bytes(self, tmp_path):
         from faberelast import write_field_csv

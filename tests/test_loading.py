@@ -74,6 +74,9 @@ class TestMaterial:
             Material.from_figure_params(-1.0, 0.3)
         with pytest.raises(ValueError):
             Material.from_figure_params(0.5, 0.0)
+        # kappa + 1 divides the rotation channel of the solve
+        with pytest.raises(ValueError):
+            Material.from_figure_params(0.5, -1.0)
 
 
 class TestLoadingVector:
