@@ -419,12 +419,11 @@ def cmd_faber_table(job: JobConfig) -> int:
         ("gamma0", table.gamma0[:, None]),
     ):
         # re±imj, signed by the sign bit so -0.0j and -nanj read back as written
-        parts = (matrix.real, np.where(np.signbit(matrix.imag), "-", "+"), np.abs(matrix.imag))
         _write_csv(
             f"{prefix}_{name}.csv",
             "",
-            ",".join(["%.17g%s%.17gj"] * matrix.shape[1]) + "\n",
-            [part[:, j] for j in range(matrix.shape[1]) for part in parts],
+            ",".join(["%.17g%+.17gj"] * matrix.shape[1]) + "\n",
+            [part[:, j] for j in range(matrix.shape[1]) for part in (matrix.real, matrix.imag)],
         )
     print(f"wrote {prefix}_{{monomial,grunsky,gamma,gamma0}}.csv")
     return EXIT_OK

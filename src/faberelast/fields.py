@@ -69,7 +69,9 @@ many points a grid has.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,8 +318,8 @@ def single_layer_exterior(
     """Single-layer value S at z = Psi(w), |w| >= 1."""
     w = np.asarray(w, dtype=complex)
     wa = w.reshape(-1)
-    if not np.all(np.abs(wa) >= 1.0 - _INSIDE_TOL):
-        raise DomainError("exterior evaluation needs |w| >= 1")
+    if not np.all(np.abs(wa) >= 1.0 - _INSIDE_TOL) or not np.isfinite(wa).all():
+        raise DomainError("exterior evaluation needs finite w with |w| >= 1")
     out = _exterior_S(sol, table, mapping, mat, wa, mapping._eval_raw(wa),
                       mapping._derivative_raw(wa))
     return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
@@ -334,8 +336,8 @@ def displacement(
     """Total displacement at the preimage point w, |w| >= 1."""
     w = complex(w)
     r = abs(w)
-    if not r >= 1.0 - _INSIDE_TOL:
-        raise DomainError("displacement is defined for |w| >= 1")
+    if not r >= 1.0 - _INSIDE_TOL or not math.isfinite(r):
+        raise DomainError("displacement is defined for finite w with |w| >= 1")
     wa = np.array([w])
     psi = mapping._eval_raw(wa)
     z = complex(psi[0])
@@ -451,48 +453,187 @@ def field_grid(
 #: values per chunk of the CSV writer, rounded down to whole lines
 _CSV_CHUNK_VALUES = 1 << 14
 _CSV_HEADER = "x,y,re_w,im_w,region,re_u0,im_u0,re_S,im_S,re_u,im_u\n"
-_CSV_ROW = "%s,%s,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-_REGION_TEXT = np.array(REGION_LABELS, dtype=object)
+_CSV_ROW = ",".join(["%.17g"] * 4 + ["%s"] + ["%.17g"] * 6) + "\n"
+_REGION_TEXT = np.array(REGION_LABELS, dtype="S")
+
+# '%.17g' text computed in numpy.  A value with 1e-200 <= |x| <= 1e200 is
+# scaled to y = |x| 10**(16-k), k = floor(log10 |x|), as a double-double
+# h + l: 10**p is stored as hi + lo, exact to about 2**-106, and Dekker's
+# product of |x| and hi is exact, so y is known to better than 1e-14 and
+# h >= 2**53 is an integer.  The 17 digits D are y rounded by the
+# fraction of l.  Python's % formats the values this cannot decide: a
+# fraction within _G17_TIE of 1/2 (an exact tie, or too close to call),
+# a D outside [1e16, 1e17) (k one off next to a power of ten, or a carry
+# out of the rounding), and any nonzero finite value outside the range.
+_G17_WIDTH = 24  # the longest text, -d.dddddddddddddddde-ddd
+_G17_RANGE = (1e-200, 1e200)
+_G17_TIE = 1e-9
+_G17_POW = (-190, 220)  # the p of the 10**p table; p = 16 - k, |k| <= 202
+_G17_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+# Each nonzero finite value gets a 28-byte source row: byte 0 its first
+# digit, 1 its sign ("-" or "+"), 2-3 ".e", 4-19 its other 16 digits,
+# 20-23 its exponent as "+ddd", 24 "0" and NULs.  Its text is the row
+# gathered through a template chosen by whether a sign is written ("-",
+# or "+" too for %+.17g), layout (fixed point for exponents -4 .. 16, or
+# an exponent of 2 or 3 digits) and the significant digits left without
+# trailing zeros.
+_G17_LAYOUTS = 23
 
 
-def _finite_or_nan(a: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(a), a, np.nan)
+def _g17_template(signed: int, layout: int, s: int) -> list:
+    """Source bytes of the text for one sign, layout and digit count."""
+    # source bytes of the 17 digits, and of the sign if one is written
+    d, sign = [0] + list(range(4, 20)), [1] * signed
+    if layout > 20:  # d.ddde+XX or d.ddde+XXX
+        return sign + d[:1] + ([2] + d[1:s]) * (s > 1) + [3, 20] + [21, 22, 23][22 - layout :]
+    if layout < 4:  # 0.000ddd
+        return sign + [24, 2] + [24] * (3 - layout) + d[:s]
+    return sign + d[: layout - 3] + ([2] + d[layout - 3 : s]) * (s > layout - 3)
 
 
-def _formatted(values: np.ndarray) -> np.ndarray:
-    """'%.17g' text of each value, formatted once per distinct bit pattern."""
-    bits, inverse = np.unique(
-        _finite_or_nan(values).view(np.uint64), return_inverse=True
+@functools.cache
+def _g17_tables() -> tuple:
+    """Powers of ten, digit words and text templates, built on first use."""
+    exact = [(10**p, 1) if p >= 0 else (1, 10**-p) for p in range(_G17_POW[0], _G17_POW[1] + 1)]
+    hi = np.array([n / d for n, d in exact])  # int / int rounds correctly
+    lo = [(n * hd - hn * d) / (d * hd) for (n, d), (hn, hd) in
+          zip(exact, map(float.as_integer_ratio, hi.tolist()))]
+    c = _G17_SPLIT * hi
+    hh = c - (c - hi)
+    pow10 = np.stack([hi, hh, hi - hh, np.array(lo)])
+
+    def words(texts):  # four ASCII bytes each, as uint32
+        return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
+
+    quads = np.arange(10000)
+    exps = np.arange(-999, 1000)
+    # template index of each sign and exponent with 17 significant digits
+    exp_layout = np.where(np.abs(exps) < 100, 21, 22)
+    exp_layout = np.where((exps >= -4) & (exps <= 16), exps + 4, exp_layout)
+    classes = (np.arange(2)[:, None] * _G17_LAYOUTS + exp_layout) * 17 + 16
+    templates = np.array([(_g17_template(c, lay, s) + [27] * _G17_WIDTH)[:_G17_WIDTH]
+                          for c in range(2) for lay in range(_G17_LAYOUTS) for s in range(1, 18)])
+    return (
+        pow10,
+        words(f"{d}{c}.e" for c in "+-" for d in range(10)),
+        (48 + quads[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8).view(np.uint32).ravel(),
+        words(f"{e:+04d}" for e in range(-999, 1000)),
+        words(["0\0\0\0"])[0],
+        sum(quads % 10**j == 0 for j in range(1, 5)),  # trailing zeros of 4 digits
+        classes.ravel(),
+        templates,
+        # 0 and nan for each signbit + 2 plus
+        np.array([b"0", b"nan", b"-0", b"nan", b"+0", b"+nan", b"-0", b"-nan"],
+                 dtype=f"S{_G17_WIDTH}"),
     )
-    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[inverse]
+
+
+def _g17_text(v: np.ndarray, plus=False) -> np.ndarray:
+    """The NUL-padded ``'%.17g' % x`` bytes of each float, ``nan`` if not finite.
+
+    Where ``plus`` (broadcast against ``v``) is true, the text of |x| gets
+    the sign of the sign bit of x, ``-nan`` included.
+    """
+    sign = (np.signbit(v) + 2 * np.asarray(plus)).ravel()
+    v = v.ravel()
+    finite = np.isfinite(v)
+    rows = np.flatnonzero(finite & (v != 0))
+    # zeros and non-finite values take their whole text from a table
+    text = _g17_tables()[-1].take(2 * sign + ~finite)
+    text[rows] = _g17_digits(v[rows], sign[rows]).view(text.dtype).ravel()
+    return text.view(np.uint8).reshape(-1, _G17_WIDTH)
+
+
+def _g17_digits(v: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The text of nonzero finite floats; sign is signbit + 2 plus."""
+    pow10, first, quad, expo, const, tz4, classes, templates, _ = _g17_tables()
+    a = np.abs(v)
+    fast = (a >= _G17_RANGE[0]) & (a <= _G17_RANGE[1])
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    # y = a 10**(16 - k) = h + l, with h = a hi and l exact to 2**-106 y
+    i = 16 - _G17_POW[0] - k
+    hi, hh, hl, lo = (row.take(i) for row in pow10)
+    c = _G17_SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    h = a * hi
+    l = ((ah * hh - h) + ah * hl + al * hh) + al * hl + a * lo
+    fl = np.floor(l)
+    D, frac = h.astype(np.int64) + fl.astype(np.int64), l - fl
+    slow = (D < 10**16) | (np.abs(frac - 0.5) < _G17_TIE)
+    D += frac > 0.5
+    slow |= (D >= 10**17) | ~fast
+    D[slow] = 10**16
+
+    # D is a lead digit and four groups of four; its two halves fit int32,
+    # whose division by a constant numpy vectorizes (int64's it does not)
+    top = D // 10**8
+    low = (D - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    lead = top // 10**8
+    top -= lead * 10**8
+    groups = []
+    for half in (top, low):
+        q = half // 10**4
+        groups += [q, half - q * 10**4]
+    src = np.column_stack([first.take(lead + 10 * (sign & 1))] + [quad.take(g) for g in groups]
+                          + [expo.take(k + 999), np.full(len(v), const)])
+    trailing = tz4.take(groups[3])  # zeros at the end of D
+    rows = np.flatnonzero(groups[3] == 0)
+    for g in groups[2::-1]:
+        trailing[rows] += tz4.take(g[rows])
+        rows = rows[g[rows] == 0]
+    index = templates.take(classes.take((sign > 0) * len(expo) + k + 999) - trailing, axis=0)
+    index += np.arange(0, 28 * len(v), 28)[:, None]
+    text = src.view(np.uint8).ravel().take(index)
+    if slow.any():
+        fallback = [("%+.17g" if c > 1 else "%.17g") % x
+                    for x, c in zip(v[slow].tolist(), sign[slow].tolist())]
+        text[slow] = np.array(fallback, dtype=f"S{_G17_WIDTH}").view(np.uint8).reshape(
+            -1, _G17_WIDTH)
+    return text
 
 
 def _write_csv(path, header: str, row: str, columns) -> None:
     """Write equal-length 1-D columns as lines of the format ``row``.
 
-    Non-finite values of float columns are written as ``nan``.  Lines
-    are formatted a chunk at a time with one ``%`` call, so the text of
-    the whole file is never held in memory at once.
+    ``row`` holds one ``%.17g`` or ``%+.17g`` (a number) or ``%s`` (text)
+    per column, with literal text around them.  Numbers come out as
+    ``'%.17g' % x`` does, non-finite ones as ``nan``; ``%+.17g`` puts the
+    sign of the sign bit before the text of |x|, so a NaN with its sign
+    bit set is ``-nan``.  A chunk of lines at a time becomes a NUL-padded
+    byte matrix with one cell per column (the literal before it, then its
+    text) and one for the literal that ends the line.
     """
-    columns = [_finite_or_nan(c) if c.dtype.kind == "f" else c for c in columns]
-    ncol = len(columns)
-    step = max(1, _CSV_CHUNK_VALUES // ncol)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header)
-        for lo in range(0, len(columns[0]), step):
-            chunk = [col[lo : lo + step].tolist() for col in columns]
-            k = len(chunk[0])
-            flat = [None] * (ncol * k)
-            for c, values in enumerate(chunk):
-                flat[c::ncol] = values
-            fh.write((row * k) % tuple(flat))
+    specs = re.findall(r"%\+?\.17g|%s", row)
+    literals = re.split(r"%\+?\.17g|%s", row)
+    num = [i for i, spec in enumerate(specs) if spec != "%s"]
+    plus = np.array([specs[i] == "%+.17g" for i in num])
+    values = np.column_stack([np.asarray(columns[i], dtype=float) for i in num])
+    texts = [(i, np.asarray(columns[i]).astype("S")) for i, f in enumerate(specs) if f == "%s"]
+    lead = max(map(len, literals))
+    cell = lead + max([_G17_WIDTH] + [t.itemsize for _, t in texts])
+    step = max(1, _CSV_CHUNK_VALUES // len(specs))
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        mat = np.zeros((min(step, len(values)), len(literals), cell), dtype=np.uint8)
+        mat[:, :, :lead] = np.frombuffer(
+            b"".join(t.encode().ljust(lead, b"\0") for t in literals), dtype=np.uint8
+        ).reshape(-1, lead)
+        for lo in range(0, len(values), step):
+            part = mat[: len(values[lo : lo + step])]
+            part[:, num, lead : lead + _G17_WIDTH] = _g17_text(
+                values[lo : lo + step], plus).reshape(len(part), len(num), _G17_WIDTH)
+            for i, t in texts:
+                part[:, i, lead : lead + t.itemsize] = t[lo : lo + step, None].view(np.uint8)
+            fh.write(part[part != 0].tobytes())
 
 
 def write_field_csv(grid: FieldGrid, path) -> None:
     """Dump a field grid in 17-significant-digit round-trip format."""
     z, w, u0, S, u = (a.ravel() for a in (grid.z, grid.w, grid.u0, grid.S, grid.u))
-    columns = (_formatted(z.real), _formatted(z.imag), w.real, w.imag,
+    columns = (z.real, z.imag, w.real, w.imag,
                _REGION_TEXT[grid.region.ravel()],
                u0.real, u0.imag, S.real, S.imag, u.real, u.imag)
     _write_csv(path, _CSV_HEADER, _CSV_ROW, columns)

@@ -424,7 +424,14 @@ def _pairs(values):
     return " ".join(f"{complex(v).real!r},{complex(v).imag!r}" for v in values)
 
 
-SPECIAL = [-0.0, 5e-324, 1e300, -1e300, np.nan, 0.0, 1.0 / 3.0, -2.5]
+# Besides zeros, subnormals and NaN: an exact 17-digit tie (1 + 2**-17),
+# the %g switch to an exponent at 1e17 (9.9999999999999999e16 reads as
+# 1e17), a value next to a power of ten (1e-5) and one outside the range
+# the formatter decides itself (1e-250), and a NaN with its sign bit set.
+# The spot checks below read entries 0-4 and the last eight.
+SPECIAL = [-0.0, 5e-324, 1e300, 1.0 + 2.0**-17, np.nan, 9.9999999999999999e16,
+           float(np.nextafter(1e-5, 0)), -0.0, 1e-250, -np.nan, -1e300, np.nan, 0.0,
+           1.0 / 3.0, -2.5]
 
 
 def _complex(re, im):

@@ -31,6 +31,7 @@ from faberelast.fields import (
     INTERIOR,
     _blocked_horner,
     _exterior_u0,
+    _g17_text,
 )
 from faberelast.solver import DensitySolution
 from util import FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
@@ -116,7 +117,8 @@ class TestExterior:
         mp = ExteriorMap((0.0, 0.2))
         table = build_faber(mp, 8)
         sol = _mode_solution(4, t={1: 1.0})
-        for w in (0.99, complex(np.nan, 0.0), np.array([2.0, np.nan])):
+        for w in (0.99, complex(np.nan, 0.0), np.array([2.0, np.nan]),
+                  np.inf, -np.inf, complex(np.inf, 0.0), np.array([2.0, np.inf])):
             with pytest.raises(DomainError):
                 single_layer_exterior(sol, table, mp, FIG_MATERIAL, w)
 
@@ -629,7 +631,8 @@ class TestDisplacement:
 
     def test_domain_error(self):
         mapping, mat, loading, table, sol = solved_figure("fig1", 12)
-        for w in (0.5, complex(np.nan, 0.0), complex(1.5, np.nan)):
+        for w in (0.5, complex(np.nan, 0.0), complex(1.5, np.nan),
+                  np.inf, -np.inf, complex(np.inf, 0.0), complex(1.5, -np.inf)):
             with pytest.raises(DomainError):
                 displacement(sol, table, mapping, mat, loading, w)
 
@@ -892,6 +895,10 @@ class TestWriteFieldCsv:
             ("u", (1, 0), complex(1e-300, -1e-300)),
             ("w", (1, 1), complex(-inf, 5e-324)),
             ("S", (2, 2), complex(inf, inf)),
+            # a 17-digit tie, the %g switch points, and outside the fast range
+            ("u0", (0, 2), complex(1.0 + 2.0**-17, 9.9999999999999999e16)),
+            ("S", (0, 3), complex(np.nextafter(1e-5, 0), 1e-250)),
+            ("u", (1, 2), complex(-nan, np.nextafter(1e-4, 1))),
         ]
         grid = _hand_grid(np.random.default_rng(3), 3, 4, special)
         # an ambiguous point: unconverged, outside the polygon, no preimage
@@ -921,6 +928,66 @@ class TestWriteFieldCsv:
         grid = _hand_grid(np.random.default_rng(5), 3, 5000)
         write_field_csv(grid, tmp_path / "f.csv")
         assert (tmp_path / "f.csv").read_text().split("\n")[:-1] == _reference_csv(grid)
+
+
+def _g17_ties(rng, count):
+    # x = m 2**-(j+1) with m odd and 10**(16-j) <= x < 10**(17-j): x 10**j
+    # is m 5**j / 2, so the 18th significant digit of x is an exact 5
+    ties = []
+    for j in range(1, 22):
+        lo = -(-(2 ** (j + 1) * 10**16) // 10**j)
+        hi = min(2**53, 2 ** (j + 1) * 10**17 // 10**j)
+        m = 2 * rng.integers(lo // 2, (hi - 1) // 2, size=count) + 1
+        ties.append(m.astype(float) * 2.0 ** -(j + 1))
+    return np.concatenate(ties)
+
+
+def _g17_cases(count):
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
+    powers = 10.0 ** np.arange(-30, 31)
+    edges = np.array([1e-4, 1e-5, 1e16, 1e17, 1e-200, 1e200, 1e-250, 9.9999999999999999e16])
+    points = np.concatenate([powers, edges])
+    special = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1.797e308, np.inf, np.nan])
+    values = np.concatenate([
+        special, points, np.nextafter(points, 0), np.nextafter(points, np.inf),
+        _g17_ties(rng, 50),
+    ])
+    return np.concatenate([bits, values, -values])
+
+
+def _assert_g17_matches(values, plus=False):
+    def text(x):
+        body = (b"%.17g" % abs(x) if plus else b"%.17g" % x) if np.isfinite(x) else b"nan"
+        return (b"-" if np.signbit(x) else b"+") + body if plus else body
+
+    expected = np.array([text(x) for x in values.tolist()], dtype="S24")
+    got = _g17_text(values.copy(), plus)
+    bad = np.flatnonzero((got != expected.view(np.uint8).reshape(-1, 24)).any(axis=1))
+    assert bad.size == 0, [(values[i], bytes(got[i])) for i in bad[:5]]
+
+
+class TestG17Text:
+    def test_matches_percent_format(self):
+        _assert_g17_matches(_g17_cases(200_000))
+
+    def test_plus_signs_by_the_sign_bit(self):
+        values = _g17_cases(20_000)
+        _assert_g17_matches(np.concatenate([values, [-0.0, -np.nan, -np.inf]]), plus=True)
+
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_exact_when_log10_is_one_ulp_off(self, monkeypatch, toward):
+        # log10 kernels may round differently next to a power of ten
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+        powers = np.array([float(f"1e{p}") for p in range(-200, 201)])
+        _assert_g17_matches(np.concatenate(
+            [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
+
+    def test_ties_have_18_digits_ending_in_5(self):
+        for x in _g17_ties(np.random.default_rng(1), 3).tolist():
+            digits = ("%.40e" % x).split("e")[0].replace(".", "").rstrip("0")
+            assert len(digits) == 18 and digits.endswith("5"), x
 
 
 class TestEvalU0FarField:
