@@ -14,8 +14,13 @@ from the one three-term-with-tail recurrence
 run in three representations that differ only in how they multiply by z:
 monomial coefficients, the Laurent canvas of F_m(Psi(w)) (z = Psi(w) is
 a finite Laurent polynomial, so the Grunsky rows are exact and end at
-k = m*M), and point values.  Differentiating the recurrence gives the
-one for F_m', whose constant term drops out because F_0' = 0.
+k = m*M), and point values.  Each order costs a fixed number of numpy
+calls: the s-sum is one BLAS product of the reversed taps with the last
+min(m, M) + 1 rows.  The canvas row m is nonzero only at exponents
+m .. -mM, so each order works on that support alone, and z * F_m there
+is one product of the M + 2 shifted windows of row m with the map's
+taps.  Differentiating the recurrence gives the one for F_m', whose
+constant term drops out because F_0' = 0.
 
 The change of basis for derivatives,
 
@@ -58,17 +63,24 @@ def _tail(mapping: ExteriorMap) -> np.ndarray:
 def _recurrence(a: np.ndarray, out: np.ndarray, times_z) -> np.ndarray:
     """Fill out[1:] from out[0] = F_0 by the Faber recurrence, in place.
 
-    ``times_z(m)`` returns a new array holding z * F_m in the
-    representation of ``out``.
+    ``out`` is read through its (rows, -1) view, which must not be a copy.
+    ``times_z(m)`` returns ``(cols, zF)``: a slice of that view's columns
+    outside which F_{m+1} is zero, and a new array holding z * F_m there.
+    The s-sum is one product of the reversed taps with the history rows;
+    F_0 also carries the tail term m a_m, so its tap is (m + 1) a_m.
     """
     M = len(a) - 1
+    flat = out.reshape(len(out), -1)
+    if out.size and not np.may_share_memory(flat, out):
+        raise ValueError("out must reshape to rows without a copy")
+    rev = a[::-1].copy()  # contiguous: BLAS takes no negative stride
     for m in range(len(out) - 1):
-        new = times_z(m)
-        for s in range(min(m, M) + 1):
-            new -= a[s] * out[m - s]
+        k = min(m, M) + 1
+        taps = rev[M + 1 - k :]
         if m <= M:
-            new -= m * a[m] * out[0]
-        out[m + 1] = new
+            taps = np.concatenate(([(m + 1) * a[m]], taps[1:]))
+        cols, new = times_z(m)
+        np.subtract(new.reshape(-1), taps @ flat[m + 1 - k : m + 1, cols], out=flat[m + 1, cols])
     return out
 
 
@@ -143,25 +155,39 @@ class FaberTable:
         mono = np.zeros((n + 1, n + 1), dtype=complex)
         mono[0, 0] = 1.0
         return _recurrence(
-            _tail(self.mapping), mono, lambda m: np.concatenate(([0.0], mono[m, :-1]))
+            _tail(self.mapping),
+            mono,
+            lambda m: (slice(m + 2), np.concatenate(([0.0], mono[m, : m + 1]))),
         )
 
 
 def _grunsky_wide(mapping: ExteriorMap, n: int) -> np.ndarray:
-    """Laurent coefficients of F_m(Psi(w)) for m = 0..n, by the recurrence."""
+    """Laurent coefficients of F_m(Psi(w)) for m = 0..n, by the recurrence.
+
+    Row m lives on the canvas at exponents w**m .. w**(-mM), column
+    n - e for exponent e, so c_{m,k} sits at column n + k.  z * F_m is
+    taken only over row m+1's columns, as one product of the M + 2
+    shifted windows of row m with (a_M .. a_0, 1); the windows are one
+    strided view, built once, of a buffer padded by M zero columns on
+    the left and one on the right.
+    """
     a = _tail(mapping)
     M = mapping.order
     width = n * max(M, 1)  # most negative exponent kept on the canvas
-    L = width + n + 1  # canvas exponents -width .. n; index(e) = e + width
-    psi = np.concatenate(([1.0], a))[::-1]  # exponents -M .. 1; index(e) = e + M
+    buf = np.zeros((n + 1, M + n + width + 2), dtype=complex)
+    comp = buf[:, M:-1]
+    comp[0, n] = 1.0
+    # windows[m, i, c] = buf[m, c + i]: row m shifted by i - M columns
+    windows = np.lib.stride_tricks.sliding_window_view(buf, M + 2, axis=1).swapaxes(1, 2)
+    psi = np.append(a[::-1], 1.0)
 
-    comp = np.zeros((n + 1, L), dtype=complex)
-    comp[0, width] = 1.0
-    _recurrence(a, comp, lambda m: np.convolve(comp[m], psi)[M : M + L])
+    def times_z(m):
+        cols = slice(n - m - 1, n + (m + 1) * M + 1)
+        return cols, psi @ np.ascontiguousarray(windows[m, :, cols])
 
-    wide = np.zeros((n + 1, width + 1), dtype=complex)
-    # coefficient of w^{-k} sits at canvas index width - k
-    wide[:, 1:] = comp[:, width - 1 :: -1]
+    _recurrence(a, comp, times_z)
+    wide = comp[:, n:]
+    wide[:, 0] = 0.0  # F_m(Psi(w)) - w**m has no constant term
     return wide
 
 
@@ -235,7 +261,7 @@ def _point_values(a: np.ndarray, n: int, z: np.ndarray) -> np.ndarray:
     """F_0..F_n at the points z, shape (n+1,) + shape(z), by the recurrence."""
     F = np.zeros((n + 1,) + z.shape, dtype=complex)
     F[0] = 1.0
-    return _recurrence(a, F, lambda m: z * F[m])
+    return _recurrence(a, F, lambda m: (slice(None), z * F[m]))
 
 
 def faber_values(mapping: ExteriorMap, n: int, z):
@@ -251,4 +277,4 @@ def faber_values(mapping: ExteriorMap, n: int, z):
     a = _tail(mapping)
     F = _point_values(a, n, z)
     Fp = np.zeros_like(F)
-    return F, _recurrence(a, Fp, lambda m: z * Fp[m] + F[m])
+    return F, _recurrence(a, Fp, lambda m: (slice(None), z * Fp[m] + F[m]))

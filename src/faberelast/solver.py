@@ -119,11 +119,10 @@ def solve_t(
 
 def build_AD(mapping: ExteriorMap, n: int) -> tuple:
     """Hankel matrix A[m,k] = a_{m+k} and the diagonal D = diag(1/m)."""
-    A = np.zeros((n, n), dtype=complex)
-    for m in range(1, n + 1):
-        for k in range(1, n + 1):
-            A[m - 1, k - 1] = mapping.coefficient(m + k)
-    D = np.diag(1.0 / np.arange(1, n + 1))
+    a = np.concatenate((_tail(mapping), np.zeros(2 * n, dtype=complex)))
+    m = np.arange(1, n + 1)
+    A = a[m[:, None] + m]
+    D = np.diag(1.0 / m)
     return A, D
 
 

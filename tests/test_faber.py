@@ -13,10 +13,17 @@ from faberelast import (
     required_table_order,
     solve_full,
 )
-from faberelast.faber import _derivative_coefficients
+from faberelast.faber import (
+    _derivative_coefficients,
+    _grunsky_wide,
+    _point_values,
+    _recurrence,
+    _tail,
+)
 from util import (
     FIG_LOADING,
     FIG_MATERIAL,
+    HARD_SHAPES,
     ellipse_faber_closed_form,
     random_univalent_map,
 )
@@ -317,3 +324,102 @@ class TestSeriesIdentities:
         w = 4.0 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         series = sum(eval_ftilde(table, m, z) * w ** (-m) for m in range(1, n + 1))
         assert abs(series - 1.0 / (mp.eval(w) - z)) < 1e-8
+
+
+def _loop_recurrence(a, out, times_z):
+    """The per-s recurrence over whole rows, frozen as the reference."""
+    M = len(a) - 1
+    for m in range(len(out) - 1):
+        new = times_z(m)
+        for s in range(min(m, M) + 1):
+            new -= a[s] * out[m - s]
+        if m <= M:
+            new -= m * a[m] * out[0]
+        out[m + 1] = new
+    return out
+
+
+def _reference_grunsky_wide(mapping, n):
+    """The canvas built row by row with full-width convolutions, frozen."""
+    a = _tail(mapping)
+    M = mapping.order
+    width = n * max(M, 1)
+    L = width + n + 1
+    psi = np.concatenate(([1.0], a))[::-1]
+    comp = np.zeros((n + 1, L), dtype=complex)
+    comp[0, width] = 1.0
+    _loop_recurrence(a, comp, lambda m: np.convolve(comp[m], psi)[M : M + L])
+    wide = np.zeros((n + 1, width + 1), dtype=complex)
+    wide[:, 1:] = comp[:, width - 1 :: -1]
+    return wide
+
+
+def _kernel_maps():
+    rng = np.random.default_rng(1400)
+    maps = {"disk": ExteriorMap(()), "shifted disk": ExteriorMap((0.3,))}
+    for order in (1, 2, 3, 12, 24):
+        maps[f"order {order}"] = random_univalent_map(rng, order, margin=0.99)
+    return {**maps, **HARD_SHAPES}
+
+
+_KERNEL_MAPS = _kernel_maps()
+
+
+class TestRecurrenceKernel:
+    @pytest.mark.parametrize("name", sorted(_KERNEL_MAPS))
+    def test_canvas_matches_row_by_row_reference(self, name):
+        mp = _KERNEL_MAPS[name]
+        M = mp.order
+        orders = {1, 2, max(M - 1, 1), M + 1, 40}
+        if M in (3, 12, 24) or name == "truncated square":
+            orders.add(200)
+        for n in sorted(orders):
+            wide = _grunsky_wide(mp, n)
+            ref = _reference_grunsky_wide(mp, n)
+            assert wide.shape == ref.shape
+            tol = 1e-15 * max(1.0, np.abs(ref).max())
+            assert np.abs(wide - ref).max() <= tol, (name, n)
+            assert np.all(wide[:, 0] == 0.0)
+            for m in range(n + 1):
+                assert np.all(wide[m, m * M + 1 :] == 0.0), (name, n, m)
+
+    @pytest.mark.parametrize("order", (0, 1, 3, 12, 24))
+    def test_points_match_per_s_loop(self, order):
+        rng = np.random.default_rng(1410 + order)
+        mp = ExteriorMap(()) if order == 0 else random_univalent_map(rng, order, margin=0.99)
+        a = _tail(mp)
+        n = 60
+        z = mp.eval(rng.uniform(1.0, 1.5, (7, 9)) * np.exp(2j * np.pi * rng.uniform(size=(7, 9))))
+        z[0, :4] = mp.coefficient(0) + 0.1 * rng.normal(size=4)  # inside the curve
+        ref = np.zeros((n + 1,) + z.shape, dtype=complex)
+        ref[0] = 1.0
+        _loop_recurrence(a, ref, lambda m: z * ref[m])
+        ref_p = np.zeros_like(ref)
+        _loop_recurrence(a, ref_p, lambda m: z * ref_p[m] + ref[m])
+        F, Fp = faber_values(mp, n, z)
+        assert F.shape == Fp.shape == (n + 1, 7, 9)
+        for got, want in ((_point_values(a, n, z), ref), (F, ref), (Fp, ref_p)):
+            scale = np.abs(want).reshape(n + 1, -1).max(axis=1)
+            err = np.abs(got - want).reshape(n + 1, -1).max(axis=1)
+            assert np.all(err <= 1e-14 * np.maximum(scale, 1e-300))
+
+    def test_monomial_matches_per_s_loop(self):
+        mp = random_univalent_map(np.random.default_rng(1420), 12, margin=0.99)
+        n = 40
+        ref = np.zeros((n + 1, n + 1), dtype=complex)
+        ref[0, 0] = 1.0
+        _loop_recurrence(_tail(mp), ref, lambda m: np.concatenate(([0.0], ref[m, :-1])))
+        got = build_faber(mp, n).monomial
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True))
+
+    def test_rows_that_reshape_to_a_copy_raise(self):
+        a = _tail(ExteriorMap((0.0, 0.2, 0.1)))
+        z = np.linspace(-1.0, 1.0, 15).reshape(3, 5) + 0.5j
+        out = np.zeros((5, 5, 3), dtype=complex).transpose(0, 2, 1)  # rows are (3, 5)
+        out[0] = 1.0
+        with pytest.raises(ValueError, match="without a copy"):
+            _recurrence(a, out, lambda m: (slice(None), z * out[m]))
+
+    def test_empty_points(self):
+        F, Fp = faber_values(ExteriorMap((0.0, 0.2)), 5, np.zeros((0, 3), dtype=complex))
+        assert F.shape == Fp.shape == (6, 0, 3)

@@ -34,7 +34,13 @@ from faberelast.fields import (
     _g17_text,
 )
 from faberelast.solver import DensitySolution
-from util import FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
+from util import (
+    FIG_MATERIAL,
+    HARD_SHAPES,
+    random_loading,
+    random_univalent_map,
+    solved_figure,
+)
 
 
 def _mode_solution(n, s=None, t=None):
@@ -360,17 +366,6 @@ def _solved(mp, degree, seed):
     return table, solve_full(mp, loading, FIG_MATERIAL, n, table=table)
 
 
-#: shapes outside the sampler's sum k|a_k| <= margin < 1 condition
-_HARD_SHAPES = {
-    "ellipse a1=0.99": ExteriorMap((0.0, 0.99)),
-    "ellipse a1=0.999": ExteriorMap((0.0, 0.999)),
-    "hypocycloid a2=0.49": ExteriorMap((0.0, 0.0, 0.49)),
-    "truncated square": ExteriorMap(
-        (0.0, 0.0, 0.0, -1 / 6, 0.0, 0.0, 0.0, 1 / 56, 0.0, 0.0, 0.0, -1 / 176)
-    ),
-}
-
-
 def _plain_horner(coef, x):
     acc = np.zeros((coef.shape[0], len(x)), dtype=complex)
     for c in coef.T[::-1]:
@@ -438,7 +433,7 @@ _U0_MAPS = {
     "M=0": ExteriorMap(()),
     **{f"M={order}": random_univalent_map(np.random.default_rng(order), order, margin=0.99)
        for order in (1, 12, 24)},
-    **_HARD_SHAPES,
+    **HARD_SHAPES,
 }
 
 
@@ -500,9 +495,9 @@ class TestEnvelope:
         ref = _frozen_interior(sol, table, mp, FIG_MATERIAL, z)
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("name", sorted(_HARD_SHAPES))
+    @pytest.mark.parametrize("name", sorted(HARD_SHAPES))
     def test_hard_shapes_against_quadrature(self, name):
-        mp = _HARD_SHAPES[name]
+        mp = HARD_SHAPES[name]
         table, sol = _solved(mp, 30, 5)
         rule = QuadratureRule(2048)
         phi = density_on_boundary(sol, mp, rule.theta)
@@ -514,7 +509,7 @@ class TestEnvelope:
     @pytest.mark.parametrize("name", ("hypocycloid a2=0.49", "truncated square"))
     def test_hard_shapes_interior_against_quadrature(self, name):
         # the shapes with room for the quadrature's standoff inside
-        mp = _HARD_SHAPES[name]
+        mp = HARD_SHAPES[name]
         table, sol = _solved(mp, 30, 5)
         rule = QuadratureRule(2048)
         phi = density_on_boundary(sol, mp, rule.theta)
@@ -528,7 +523,7 @@ class TestEnvelope:
         shapes = {
             "ellipse a1=0.9": ExteriorMap((0.0, 0.9)),
             "random M=24": random_univalent_map(np.random.default_rng(24), 24, margin=0.99),
-            **_HARD_SHAPES,
+            **HARD_SHAPES,
         }
         for name, mp in shapes.items():
             table, sol = _solved(mp, degree, degree)

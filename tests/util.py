@@ -21,6 +21,16 @@ FIG_MAPS = {
     "fig3": ExteriorMap((0.0, 0.1 + 0.1j, 0.1 + 0.1j, 0.1 + 0.1j)),
 }
 
+#: shapes outside the sampler's sum k|a_k| <= margin < 1 condition
+HARD_SHAPES = {
+    "ellipse a1=0.99": ExteriorMap((0.0, 0.99)),
+    "ellipse a1=0.999": ExteriorMap((0.0, 0.999)),
+    "hypocycloid a2=0.49": ExteriorMap((0.0, 0.0, 0.49)),
+    "truncated square": ExteriorMap(
+        (0.0, 0.0, 0.0, -1 / 6, 0.0, 0.0, 0.0, 1 / 56, 0.0, 0.0, 0.0, -1 / 176)
+    ),
+}
+
 
 def solved_figure(name: str, n: int = 48):
     """(mapping, material, loading, table, solution) for a figure config."""
@@ -49,6 +59,7 @@ __all__ = [
     "FIG_MATERIAL",
     "FIG_LOADING",
     "FIG_MAPS",
+    "HARD_SHAPES",
     "solved_figure",
     "ellipse_faber_closed_form",
     "random_loading",
