@@ -54,10 +54,9 @@ from .errors import NumericError
 
 
 def _tail(mapping: ExteriorMap) -> np.ndarray:
-    """a_0 .. a_M as a complex array."""
-    return np.array(
-        [mapping.coefficient(k) for k in range(mapping.order + 1)], dtype=complex
-    )
+    """a_0 .. a_M as a complex array, [0j] for the plain disk."""
+    a = mapping._coeff_array
+    return a.copy() if len(a) else np.zeros(1, dtype=complex)
 
 
 def _recurrence(a: np.ndarray, out: np.ndarray, times_z) -> np.ndarray:

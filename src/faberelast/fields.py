@@ -46,13 +46,21 @@ loading goes through the same rows at a probe (``displacement``), where
 z = Psi(w) holds exactly: with F_m'(Psi(w)) Psi'(w) = m w**(m-1) -
 sum_k k c_{m,k} u**(k+1), each of h, h' Psi' and l is a polynomial in w
 (from A_m, B_m alone) plus one in u (from the Grunsky rows), so no
-Faber recurrence runs there.  Two private builders make the rows of S
-and of u0, each from one product with the Grunsky rows, at given w,
-Psi(w) and Psi'(w); a probe computes Psi and Psi' once for both.
-A grid point lies only within the Newton tolerance of Psi(w), so
-``field_grid`` takes u0 at z itself from ``eval_u0``, and S from the
-public evaluators: ``single_layer_exterior`` at the exterior preimages,
-``single_layer_interior`` at every other point.
+Faber recurrence runs there.  A grid point lies only within the Newton
+tolerance of Psi(w), so ``field_grid`` takes u0 at z itself from
+``eval_u0``, and S from the public evaluators: ``single_layer_exterior``
+at the exterior preimages, ``single_layer_interior`` at every other
+point.
+
+The rows do not depend on w or on the Material, so each set is built
+once, from one product with the Grunsky rows, and kept: the (4, K) rows
+of P1..P4 on the DensitySolution, and the rows of u0 (h, l and h' Psi'
+in u, and their growing parts in w) on the FarFieldLoading.  Each keeps
+one (table, rows) pair, the table compared by identity; another table
+object rebuilds the rows and replaces the pair.  The table, domain and
+loading-degree checks still run on every call.  Psi - w and Psi' - 1
+are two more rows in u, so Psi and Psi' at w come from the same kernel,
+in a pass of their own; a probe sums them once for both S and u0.
 
 Every row is summed by blocked (Paterson-Stockmeyer) evaluation: a row
 of K coefficients is cut into blocks of B = ceil(sqrt(K)), one matrix
@@ -62,9 +70,11 @@ sqrt(K) array steps instead of K.  |u| <= 1 keeps the power table
 bounded; the rows in w go through the same kernel in w.  Rows of at
 most 32 terms (the figure configs) take blocks of one term, which is
 plain Horner with no matrix product, so none of their point arrays goes
-through BLAS.  Points are taken in chunks sized from the number of rows
-times blocks, so the block sums of one chunk stay near 1 MB however
-many points a grid has.
+through BLAS, and Psi, Psi' get the bits of the map's own evaluators.
+A single point (a probe) takes one block of all K terms: the power
+table and one product, with no Horner step.  Points are taken in chunks
+sized from the number of rows times blocks, so the block sums of one
+chunk stay near 1 MB however many points a grid has.
 """
 
 from __future__ import annotations
@@ -78,7 +88,7 @@ import numpy as np
 
 from .conformal import _INSIDE_TOL, ExteriorMap
 from .errors import DomainError
-from .faber import FaberTable, _derivative_coefficients, check_table_map
+from .faber import FaberTable, _derivative_coefficients, _tail, check_table_map
 from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials, eval_u0
 from .solver import DensitySolution
 
@@ -151,26 +161,45 @@ class FieldGrid:
             yield FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
 
 
-def _weights(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> tuple:
+def _check_table(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> None:
+    """Raise ValueError unless ``table`` was built for ``mapping`` and reaches order n + M."""
+    check_table_map(mapping, table)
+    if table.order < sol.order + mapping.order:
+        raise ValueError("Faber table too small for the solution order")
+
+
+def _weights(sol: DensitySolution, mapping: ExteriorMap) -> tuple:
     """Effective degree n, s_1..s_n, t_1..t_n and the weights W.
 
     n is the highest mode with s_n or t_n nonzero (1 for a zero
-    solution).  W[j + n + 1] = W_j for j = -n-1 .. n+M.  Raises
-    ValueError unless ``table`` was built for ``mapping`` and reaches
-    order n + M.
+    solution).  W[j + n + 1] = W_j for j = -n-1 .. n+M.
     """
-    check_table_map(mapping, table)
     M = mapping.order
-    if table.order < sol.order + M:
-        raise ValueError("Faber table too small for the solution order")
     active = np.flatnonzero((sol.s[: sol.order] != 0) | (sol.t[: sol.order] != 0))
     n = int(active[-1]) + 1 if len(active) else 1
     s, t = sol.s[:n], sol.t[:n]
-    conj_a = np.conj([mapping.coefficient(k) for k in range(-1, M + 1)])
+    conj_a = np.conj(np.concatenate(([1.0], _tail(mapping))))  # a_{-1} = 1, a_0 .. a_M
     W = np.zeros(2 * n + M + 2, dtype=complex)
     W[: n + M + 1] += np.convolve(s[::-1], conj_a)  # s_m conj(a_{j+m})
     W[n + 1 :] += np.convolve(t, conj_a)  # t_m conj(a_{j-m})
     return n, s, t, W
+
+
+def _kept_rows(owner, table: FaberTable, build) -> tuple:
+    """The rows ``build()`` returns, kept in ``owner._rows`` while ``table`` is the same.
+
+    The slot holds one (table, rows) pair, compared by identity; another
+    table object rebuilds the rows and replaces the pair.  The rows are
+    made read-only.
+    """
+    slot = owner._rows
+    if slot is None or slot[0] is not table:
+        rows = build()
+        for r in rows:
+            r.setflags(write=False)
+        slot = (table, rows)
+        object.__setattr__(owner, "_rows", slot)
+    return slot[1]
 
 
 def single_layer_interior(
@@ -181,7 +210,8 @@ def single_layer_interior(
     z,
 ):
     """Single-layer value S at z in the closed inclusion."""
-    n, s, t, W = _weights(sol, table, mapping)
+    _check_table(sol, table, mapping)
+    n, s, t, W = _weights(sol, mapping)
     M = mapping.order
     j = np.arange(1, n + M + 1)
     scale = -0.5 * mat.alpha2
@@ -210,16 +240,21 @@ def _blocked_horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     blocks of B = ceil(sqrt(K)), or of B = 1 for K <= _HORNER_TERMS.  One
     product with the power table x**0 .. x**(B-1), built by doubling,
     sums every block, and Horner then runs over the nb block sums in
-    x**B: about sqrt(K) array steps in place of K.  Points go in chunks,
-    so the block sums of a chunk hold about _BLOCK_VALUES values.
+    x**B: about sqrt(K) array steps in place of K.  A single point takes
+    one block, B = K: the power table and the product, no Horner step.
+    Points go in chunks, so the block sums of a chunk hold about
+    _BLOCK_VALUES values.
     """
     R, K = coef.shape
-    B = 1 if K <= _HORNER_TERMS else math.isqrt(K - 1) + 1
+    if len(x) == 1:
+        B = K
+    else:
+        B = 1 if K <= _HORNER_TERMS else math.isqrt(K - 1) + 1
     nb = -(-K // B)
-    blocks = np.zeros((R, nb * B), dtype=complex)
-    blocks[:, :K] = coef
+    if nb * B > K:
+        coef = np.concatenate((coef, np.zeros((R, nb * B - K), dtype=complex)), axis=1)
     # blocks[i, r] is block i of row r
-    blocks = blocks.reshape(R, nb, B).transpose(1, 0, 2).copy()
+    blocks = np.ascontiguousarray(coef.reshape(R, nb, B).transpose(1, 0, 2))
     # blocks of one term are the coefficients themselves: no block sums
     step = max(1, _BLOCK_VALUES // (nb * R) if B > 1 else len(x))
     if len(x) <= step:
@@ -248,6 +283,8 @@ def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
             np.multiply(powers[:m], powers[k - 1] * x, out=powers[k : k + m])
             k += m
         sums = (blocks.reshape(nb * R, B) @ powers).reshape(nb, R, len(x))
+        if nb == 1:
+            return sums[0]
         step_power = powers[-1] * x
     else:
         sums, step_power = blocks, x  # (nb, R, 1): plain Horner in x
@@ -259,28 +296,51 @@ def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _exterior_S(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap, mat: Material,
-                w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    """S at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
-    n, s, t, W = _weights(sol, table, mapping)
+def _map_values(mapping: ExteriorMap, w: np.ndarray) -> tuple:
+    """Psi(w) and Psi'(w) at the 1-D points w, |w| >= 1.
+
+    Psi - w and Psi' - 1 are two rows in u, (a_0 .. a_M, 0) and
+    (0, 0, -a_1, .., -M a_M), summed by ``_blocked_horner``; rows of at
+    most _HORNER_TERMS terms at more than one point take the operations
+    of ``mapping._eval_raw`` and ``_derivative_raw``, and the same bits.
+    """
+    a = mapping._coeff_array
+    rows = np.zeros((2, len(a) + 1), dtype=complex)
+    rows[0, : len(a)] = a
+    rows[1, 2:] = -np.arange(1, len(a)) * a[1:]
+    dz, ddz = _blocked_horner(rows, 1.0 / w)
+    return w + dz, 1.0 + ddz
+
+
+def _S_rows(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> tuple:
+    """The (4, K) rows of P1 .. P4 in u, as a 1-tuple."""
+    n, s, t, W = _weights(sol, mapping)
     M = mapping.order
     j = np.arange(1, n + M + 1)
     width = (n + M) * M + 1  # powers u**0 .. u**((n+M)M) of the Grunsky rows
     # P1..P4 by rows; X[r] weights the rows c_{j,k} of F_j(Psi(w)) - w**j
-    X = np.zeros((4, n + M), dtype=complex)
+    # (the rows of P3 are those of P2, negated)
+    X = np.zeros((3, n + M), dtype=complex)
     X[0, :n] = np.conj(s) / j[:n]
     X[1, :n] = t / j[:n]
-    X[2, :n] = -X[1, :n]
-    X[3] = W[n + 2 :] / j
+    X[2] = W[n + 2 :] / j
     rows = X @ table._grunsky_wide[1 : n + M + 1, :width]
-    rows[2:] *= np.arange(width)  # k c_{j,k}, at u**(k+1) below
     coef = np.zeros((4, max(width + 1, n + 3)), dtype=complex)
     coef[:2, :width] = rows[:2]
-    coef[2:, 1 : width + 1] = rows[2:]
+    coef[2:, 1 : width + 1] = rows[1:] * np.arange(width)  # k c_{j,k} at u**(k+1)
+    np.negative(coef[2], out=coef[2])
     coef[0, 1 : n + 1] += np.conj(t) / j[:n]
     coef[1, 1 : n + 1] += s / j[:n]
     coef[2, 2 : n + 2] -= s
     coef[3, 1 : n + 3] += W[n + 1 :: -1]  # W_j u**(1-j), j <= 0
+    return (coef,)
+
+
+def _exterior_S(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap, mat: Material,
+                w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """S at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
+    _check_table(sol, table, mapping)
+    (coef,) = _kept_rows(sol, table, lambda: _S_rows(sol, table, mapping))
     P1, P2, P3, P4 = _blocked_horner(coef, 1.0 / w)
     return 0.5 * (
         -mat.alpha1 * (np.conj(P1) + P2)
@@ -289,12 +349,10 @@ def _exterior_S(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap, m
     )
 
 
-def _exterior_u0(loading: FarFieldLoading, table: FaberTable, mapping: ExteriorMap,
-                 mat: Material, w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    """u0 at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
-    h, l = _u0_potentials(loading, table)
+def _u0_rows(h: np.ndarray, l: np.ndarray, table: FaberTable) -> tuple:
+    """The (3, K') rows of H, L and h' Psi' in u, and their (3, p+1) rows in w."""
     p = len(h) - 1
-    width = p * mapping.order + 1
+    width = p * table.mapping.order + 1
     # decaying parts of h, l and h' Psi' in u; -k c_{m,k} sits at u**(k+1)
     hl = np.stack([h[1:], l[1:]]) @ table._grunsky_wide[1 : p + 1, :width]
     coef = np.zeros((3, width + 1), dtype=complex)
@@ -304,6 +362,14 @@ def _exterior_u0(loading: FarFieldLoading, table: FaberTable, mapping: ExteriorM
     grow = np.zeros((3, p + 1), dtype=complex)
     grow[0], grow[1] = h, l
     grow[2, :p] = np.arange(1, p + 1) * h[1:]
+    return coef, grow
+
+
+def _exterior_u0(loading: FarFieldLoading, table: FaberTable, mapping: ExteriorMap,
+                 mat: Material, w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """u0 at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
+    h, l = _u0_potentials(loading, table)
+    coef, grow = _kept_rows(loading, table, lambda: _u0_rows(h, l, table))
     (H, L, dH), (gH, gL, gdH) = _blocked_horner(coef, 1.0 / w), _blocked_horner(grow, w)
     return mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
 
@@ -320,8 +386,7 @@ def single_layer_exterior(
     wa = w.reshape(-1)
     if not np.all(np.abs(wa) >= 1.0 - _INSIDE_TOL) or not np.isfinite(wa).all():
         raise DomainError("exterior evaluation needs finite w with |w| >= 1")
-    out = _exterior_S(sol, table, mapping, mat, wa, mapping._eval_raw(wa),
-                      mapping._derivative_raw(wa))
+    out = _exterior_S(sol, table, mapping, mat, wa, *_map_values(mapping, wa))
     return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
 
@@ -339,7 +404,7 @@ def displacement(
     if not r >= 1.0 - _INSIDE_TOL or not math.isfinite(r):
         raise DomainError("displacement is defined for finite w with |w| >= 1")
     wa = np.array([w])
-    psi = mapping._eval_raw(wa)
+    psi, dpsi = _map_values(mapping, wa)
     z = complex(psi[0])
     if r <= 1.0 + _BOUNDARY_TOL:
         u0 = eval_u0(loading, table, mat, z)
@@ -347,7 +412,6 @@ def displacement(
         return FieldSample(z=z, w=w, region=REGION_BOUNDARY, u0=u0, S=S,
                            u=complex(sol.rigid_motion(z)))
     # z = Psi(w) exactly, so u0 comes from the Grunsky rows too
-    dpsi = mapping._derivative_raw(wa)
     u0 = complex(_exterior_u0(loading, table, mapping, mat, wa, psi, dpsi)[0])
     S = complex(_exterior_S(sol, table, mapping, mat, wa, psi, dpsi)[0])
     return FieldSample(z=z, w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)

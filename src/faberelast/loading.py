@@ -26,7 +26,7 @@ defined loading into coefficients with spectral accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,10 +93,16 @@ def material_from_figure_params(alpha1: float, kappa: float) -> Material:
 
 @dataclass(frozen=True)
 class FarFieldLoading:
-    """Faber coefficients (A_m) of h and (B_m) of l, padded to equal length."""
+    """Faber coefficients (A_m) of h and (B_m) of l, padded to equal length.
+
+    A and B are read-only copies of the arrays given: the exterior probe
+    of fields keeps coefficient rows built from them in ``_rows``, one
+    (table, rows) pair, so they must not change.
+    """
 
     A: np.ndarray
     B: np.ndarray
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_1d(np.asarray(self.A, dtype=complex))
@@ -104,6 +110,8 @@ class FarFieldLoading:
         n = max(len(A), len(B))
         A = np.pad(A, (0, n - len(A)))
         B = np.pad(B, (0, n - len(B)))
+        A.setflags(write=False)
+        B.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 

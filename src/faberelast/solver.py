@@ -42,7 +42,7 @@ and the quadrature oracle certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,10 @@ class DensitySolution:
 
     ``s[m-1]`` and ``t[m-1]`` multiply the boundary modes
     e^{-i m theta}/h and e^{+i m theta}/h respectively; the four real
-    coefficient families are exposed as the views s1..s4.
+    coefficient families are exposed as the views s1..s4.  ``solve_full``
+    returns s and t read-only: the exterior evaluators of fields keep
+    coefficient rows built from them in ``_rows``, one (table, rows)
+    pair, so they must not change.
     """
 
     s: np.ndarray
@@ -72,6 +75,7 @@ class DensitySolution:
     c2: float
     c3: float
     order: int
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def s1(self) -> np.ndarray:
@@ -342,6 +346,8 @@ def solve_full(
     s = c3 * u1 + u2
     t = solve_t(loading, mat, c3, n)
     c1, c2 = solve_c12(s, c3, j01, j02, mapping, table, loading, mat)
+    s.setflags(write=False)
+    t.setflags(write=False)
     return DensitySolution(s=s, t=t, c1=c1, c2=c2, c3=c3, order=n)
 
 

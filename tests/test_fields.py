@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,9 +34,11 @@ from faberelast.fields import (
     _blocked_horner,
     _exterior_u0,
     _g17_text,
+    _map_values,
 )
 from faberelast.solver import DensitySolution
 from util import (
+    FIG_MAPS,
     FIG_MATERIAL,
     HARD_SHAPES,
     random_loading,
@@ -427,6 +431,123 @@ class TestBlockedHorner:
             err = np.abs(got - _plain_horner(coef, x[:count]))
             assert (err <= KERNEL_TOL * _horner_scale(coef, x[:count])).all(), count
 
+    @pytest.mark.parametrize("K", (1, 2, 32, 33, 400, 1741))
+    @pytest.mark.parametrize("radius", (1.0, 0.5))
+    def test_one_point_is_one_block(self, K, radius):
+        # one point takes B = K: the power table and one product
+        rng = np.random.default_rng(K)
+        coef = rng.normal(size=(4, K)) + 1j * rng.normal(size=(4, K))
+        for theta in rng.uniform(0.0, 2.0 * np.pi, 5):
+            x = np.array([radius * np.exp(1j * theta)])
+            got = _blocked_horner(coef, x)
+            assert got.shape == (4, 1)
+            err = np.abs(got - _plain_horner(coef, x))
+            assert (err <= KERNEL_TOL * _horner_scale(coef, x)).all()
+
+
+class TestMapRows:
+    """Psi - w and Psi' - 1 as two rows in u = 1/w."""
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "disk"]
+                             + [f"M={M}" for M in (0, 1, 7, 30)])
+    def test_bit_equal_to_the_map_evaluators(self, name):
+        # rows of at most _HORNER_TERMS terms take the map's own Horner steps
+        rng = np.random.default_rng(len(name))
+        if name.startswith("fig"):
+            mp = FIG_MAPS[name]
+        elif name == "disk":
+            mp = ExteriorMap(())
+        else:
+            order = int(name[2:])
+            mp = random_univalent_map(rng, order) if order else ExteriorMap((0.3,))
+        assert mp.order + 2 <= _HORNER_TERMS
+        w = rng.uniform(1.0, 20.0, 1000) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1000))
+        psi, dpsi = _map_values(mp, w)
+        np.testing.assert_array_equal(psi, mp._eval_raw(w))
+        np.testing.assert_array_equal(dpsi, mp._derivative_raw(w))
+
+    def test_one_point_matches_the_map(self):
+        mp = random_univalent_map(np.random.default_rng(5), 12)
+        for w in (1.0, 1.5 - 0.5j, -30.0j):
+            wa = np.array([w])
+            psi, dpsi = _map_values(mp, wa)
+            assert abs(psi[0] - mp.eval(w)) <= 1e-15 * abs(psi[0])
+            assert abs(dpsi[0] - mp.derivative(w)) <= 1e-15 * abs(dpsi[0])
+
+
+class TestKeptRows:
+    """The exterior rows kept once per solution and loading, per table."""
+
+    @staticmethod
+    def _probe(sol, table, mapping, loading, w):
+        return displacement(sol, table, mapping, FIG_MATERIAL, loading, w)
+
+    def _case(self):
+        mapping = random_univalent_map(np.random.default_rng(8), 6)
+        table, sol = _solved(mapping, 24, 8)
+        return mapping, table, sol, random_loading(np.random.default_rng(8), 24)
+
+    def test_solution_and_loading_arrays_are_read_only(self):
+        mapping, table, sol, loading = self._case()
+        for array in (sol.s, sol.t, loading.A, loading.B):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        given = np.array([0.0, 1.0 + 0.0j])
+        FarFieldLoading(given, given)
+        given[0] = 2.0  # the caller's array is copied, not frozen
+
+    def test_hit_gives_the_bits_of_a_miss(self):
+        mapping, table, sol, loading = self._case()
+        for w in (1.0 + 2e-10, 1.7 - 0.2j, 40.0j):
+            hit = [self._probe(sol, table, mapping, loading, w) for _ in range(2)][1]
+            assert sol._rows[0] is table and loading._rows[0] is table
+            fresh = dataclasses.replace(sol), dataclasses.replace(loading)
+            assert fresh[0]._rows is None and fresh[1]._rows is None
+            miss = self._probe(fresh[0], table, mapping, fresh[1], w)
+            assert hit == miss
+            wa = np.array([w, 2.0 * w])
+            S = single_layer_exterior(sol, table, mapping, FIG_MATERIAL, wa)
+            np.testing.assert_array_equal(
+                S, single_layer_exterior(dataclasses.replace(sol), table, mapping,
+                                         FIG_MATERIAL, wa))
+
+    def test_another_table_replaces_the_slot(self):
+        mapping, table, sol, loading = self._case()
+        w = 1.3 + 0.9j
+        ref = self._probe(sol, table, mapping, loading, w)
+        last = table
+        for extra in range(1, 6):
+            last = build_faber(mapping, table.order + extra)
+            got = self._probe(sol, last, mapping, loading, w)
+            for rows in (sol._rows, loading._rows):
+                assert len(rows) == 2 and rows[0] is last
+            for name in ("u0", "S", "u"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert abs(a - b) <= 1e-14 * abs(b), name
+        assert self._probe(sol, table, mapping, loading, w) == ref
+        assert sol._rows[0] is table and loading._rows[0] is table
+
+    def test_every_check_runs_on_a_hit(self):
+        mapping, table, sol, loading = self._case()
+        self._probe(sol, table, mapping, loading, 2.0)
+        other = ExteriorMap((0.0, 0.2))
+        with pytest.raises(ValueError):
+            self._probe(sol, build_faber(other, table.order), mapping, loading, 2.0)
+        with pytest.raises(ValueError):
+            self._probe(sol, table, other, loading, 2.0)
+        with pytest.raises(ValueError):
+            single_layer_exterior(sol, table, other, FIG_MATERIAL, 2.0)
+        for w in (0.5, complex(np.nan, 0.0), np.inf):
+            with pytest.raises(DomainError):
+                self._probe(sol, table, mapping, loading, w)
+            with pytest.raises(DomainError):
+                single_layer_exterior(sol, table, mapping, FIG_MATERIAL, w)
+        high = random_loading(np.random.default_rng(9), table.order + 1)
+        with pytest.raises(IndexError):
+            self._probe(sol, table, mapping, high, 2.0)
+        assert sol._rows[0] is table and loading._rows[0] is table
+        assert self._probe(sol, table, mapping, loading, 2.0).region == "exterior"
+
 
 #: maps of the exterior u0 envelope, by name
 _U0_MAPS = {
@@ -656,7 +777,7 @@ class TestDisplacement:
                     # a probe's exterior u0 comes from the Grunsky rows
                     wa = np.array([w])
                     u0 = _exterior_u0(loading, table, mapping, mat, wa, np.array([z]),
-                                      mapping.derivative(wa))
+                                      _map_values(mapping, wa)[1])
                     assert smp.u0 == u0[0]
                     ref = eval_u0(loading, table, mat, z)
                     assert abs(smp.u0 - ref) <= 1e-13 * abs(ref)
