@@ -18,6 +18,8 @@ a_k/gamma**(k+1), and undo the scaling on output fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DomainError
@@ -92,6 +94,21 @@ class ExteriorMap:
         """Tight Laurent order M (0 for a plain or shifted disk)."""
         return max(len(self._coeff_array) - 1, 0)
 
+    @cached_property
+    def _u_rows(self) -> np.ndarray:
+        """Psi - w and Psi' - 1 as two read-only rows in u = 1/w, (2, M + 2).
+
+        (a_0 .. a_M, 0) and (0, 0, -a_1, .., -M a_M); the map's own
+        evaluators and the exterior evaluators of fields sum them.  Built
+        on first read.
+        """
+        a = self._coeff_array
+        rows = np.zeros((2, len(a) + 1), dtype=complex)
+        rows[0, : len(a)] = a
+        rows[1, 2:] = -np.arange(1, len(a)) * a[1:]
+        rows.setflags(write=False)
+        return rows
+
     def coefficient(self, k: int) -> complex:
         """a_k with the convention a_{-1} = 1 and a_k = 0 beyond the order."""
         if k == -1:
@@ -102,40 +119,31 @@ class ExteriorMap:
 
     # -- evaluation ---------------------------------------------------
 
+    def _u_series(self, w, r: int) -> np.ndarray:
+        """Row r of ``_u_rows`` summed at w by Horner in u = 1/w, without the domain check.
+
+        The row ends at a_M (r = 0) or -M a_M (r = 1); the pad after it is
+        skipped, and a zero row (Psi - w of the plain disk, Psi' - 1 at
+        M = 0) is not summed.  A row that is summed is inf at w = 0.
+        """
+        w = np.asarray(w, dtype=complex)
+        wa = np.atleast_1d(w)
+        end = len(self._coeff_array) + r if len(self._coeff_array) > r else 0
+        nonzero = wa != 0
+        u = np.divide(1.0, wa, out=np.zeros_like(wa), where=nonzero)
+        acc = np.zeros_like(wa)
+        for c in self._u_rows[r, :end][::-1]:
+            acc = acc * u + c
+        if end:
+            acc[~nonzero] = np.inf
+        return acc.reshape(w.shape)
+
     def _eval_raw(self, w):
         """Psi(w) without the |w| >= 1 domain check (used by inversion)."""
-        w = np.asarray(w, dtype=complex)
-        shape = w.shape
-        wa = np.atleast_1d(w)
-        a = self._coeff_array
-        if len(a) == 0:
-            return (wa + 0.0j).reshape(shape)
-        u = np.zeros_like(wa)
-        nonzero = wa != 0
-        u[nonzero] = 1.0 / wa[nonzero]
-        acc = np.zeros_like(wa)
-        for ak in a[::-1]:
-            acc = acc * u + ak
-        out = wa + acc
-        out[~nonzero] = np.inf
-        return out.reshape(shape)
+        return np.asarray(w, dtype=complex) + self._u_series(w, 0)
 
     def _derivative_raw(self, w):
-        w = np.asarray(w, dtype=complex)
-        shape = w.shape
-        wa = np.atleast_1d(w)
-        a = self._coeff_array
-        if len(a) <= 1:
-            return np.ones_like(wa).reshape(shape)
-        u = np.zeros_like(wa)
-        nonzero = wa != 0
-        u[nonzero] = 1.0 / wa[nonzero]
-        acc = np.zeros_like(wa)
-        for k in range(len(a) - 1, 0, -1):
-            acc = acc * u + k * a[k]
-        out = 1.0 - acc * u * u
-        out[~nonzero] = np.inf
-        return out.reshape(shape)
+        return 1.0 + self._u_series(w, 1)
 
     def _check_domain(self, w):
         w = np.asarray(w, dtype=complex)

@@ -57,10 +57,11 @@ once, from one product with the Grunsky rows, and kept: the (4, K) rows
 of P1..P4 on the DensitySolution, and the rows of u0 (h, l and h' Psi'
 in u, and their growing parts in w) on the FarFieldLoading.  Each keeps
 one (table, rows) pair, the table compared by identity; another table
-object rebuilds the rows and replaces the pair.  The table, domain and
-loading-degree checks still run on every call.  Psi - w and Psi' - 1
-are two more rows in u, so Psi and Psi' at w come from the same kernel,
-in a pass of their own; a probe sums them once for both S and u0.
+object rebuilds the rows and replaces the pair.  The table and domain
+checks still run on every call; the loading-degree check runs where the
+u0 rows are built, as rows kept for a table have passed it.  Psi - w and
+Psi' - 1 are two more rows in u, kept on the map (``ExteriorMap._u_rows``),
+so Psi and Psi' at w come from the same kernel as S and u0.
 
 Every row is summed by blocked (Paterson-Stockmeyer) evaluation: a row
 of K coefficients is cut into blocks of B = ceil(sqrt(K)), one matrix
@@ -71,10 +72,14 @@ bounded; the rows in w go through the same kernel in w.  Rows of at
 most 32 terms (the figure configs) take blocks of one term, which is
 plain Horner with no matrix product, so none of their point arrays goes
 through BLAS, and Psi, Psi' get the bits of the map's own evaluators.
-A single point (a probe) takes one block of all K terms: the power
-table and one product, with no Horner step.  Points are taken in chunks
-sized from the number of rows times blocks, so the block sums of one
-chunk stay near 1 MB however many points a grid has.
+A single point (a probe) has no Horner step: the map, S and u0 rows in
+u are summed from one power table u**0 .. u**(K-1), K the longest of
+them, each set by one product with a prefix of the table; the growing
+rows take one more table in w.  A doubled table computes each entry from
+the same operands whatever its length, so a prefix holds the bits of a
+table of its own and a probe keeps the bits of a table per set.  Points
+are taken in chunks sized from the number of rows times blocks, so the
+block sums of one chunk stay near 1 MB however many points a grid has.
 """
 
 from __future__ import annotations
@@ -241,15 +246,14 @@ def _blocked_horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     product with the power table x**0 .. x**(B-1), built by doubling,
     sums every block, and Horner then runs over the nb block sums in
     x**B: about sqrt(K) array steps in place of K.  A single point takes
-    one block, B = K: the power table and the product, no Horner step.
+    the power table x**0 .. x**(K-1) and one product, no Horner step.
     Points go in chunks, so the block sums of a chunk hold about
     _BLOCK_VALUES values.
     """
     R, K = coef.shape
     if len(x) == 1:
-        B = K
-    else:
-        B = 1 if K <= _HORNER_TERMS else math.isqrt(K - 1) + 1
+        return coef @ _powers(x, K)
+    B = 1 if K <= _HORNER_TERMS else math.isqrt(K - 1) + 1
     nb = -(-K // B)
     if nb * B > K:
         coef = np.concatenate((coef, np.zeros((R, nb * B - K), dtype=complex)), axis=1)
@@ -273,18 +277,8 @@ def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     nb, R, B = blocks.shape
     if B > 1:
-        # x**0 .. x**(B-1) by doubling: ceil(log2 B) products of whole
-        # slabs, where cumprod along the first axis costs ten times as much
-        powers = np.empty((B, len(x)), dtype=complex)
-        powers[0] = 1.0
-        k = 1
-        while k < B:
-            m = min(k, B - k)
-            np.multiply(powers[:m], powers[k - 1] * x, out=powers[k : k + m])
-            k += m
+        powers = _powers(x, B)
         sums = (blocks.reshape(nb * R, B) @ powers).reshape(nb, R, len(x))
-        if nb == 1:
-            return sums[0]
         step_power = powers[-1] * x
     else:
         sums, step_power = blocks, x  # (nb, R, 1): plain Horner in x
@@ -296,19 +290,47 @@ def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _powers(x: np.ndarray, K: int) -> np.ndarray:
+    """x**0 .. x**(K-1) at the 1-D points x, shape (K, len(x)), by doubling.
+
+    ceil(log2 K) products of whole slabs, where cumprod along the first
+    axis costs ten times as much.  Entry j is the product of the same two
+    entries whatever K is, so the first k rows hold the bits of
+    ``_powers(x, k)``.
+    """
+    powers = np.empty((K, len(x)), dtype=complex)
+    powers[0] = 1.0
+    k = 1
+    while k < K:
+        m = min(k, K - k)
+        np.multiply(powers[:m], powers[k - 1] * x, out=powers[k : k + m])
+        k += m
+    return powers
+
+
+def _row_sums(row_sets, x: np.ndarray) -> list:
+    """``_blocked_horner(rows, x)`` for each (R, K) row set, at the 1-D points x.
+
+    A single point builds one power table x**0 .. x**(K-1), K the longest
+    set, and sums each set as one product with a prefix of it: the bits
+    of ``_blocked_horner``, whose one-point sum is the product with a
+    table of its own.  More points take ``_blocked_horner`` set by set.
+    """
+    if len(x) != 1:
+        return [_blocked_horner(rows, x) for rows in row_sets]
+    powers = _powers(x, max(rows.shape[1] for rows in row_sets))
+    return [rows @ powers[: rows.shape[1]] for rows in row_sets]
+
+
 def _map_values(mapping: ExteriorMap, w: np.ndarray) -> tuple:
     """Psi(w) and Psi'(w) at the 1-D points w, |w| >= 1.
 
-    Psi - w and Psi' - 1 are two rows in u, (a_0 .. a_M, 0) and
-    (0, 0, -a_1, .., -M a_M), summed by ``_blocked_horner``; rows of at
-    most _HORNER_TERMS terms at more than one point take the operations
-    of ``mapping._eval_raw`` and ``_derivative_raw``, and the same bits.
+    The map's two rows in u (``ExteriorMap._u_rows``) summed by
+    ``_blocked_horner``; rows of at most _HORNER_TERMS terms at more than
+    one point take the operations of ``mapping._eval_raw`` and
+    ``_derivative_raw``, and the same bits.
     """
-    a = mapping._coeff_array
-    rows = np.zeros((2, len(a) + 1), dtype=complex)
-    rows[0, : len(a)] = a
-    rows[1, 2:] = -np.arange(1, len(a)) * a[1:]
-    dz, ddz = _blocked_horner(rows, 1.0 / w)
+    dz, ddz = _blocked_horner(mapping._u_rows, 1.0 / w)
     return w + dz, 1.0 + ddz
 
 
@@ -337,20 +359,30 @@ def _S_rows(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> tu
 
 
 def _exterior_S(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap, mat: Material,
-                w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    """S at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
+                w: np.ndarray, more=()) -> tuple:
+    """S, Psi and Psi' at the 1-D points w, |w| >= 1, and the sums in u of the row sets ``more``.
+
+    The map rows, the S rows and ``more`` go through one ``_row_sums``
+    pass, so a single point builds one power table in u = 1/w.
+    """
     _check_table(sol, table, mapping)
     (coef,) = _kept_rows(sol, table, lambda: _S_rows(sol, table, mapping))
-    P1, P2, P3, P4 = _blocked_horner(coef, 1.0 / w)
-    return 0.5 * (
+    (dz, ddz), (P1, P2, P3, P4), *sums = _row_sums((mapping._u_rows, coef, *more), 1.0 / w)
+    psi, dpsi = w + dz, 1.0 + ddz
+    S = 0.5 * (
         -mat.alpha1 * (np.conj(P1) + P2)
         + mat.alpha2 * psi * np.conj(P3 / dpsi)
         + mat.alpha2 * np.conj(P4 / dpsi)
     )
+    return S, psi, dpsi, sums
 
 
-def _u0_rows(h: np.ndarray, l: np.ndarray, table: FaberTable) -> tuple:
-    """The (3, K') rows of H, L and h' Psi' in u, and their (3, p+1) rows in w."""
+def _u0_rows(loading: FarFieldLoading, table: FaberTable) -> tuple:
+    """The (3, K') rows of H, L and h' Psi' in u, and their (3, p+1) rows in w.
+
+    Raises IndexError when the loading degree p exceeds the table order.
+    """
+    h, l = _u0_potentials(loading, table)
     p = len(h) - 1
     width = p * table.mapping.order + 1
     # decaying parts of h, l and h' Psi' in u; -k c_{m,k} sits at u**(k+1)
@@ -365,13 +397,17 @@ def _u0_rows(h: np.ndarray, l: np.ndarray, table: FaberTable) -> tuple:
     return coef, grow
 
 
+def _u0_from_sums(mat: Material, psi: np.ndarray, dpsi: np.ndarray, decaying, growing):
+    """u0 from the sums of the u0 rows in u and in w, given psi = Psi(w) and dpsi = Psi'(w)."""
+    (H, L, dH), (gH, gL, gdH) = decaying, growing
+    return mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
+
+
 def _exterior_u0(loading: FarFieldLoading, table: FaberTable, mapping: ExteriorMap,
                  mat: Material, w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """u0 at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
-    h, l = _u0_potentials(loading, table)
-    coef, grow = _kept_rows(loading, table, lambda: _u0_rows(h, l, table))
-    (H, L, dH), (gH, gL, gdH) = _blocked_horner(coef, 1.0 / w), _blocked_horner(grow, w)
-    return mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
+    coef, grow = _kept_rows(loading, table, lambda: _u0_rows(loading, table))
+    return _u0_from_sums(mat, psi, dpsi, _blocked_horner(coef, 1.0 / w), _blocked_horner(grow, w))
 
 
 def single_layer_exterior(
@@ -386,7 +422,7 @@ def single_layer_exterior(
     wa = w.reshape(-1)
     if not np.all(np.abs(wa) >= 1.0 - _INSIDE_TOL) or not np.isfinite(wa).all():
         raise DomainError("exterior evaluation needs finite w with |w| >= 1")
-    out = _exterior_S(sol, table, mapping, mat, wa, *_map_values(mapping, wa))
+    out = _exterior_S(sol, table, mapping, mat, wa)[0]
     return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
 
@@ -404,17 +440,18 @@ def displacement(
     if not r >= 1.0 - _INSIDE_TOL or not math.isfinite(r):
         raise DomainError("displacement is defined for finite w with |w| >= 1")
     wa = np.array([w])
-    psi, dpsi = _map_values(mapping, wa)
-    z = complex(psi[0])
     if r <= 1.0 + _BOUNDARY_TOL:
+        z = complex(_map_values(mapping, wa)[0][0])
         u0 = eval_u0(loading, table, mat, z)
         S = single_layer_interior(sol, table, mapping, mat, z)
         return FieldSample(z=z, w=w, region=REGION_BOUNDARY, u0=u0, S=S,
                            u=complex(sol.rigid_motion(z)))
     # z = Psi(w) exactly, so u0 comes from the Grunsky rows too
-    u0 = complex(_exterior_u0(loading, table, mapping, mat, wa, psi, dpsi)[0])
-    S = complex(_exterior_S(sol, table, mapping, mat, wa, psi, dpsi)[0])
-    return FieldSample(z=z, w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)
+    coef, grow = _kept_rows(loading, table, lambda: _u0_rows(loading, table))
+    S, psi, dpsi, (decaying,) = _exterior_S(sol, table, mapping, mat, wa, (coef,))
+    u0 = complex(_u0_from_sums(mat, psi, dpsi, decaying, _blocked_horner(grow, wa))[0])
+    S = complex(S[0])
+    return FieldSample(z=complex(psi[0]), w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)
 
 
 def _points_in_polygon(z: np.ndarray, poly: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ defined loading into coefficients with spectral accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,9 +122,12 @@ class FarFieldLoading:
     def coefficient_B(self, m: int) -> complex:
         return complex(self.B[m]) if 0 <= m < len(self.B) else 0.0 + 0.0j
 
-    @property
+    @cached_property
     def degree(self) -> int:
-        """Highest index carrying a nonzero coefficient in either vector."""
+        """Highest index carrying a nonzero coefficient in either vector.
+
+        Computed on first read; A and B are read-only.
+        """
         nz = np.nonzero((self.A != 0) | (self.B != 0))[0]
         return int(nz[-1]) if len(nz) else 0
 

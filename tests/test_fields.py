@@ -10,6 +10,7 @@ from faberelast import (
     FieldGrid,
     FieldSample,
     GridSpec,
+    Material,
     QuadratureRule,
     build_faber,
     density_on_boundary,
@@ -35,6 +36,7 @@ from faberelast.fields import (
     _exterior_u0,
     _g17_text,
     _map_values,
+    _powers,
 )
 from faberelast.solver import DensitySolution
 from util import (
@@ -445,6 +447,40 @@ class TestBlockedHorner:
             assert (err <= KERNEL_TOL * _horner_scale(coef, x)).all()
 
 
+class TestPowerTable:
+    """A doubled power table: a prefix holds the bits of a shorter table.
+
+    A probe sums the map, S and u0 rows in u from one table built to the
+    longest row; this is what keeps its bits those of a table per row set.
+    """
+
+    @staticmethod
+    def _points(count, radius):
+        rng = np.random.default_rng(count)
+        return radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+
+    @pytest.mark.parametrize("count", (1, 7))
+    @pytest.mark.parametrize("K", (1, 2, 3, 63, 64, 65, 2048, 2100))
+    def test_prefix_is_the_shorter_table(self, K, count):
+        for radius in (1.0, 0.5):
+            x = self._points(count, radius)
+            table = _powers(x, K)
+            assert table.shape == (K, count)
+            for k in range(1, K + 1):
+                np.testing.assert_array_equal(table[:k], _powers(x, k), err_msg=f"k={k}")
+
+    def test_prefix_product_is_the_one_point_sum(self):
+        rng = np.random.default_rng(4)
+        lengths = (1, 2, 14, 32, 33, 61, 722, 998, 1442, 1718, 2100)
+        for radius in (1.0, 0.5):
+            for x in self._points(10, radius):
+                x = np.array([x])
+                table = _powers(x, max(lengths))
+                for k in lengths:
+                    coef = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
+                    np.testing.assert_array_equal(coef @ table[:k], _blocked_horner(coef, x))
+
+
 class TestMapRows:
     """Psi - w and Psi' - 1 as two rows in u = 1/w."""
 
@@ -752,12 +788,21 @@ class TestDisplacement:
             with pytest.raises(DomainError):
                 displacement(sol, table, mapping, mat, loading, w)
 
-    @pytest.mark.parametrize("name", ("fig2", "random"))
+    @pytest.mark.parametrize("name", ("fig2", "random", "long rows"))
     def test_matches_the_evaluators_bitwise(self, name):
         if name == "random":
             mapping = random_univalent_map(np.random.default_rng(3), 5)
             table, sol = _solved(mapping, 20, 3)
             mat, loading = FIG_MATERIAL, random_loading(np.random.default_rng(3), 20)
+        elif name == "long rows":
+            # map order 12, degree 60: the S and u0 rows in u and the u0
+            # rows in w differ in length, all above _HORNER_TERMS
+            mapping = random_univalent_map(np.random.default_rng(12), 12)
+            table, sol = _solved(mapping, 60, 12)
+            mat, loading = FIG_MATERIAL, random_loading(np.random.default_rng(12), 60)
+            displacement(sol, table, mapping, mat, loading, 2.0)
+            lengths = {rows.shape[1] for rows in (sol._rows[1][0], *loading._rows[1])}
+            assert len(lengths) == 3 and min(lengths) > _HORNER_TERMS
         else:
             mapping, mat, loading, table, sol = solved_figure(name)
         # displacement's region rule: |w| <= 1 + 1e-10 is boundary
@@ -783,6 +828,50 @@ class TestDisplacement:
                     assert abs(smp.u0 - ref) <= 1e-13 * abs(ref)
                     assert smp.S == single_layer_exterior(sol, table, mapping, mat, w)
                     assert smp.u == smp.u0 + smp.S
+
+
+class TestRigidDiskOracle:
+    """A rigid disk under a linear far field, against its closed form.
+
+    For Psi(w) = w and h = A_0 + A_1 z, l = B_0 + B_1 z, the perturbation is
+    the Kolosov-Muskhelishvili displacement of phi = a/z, psi = b/z + a/z**3,
+
+        S = (kappa a/z + z conj(a)/conj(z)**2 - conj(b/z + a/z**3))/2,
+
+    with a = conj(B_1)/kappa, which cancels the conj(B_1) conj(z) term of u0
+    on |z| = 1, and b = (kappa - 1) Re A_1, real as a moment-free inclusion
+    needs.  On |z| = 1 then u0 + S = (kappa A_0 - conj(B_0))/2
+    + i (kappa + 1) Im(A_1) z/2, a rigid motion (Muskhelishvili, Some Basic
+    Problems of the Mathematical Theory of Elasticity).
+    """
+
+    TOL = 1e-14
+
+    @pytest.mark.parametrize("mat", (FIG_MATERIAL, Material.from_lame(1.0, 0.7)),
+                             ids=("figure", "lame"))
+    def test_displacement_matches_the_closed_form(self, mat):
+        mapping = ExteriorMap(())
+        rng = np.random.default_rng(7)
+        table = build_faber(mapping, required_table_order(mapping, 4))
+        kappa = mat.kappa
+        for _ in range(3):
+            A, B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            loading = FarFieldLoading(A, B)
+            sol = solve_full(mapping, loading, mat, 4, table=table)
+            a, b = np.conj(B[1]) / kappa, (kappa - 1.0) * A[1].real
+            for radius in (1.0, 1.5, 10.0, 1e3):
+                for theta in (0.3, 2.0, 4.4):
+                    z = radius * np.exp(1j * theta)
+                    S = 0.5 * (kappa * a / z + z * np.conj(a) / np.conj(z) ** 2
+                               - np.conj(b / z + a / z**3))
+                    u0 = 0.5 * (kappa * (A[0] + A[1] * z) - z * np.conj(A[1])
+                                - np.conj(B[0] + B[1] * z))
+                    smp = displacement(sol, table, mapping, mat, loading, z)
+                    assert abs(smp.S - S) <= self.TOL * abs(S)
+                    assert abs(smp.u0 - u0) <= self.TOL * abs(u0)
+                    if radius == 1.0:
+                        assert smp.region == "boundary"
+                        assert abs(smp.u - (u0 + S)) <= self.TOL * abs(u0 + S)
 
 
 class TestFieldGrid:
