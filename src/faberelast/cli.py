@@ -261,7 +261,7 @@ def _write_solution(job: JobConfig, sol, summary: dict) -> None:
         job.output_path + "_solution.csv",
         "m,re_s,im_s,re_t,im_t\n",
         "%.17g,%.17g,%.17g,%.17g,%.17g\n",
-        (np.arange(1, n + 1), s.real, s.imag, t.real, t.imag),
+        np.column_stack((np.arange(1, n + 1), s.real, s.imag, t.real, t.imag)),
     )
     with open(job.output_path + "_summary.txt", "w", newline="\n") as fh:
         fh.write(f"c1 = {_FMT % sol.c1}\n")
@@ -423,7 +423,7 @@ def cmd_faber_table(job: JobConfig) -> int:
             f"{prefix}_{name}.csv",
             "",
             ",".join(["%.17g%+.17gj"] * matrix.shape[1]) + "\n",
-            [part[:, j] for j in range(matrix.shape[1]) for part in (matrix.real, matrix.imag)],
+            np.ascontiguousarray(matrix).view(float),
         )
     print(f"wrote {prefix}_{{monomial,grunsky,gamma,gamma0}}.csv")
     return EXIT_OK

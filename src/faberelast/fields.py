@@ -363,9 +363,9 @@ def _exterior_S(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap, m
     """S, Psi and Psi' at the 1-D points w, |w| >= 1, and the sums in u of the row sets ``more``.
 
     The map rows, the S rows and ``more`` go through one ``_row_sums``
-    pass, so a single point builds one power table in u = 1/w.
+    pass, so a single point builds one power table in u = 1/w.  The
+    caller has run ``_check_table``.
     """
-    _check_table(sol, table, mapping)
     (coef,) = _kept_rows(sol, table, lambda: _S_rows(sol, table, mapping))
     (dz, ddz), (P1, P2, P3, P4), *sums = _row_sums((mapping._u_rows, coef, *more), 1.0 / w)
     psi, dpsi = w + dz, 1.0 + ddz
@@ -422,6 +422,7 @@ def single_layer_exterior(
     wa = w.reshape(-1)
     if not np.all(np.abs(wa) >= 1.0 - _INSIDE_TOL) or not np.isfinite(wa).all():
         raise DomainError("exterior evaluation needs finite w with |w| >= 1")
+    _check_table(sol, table, mapping)
     out = _exterior_S(sol, table, mapping, mat, wa)[0]
     return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
@@ -446,7 +447,9 @@ def displacement(
         S = single_layer_interior(sol, table, mapping, mat, z)
         return FieldSample(z=z, w=w, region=REGION_BOUNDARY, u0=u0, S=S,
                            u=complex(sol.rigid_motion(z)))
-    # z = Psi(w) exactly, so u0 comes from the Grunsky rows too
+    # z = Psi(w) exactly, so u0 comes from the Grunsky rows too; the table
+    # is checked before the loading keeps rows built from it
+    _check_table(sol, table, mapping)
     coef, grow = _kept_rows(loading, table, lambda: _u0_rows(loading, table))
     S, psi, dpsi, (decaying,) = _exterior_S(sol, table, mapping, mat, wa, (coef,))
     u0 = complex(_u0_from_sums(mat, psi, dpsi, decaying, _blocked_horner(grow, wa))[0])
@@ -554,7 +557,7 @@ def field_grid(
 #: values per chunk of the CSV writer, rounded down to whole lines
 _CSV_CHUNK_VALUES = 1 << 14
 _CSV_HEADER = "x,y,re_w,im_w,region,re_u0,im_u0,re_S,im_S,re_u,im_u\n"
-_CSV_ROW = ",".join(["%.17g"] * 4 + ["%s"] + ["%.17g"] * 6) + "\n"
+_CSV_ROW = ",".join(["%s"] * 2 + ["%.17g"] * 2 + ["%s"] + ["%.17g"] * 6) + "\n"
 _REGION_TEXT = np.array(REGION_LABELS, dtype="S")
 
 # '%.17g' text computed in numpy.  A value with 1e-200 <= |x| <= 1e200 is
@@ -696,45 +699,57 @@ def _g17_digits(v: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return text
 
 
-def _write_csv(path, header: str, row: str, columns) -> None:
-    """Write equal-length 1-D columns as lines of the format ``row``.
+def _write_csv(path, header: str, row: str, numbers: np.ndarray, texts=()) -> None:
+    """Write lines of the format ``row`` from a block of numbers and coded texts.
 
-    ``row`` holds one ``%.17g`` or ``%+.17g`` (a number) or ``%s`` (text)
-    per column, with literal text around them.  Numbers come out as
+    ``row`` holds ``%.17g`` or ``%+.17g`` (a number) and ``%s`` (a text)
+    cells, with literal text around them.  ``numbers`` is a 2-D float
+    block with one column per number cell, in order; ``texts`` holds one
+    ``(table, codes)`` pair per text cell, in order, where ``table`` is a
+    bytes array and line i gets ``table[codes[i]]``.  Numbers come out as
     ``'%.17g' % x`` does, non-finite ones as ``nan``; ``%+.17g`` puts the
     sign of the sign bit before the text of |x|, so a NaN with its sign
     bit set is ``-nan``.  A chunk of lines at a time becomes a NUL-padded
-    byte matrix with one cell per column (the literal before it, then its
-    text) and one for the literal that ends the line.
+    byte matrix with one cell per spec (the literal before it, then its
+    text) and one for the literal that ends the line; each run of
+    adjacent number cells is filled by one slice.
     """
     specs = re.findall(r"%\+?\.17g|%s", row)
     literals = re.split(r"%\+?\.17g|%s", row)
     num = [i for i, spec in enumerate(specs) if spec != "%s"]
     plus = np.array([specs[i] == "%+.17g" for i in num])
-    values = np.column_stack([np.asarray(columns[i], dtype=float) for i in num])
-    texts = [(i, np.asarray(columns[i]).astype("S")) for i, f in enumerate(specs) if f == "%s"]
+    # (first cell, first column, length) of each run of adjacent number cells
+    starts = [j for j in range(len(num)) if j == 0 or num[j] != num[j - 1] + 1]
+    runs = [(num[a], a, b - a) for a, b in zip(starts, starts[1:] + [len(num)])]
+    text_cells = [i for i, spec in enumerate(specs) if spec == "%s"]
     lead = max(map(len, literals))
-    cell = lead + max([_G17_WIDTH] + [t.itemsize for _, t in texts])
+    cell = lead + max([_G17_WIDTH] + [table.itemsize for table, _ in texts])
     step = max(1, _CSV_CHUNK_VALUES // len(specs))
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        mat = np.zeros((min(step, len(values)), len(literals), cell), dtype=np.uint8)
+        mat = np.zeros((min(step, len(numbers)), len(literals), cell), dtype=np.uint8)
         mat[:, :, :lead] = np.frombuffer(
             b"".join(t.encode().ljust(lead, b"\0") for t in literals), dtype=np.uint8
         ).reshape(-1, lead)
-        for lo in range(0, len(values), step):
-            part = mat[: len(values[lo : lo + step])]
-            part[:, num, lead : lead + _G17_WIDTH] = _g17_text(
-                values[lo : lo + step], plus).reshape(len(part), len(num), _G17_WIDTH)
-            for i, t in texts:
-                part[:, i, lead : lead + t.itemsize] = t[lo : lo + step, None].view(np.uint8)
+        for lo in range(0, len(numbers), step):
+            block = numbers[lo : lo + step]
+            part = mat[: len(block)]
+            text = _g17_text(block, plus).reshape(len(part), len(num), _G17_WIDTH)
+            for first, col, count in runs:
+                part[:, first : first + count, lead : lead + _G17_WIDTH] = text[:, col : col + count]
+            for i, (table, codes) in zip(text_cells, texts):
+                cells = table[codes[lo : lo + step], None].view(np.uint8)
+                part[:, i, lead : lead + table.itemsize] = cells
             fh.write(part[part != 0].tobytes())
 
 
 def write_field_csv(grid: FieldGrid, path) -> None:
     """Dump a field grid in 17-significant-digit round-trip format."""
-    z, w, u0, S, u = (a.ravel() for a in (grid.z, grid.w, grid.u0, grid.S, grid.u))
-    columns = (z.real, z.imag, w.real, w.imag,
-               _REGION_TEXT[grid.region.ravel()],
-               u0.real, u0.imag, S.real, S.imag, u.real, u.imag)
-    _write_csv(path, _CSV_HEADER, _CSV_ROW, columns)
+    z = np.ascontiguousarray(grid.z, dtype=complex).reshape(-1)
+    # x and y as the text of each distinct bit pattern, so -0.0 and NaN payloads keep theirs
+    bits, codes = np.unique(z.view(np.uint64), return_inverse=True)
+    xy = _g17_text(bits.view(float)).view(f"S{_G17_WIDTH}").ravel()
+    codes = codes.reshape(-1, 2)
+    numbers = np.stack([a.reshape(-1) for a in (grid.w, grid.u0, grid.S, grid.u)], axis=1)
+    _write_csv(path, _CSV_HEADER, _CSV_ROW, numbers.view(float),
+               [(xy, codes[:, 0]), (xy, codes[:, 1]), (_REGION_TEXT, grid.region.reshape(-1))])

@@ -566,9 +566,12 @@ class TestKeptRows:
     def test_every_check_runs_on_a_hit(self):
         mapping, table, sol, loading = self._case()
         self._probe(sol, table, mapping, loading, 2.0)
+        kept = sol._rows, loading._rows
         other = ExteriorMap((0.0, 0.2))
         with pytest.raises(ValueError):
             self._probe(sol, build_faber(other, table.order), mapping, loading, 2.0)
+        # the table is checked before any rows are built from it
+        assert sol._rows is kept[0] and loading._rows is kept[1]
         with pytest.raises(ValueError):
             self._probe(sol, table, other, loading, 2.0)
         with pytest.raises(ValueError):
@@ -581,8 +584,8 @@ class TestKeptRows:
         high = random_loading(np.random.default_rng(9), table.order + 1)
         with pytest.raises(IndexError):
             self._probe(sol, table, mapping, high, 2.0)
-        assert sol._rows[0] is table and loading._rows[0] is table
         assert self._probe(sol, table, mapping, loading, 2.0).region == "exterior"
+        assert sol._rows is kept[0] and loading._rows is kept[1]  # a hit on both slots
 
 
 #: maps of the exterior u0 envelope, by name
@@ -1133,6 +1136,24 @@ class TestWriteFieldCsv:
         grid = _hand_grid(np.random.default_rng(5), 3, 5000)
         write_field_csv(grid, tmp_path / "f.csv")
         assert (tmp_path / "f.csv").read_text().split("\n")[:-1] == _reference_csv(grid)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2000), (2000, 1), (37, 41)])
+    def test_repeated_values_keep_their_bits(self, tmp_path, shape):
+        # x, y and w drawn from a few values in no tensor pattern, with -0.0
+        # and 0.0, NaNs of both signs and a NaN payload among them; 2000
+        # lines are more than one chunk
+        payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+        pool = np.array([0.0, -0.0, np.nan, -np.nan, payload, 1.5, -1.5, 1e-300, 2.0 / 3.0])
+        rng = np.random.default_rng(7)
+        grid = _hand_grid(rng, *shape)
+        for a in (grid.z, grid.w):
+            a.real[...], a.imag[...] = rng.choice(pool, shape), rng.choice(pool, shape)
+        write_field_csv(grid, tmp_path / "f.csv")
+        lines = (tmp_path / "f.csv").read_text().split("\n")[:-1]
+        assert lines == _reference_csv(grid)
+        if len(lines) > 100:
+            cells = {c for line in lines[1:] for c in line.split(",")[:4]}
+            assert {"0", "-0", "nan", "1.5", "-1.5"} <= cells
 
 
 def _g17_ties(rng, count):

@@ -311,6 +311,25 @@ class TestSolveFull:
             res = transmission_residual(sol, mp, table, loading, mat, q)
             assert res <= 1e-10 * max(1.0, float(np.abs(u0).max()))
 
+    def test_truncation_independence(self):
+        # truncation only limits the loading degree: at loading degree p and
+        # map order M, the modes end at p + M - 1, and every n from p + M to
+        # 3 (p + M) gives the same bits of s, t, c1, c2 and c3
+        rng = np.random.default_rng(17)
+        for M, p in ((1, 1), (3, 4), (7, 20), (12, 60)):
+            mp = random_univalent_map(rng, M)
+            mat = Material.from_lame(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            loading = random_loading(rng, p)
+            k = p + M
+            ref = solve_full(mp, loading, mat, k)
+            assert np.flatnonzero((ref.s != 0) | (ref.t != 0))[-1] == k - 2
+            for n in {*rng.integers(k + 1, 3 * k, size=3).tolist(), 3 * k}:
+                sol = solve_full(mp, loading, mat, n)
+                np.testing.assert_array_equal(sol.s[:k], ref.s)
+                np.testing.assert_array_equal(sol.t[:k], ref.t)
+                assert not sol.s[k:].any() and not sol.t[k:].any()
+                assert (sol.c1, sol.c2, sol.c3) == (ref.c1, ref.c2, ref.c3)
+
     def test_tail_closed_form(self):
         rng = np.random.default_rng(6)
         mp = random_univalent_map(rng, 5)
