@@ -14,7 +14,10 @@ which ``validate`` compares with both series, and the benchmark's
 Cauchy-integral u0.  The rule is spectrally accurate for
 smooth periodic integrands, which is why a standoff distance from the
 boundary is enforced: closer targets would need specialized quadrature
-that the certification role does not require.
+that the certification role does not require.  At the q rule nodes the
+density sum_m (s_m e^{-im theta} + t_m e^{im theta}) / h is one
+length-q inverse FFT (``_density_at_nodes``); from order q/2 on,
+modes fold onto the slots of lower ones, as the rule sees them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import ProximityError
 from .faber import FaberTable
 from .fields import single_layer_interior
 from .loading import FarFieldLoading, Material, eval_u0
-from .solver import DensitySolution, density_on_boundary
+from .solver import DensitySolution
 
 STANDOFF = 0.05
 
@@ -55,6 +58,22 @@ def boundary_nodes(mapping: ExteriorMap, rule: QuadratureRule) -> tuple:
     zeta = mapping.boundary_point(rule.theta)
     h = mapping.scale_factor(np.zeros_like(rule.theta), rule.theta)
     return zeta, h
+
+
+def _density_at_nodes(sol: DensitySolution, h: np.ndarray) -> np.ndarray:
+    """The density of ``sol`` at the q rule nodes, h from boundary_nodes.
+
+    e^{i m theta} at theta_j = 2 pi j/q depends on m mod q only, so t_m
+    goes to slot m mod q and s_m to slot -m mod q of one length-q
+    coefficient vector, summed where modes fold, and one unscaled
+    inverse FFT gives the sum at every node.
+    """
+    q = len(h)
+    m = np.arange(1, sol.order + 1)
+    c = np.zeros(q, dtype=complex)
+    np.add.at(c, m % q, sol.t[: sol.order])
+    np.add.at(c, -m % q, sol.s[: sol.order])
+    return np.fft.ifft(c, norm="forward") / h
 
 
 def density_mode(mapping: ExteriorMap, m: int, rule: QuadratureRule) -> np.ndarray:
@@ -103,16 +122,14 @@ def kelvin_single_layer(
     """
     zeta, h = boundary_nodes(mapping, rule)
     x, d, r = _target_distances(x, zeta)
-    r2 = r**2
-    log_part = (mat.alpha1 / (2.0 * np.pi)) * np.log(r) * phi_samples
-    dyad_part = (
-        (mat.alpha2 / (2.0 * np.pi))
-        * np.real(np.conj(d) * phi_samples)
-        * d
-        / r2
-    )
-    integrand = (log_part - dyad_part) * h
-    return _per_target(x, np.sum(integrand, axis=-1) * rule.weight)
+    ph = phi_samples * h
+    px, py, dx, dy = ph.real, ph.imag, d.real, d.imag
+    log_r = (mat.alpha1 / (2.0 * np.pi)) * np.log(r)
+    # Re(conj(d) phi h) d / |d|^2, in real arithmetic
+    dyad = (mat.alpha2 / (2.0 * np.pi)) * (dx * px + dy * py) / r**2
+    sx = np.sum(log_r * px - dyad * dx, axis=-1)
+    sy = np.sum(log_r * py - dyad * dy, axis=-1)
+    return _per_target(x, (sx + 1j * sy) * rule.weight)
 
 
 def cauchy_operator(
@@ -176,7 +193,7 @@ def equilibrium_residual(
     """
     rule = QuadratureRule(q)
     zeta, h = boundary_nodes(mapping, rule)
-    phi = density_on_boundary(sol, mapping, rule.theta)
+    phi = _density_at_nodes(sol, h)
     total = np.sum(phi * h) * rule.weight
     moment = np.sum(phi * np.conj(zeta) * h) * rule.weight
     return np.array([abs(total.real), abs(total.imag), abs(moment.imag)])

@@ -352,7 +352,12 @@ def solve_full(
 
 
 def density_on_boundary(sol: DensitySolution, mapping: ExteriorMap, theta):
-    """Boundary density sum_m (s_m e^{-im t} + t_m e^{im t}) / h(0, t)."""
+    """Boundary density sum_m (s_m e^{-im t} + t_m e^{im t}) / h(0, t).
+
+    The evaluator for any theta, mode by mode.  At the nodes of a
+    trapezoid rule the oracle takes the same sum by one FFT and tests it
+    against this one.
+    """
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 0
     th = np.atleast_1d(theta)

@@ -192,6 +192,57 @@ class TestValidateCommand:
         cfg.write_text(text)
         assert main(["validate", "--config", str(cfg)]) == EXIT_OK
 
+    def test_table_order_below_five(self, tmp_path, monkeypatch, capsys):
+        # truncation_N = 3 on the disk gives a table of order 4, fewer
+        # Grunsky rows than the five terms of the strong inequality's lambda
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            "map = 0,0\nalpha1 = 0.5\nkappa = 0.3\nA = 0,0 1,0\nB = 0,0 1,0\n"
+            "truncation_N = 3\n",
+        )
+        assert main(["validate", "--config", cfg]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and all(line.endswith("  pass") for line in lines)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; calls must not share state."""
+
+    def test_override_does_not_stick(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = str(CONFIGS / "fig1.cfg")
+        assert main(["solve", "--config", cfg, "--order", "60"]) == EXIT_OK
+        assert len(Path("fig1_solution.csv").read_text().splitlines()) == 61
+        assert main(["solve", "--config", cfg]) == EXIT_OK
+        assert len(Path("fig1_solution.csv").read_text().splitlines()) == 49
+
+    def test_usage_error_does_not_break_next_call(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--order", "60"])
+        assert exc.value.code == 2
+        assert main(["solve", "--config", str(CONFIGS / "fig1.cfg")]) == EXIT_OK
+        assert len(Path("fig1_solution.csv").read_text().splitlines()) == 49
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_coarse_quadrature(self, tmp_path, monkeypatch, capsys, name):
+        # n = 48 modes on a 64-node rule: modes from 32 on fold.  On fig3
+        # the 64-node rule misses the Kelvin kernel at the oracle points
+        # by about 2e-6, with the density summed mode by mode as well, so
+        # there only that line may fail.
+        monkeypatch.chdir(tmp_path)
+        cfg = str(CONFIGS / f"{name}.cfg")
+        assert main(["solve", "--config", cfg, "--quadrature", "64"]) == EXIT_OK
+        code = main(["validate", "--config", cfg, "--quadrature", "64"])
+        lines = capsys.readouterr().out.splitlines()[-8:]
+        if name != "fig3":
+            assert code == EXIT_OK
+        failed = [line.split()[0] for line in lines if not line.endswith("  pass")]
+        assert failed == ([] if code == EXIT_OK else ["oracle_quadrature"])
+        oracle = next(line for line in lines if line.startswith("oracle_quadrature"))
+        assert float(oracle.split()[1]) < 1e-5
+
 
 DATA = Path(__file__).resolve().parent / "data"
 

@@ -16,12 +16,14 @@ from faberelast import (
     eval_ftilde,
     kelvin_single_layer,
     log_operator,
+    required_table_order,
     single_layer_interior,
     solve_full,
     transmission_residual,
 )
+from faberelast.oracle import _density_at_nodes, _target_distances
 from faberelast.solver import DensitySolution
-from util import FIG_MATERIAL, random_univalent_map, solved_figure
+from util import FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
 
 
 class TestRule:
@@ -146,6 +148,82 @@ class TestArrayTargets:
                 targets = np.array(far[:at] + [near] + far[at:], dtype=complex)
                 with pytest.raises(ProximityError):
                     op(samples, mp, targets, rule)
+
+
+def _complex_kelvin(phi_samples, mapping, mat, x, rule):
+    """The complex-arithmetic Kelvin quadrature that the real one replaced."""
+    zeta, h = boundary_nodes(mapping, rule)
+    x, d, r = _target_distances(x, zeta)
+    r2 = r**2
+    log_part = (mat.alpha1 / (2.0 * np.pi)) * np.log(r) * phi_samples
+    dyad_part = (
+        (mat.alpha2 / (2.0 * np.pi))
+        * np.real(np.conj(d) * phi_samples)
+        * d
+        / r2
+    )
+    integrand = (log_part - dyad_part) * h
+    return np.sum(integrand, axis=-1) * rule.weight
+
+
+def test_kelvin_matches_complex_formula():
+    for mp, rule, samples, targets in _seeded_cases(40, 14):
+        got = kelvin_single_layer(samples, mp, FIG_MATERIAL, targets, rule)
+        want = _complex_kelvin(samples, mp, FIG_MATERIAL, targets, rule)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _random_density(rng, n):
+    """A DensitySolution of order n whose modes fall off like 1/m."""
+    m = np.arange(1, n + 1)
+    s, t = (
+        (rng.normal(size=n) + 1j * rng.normal(size=n)) / m for _ in range(2)
+    )
+    return DensitySolution(s=s, t=t, c1=0.0, c2=0.0, c3=0.0, order=n)
+
+
+class TestDensityAtNodes:
+    """The density at the rule nodes by one FFT, against density_on_boundary."""
+
+    @pytest.mark.parametrize("q", [64, 256, 2048])
+    def test_matches_mode_sum(self, q):
+        # truncations up to above q: modes from q/2 on fold
+        rng = np.random.default_rng(q)
+        rule = QuadratureRule(q)
+        for order in range(13):
+            shift = 0.2 * (rng.normal() + 1j * rng.normal())
+            mp = random_univalent_map(rng, order) if order else ExteriorMap((shift,))
+            _, h = boundary_nodes(mp, rule)
+            for n in (1, 2, q // 2 - 1, q // 2, q // 2 + 1, q, q + 37):
+                sol = _random_density(rng, n)
+                want = density_on_boundary(sol, mp, rule.theta)
+                got = _density_at_nodes(sol, h)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double"
+    )
+    def test_long_double_reference(self):
+        # A solved map of order 12 under loading degree 120, against the sum
+        # in long double at exact roots of unity (m j mod q reduced in
+        # integers).  The mode-by-mode power recurrence of
+        # density_on_boundary reads about 5e-14 against the same reference.
+        rng = np.random.default_rng(12120)
+        mp = random_univalent_map(rng, 12)
+        n = 132
+        table = build_faber(mp, required_table_order(mp, n))
+        sol = solve_full(mp, random_loading(rng, 120), FIG_MATERIAL, n, table=table)
+        rule = QuadratureRule(2048)
+        _, h = boundary_nodes(mp, rule)
+        k = np.outer(np.arange(1, n + 1), np.arange(rule.q)) % rule.q
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        angle = np.arange(rule.q, dtype=np.longdouble) * (2 * pi / rule.q)
+        cos, sin = np.cos(angle)[k], np.sin(angle)[k]
+        t = sol.t.astype(np.clongdouble)[:, None]
+        s = sol.s.astype(np.clongdouble)[:, None]
+        ref = (t * (cos + 1j * sin) + s * (cos - 1j * sin)).sum(axis=0) / h
+        gap = np.abs(_density_at_nodes(sol, h) - ref).max() / np.abs(ref).max()
+        assert gap <= 2e-15
 
 
 class TestCauchyOperator:
