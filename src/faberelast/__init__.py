@@ -14,6 +14,7 @@ from .errors import (
     DegenerateRotationError,
     DomainError,
     FaberElastError,
+    NonUnivalentMapError,
     NumericError,
     ProximityError,
     SingularBlockError,

@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     DegenerateRotationError,
     FaberElastError,
+    NonUnivalentMapError,
     SingularBlockError,
     TruncationError,
 )
@@ -192,7 +193,7 @@ def load_job(path: str, order=None, quadrature=None, out=None) -> JobConfig:
     )
     if n < 1:
         raise ConfigError("truncation_N must be positive")
-    degree_floor = max(len(A) - 1, len(B) - 1, mapping.order) + 2
+    degree_floor = max(loading.degree, mapping.order) + 2
     if n < degree_floor:
         raise ConfigError(
             f"truncation_N = {n} is below max(loading degree, map order) + 2 "
@@ -275,34 +276,7 @@ def _write_solution(job: JobConfig, sol, summary: dict) -> None:
         fh.write(f"status = {'pass' if _residuals_pass(summary) else 'fail'}\n")
 
 
-def _check_univalence(job: JobConfig) -> int:
-    report = job.mapping.validate_univalence()
-    if not report.ok:
-        print("map failed the univalence check:", file=sys.stderr)
-        print(
-            f"  min |Psi'| on the boundary samples: {report.min_abs_derivative:.3e}",
-            file=sys.stderr,
-        )
-        if report.derivative_winding:
-            print(
-                f"  Psi' has {report.derivative_winding} zero(s) outside the "
-                "unit circle",
-                file=sys.stderr,
-            )
-        if report.crossing_segments:
-            print(
-                f"  boundary self-intersections at segment pairs "
-                f"{list(report.crossing_segments)[:4]}",
-                file=sys.stderr,
-            )
-        return EXIT_DEGENERATE
-    return EXIT_OK
-
-
 def cmd_solve(job: JobConfig) -> int:
-    status = _check_univalence(job)
-    if status:
-        return status
     table, sol = _solve_job(job)
     summary = _residual_summary(job, table, sol)
     _write_solution(job, sol, summary)
@@ -315,9 +289,6 @@ def cmd_solve(job: JobConfig) -> int:
 def cmd_field(job: JobConfig) -> int:
     if job.grid is None:
         raise ConfigError("field command needs a grid in the config")
-    status = _check_univalence(job)
-    if status:
-        return status
     table, sol = _solve_job(job)
     grid = field_grid(sol, table, job.mapping, job.material, job.loading, job.grid)
     write_field_csv(grid, job.output_path + "_field.csv")
@@ -336,9 +307,8 @@ def _interior_targets(mapping: ExteriorMap, count: int) -> np.ndarray:
 
 
 def cmd_validate(job: JobConfig) -> int:
-    checks = []
-    report = job.mapping.validate_univalence()
-    checks.append(("univalence", float(not report.ok), 0.5, report.ok))
+    ok = job.mapping.univalence.ok
+    checks = [("univalence", float(not ok), 0.5, ok)]
 
     table, sol = _solve_job(job)
     n = min(24, table.order)
@@ -466,6 +436,9 @@ def main(argv=None) -> int:
     except (ConfigError, TruncationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonUnivalentMapError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DEGENERATE
     except (SingularBlockError, DegenerateRotationError) as exc:
         print(f"solver degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -13,6 +13,13 @@ boundary curve theta -> Psi(e^{i*theta}).
 Maps of radius other than 1 are not accepted: rescale the geometry by
 z -> z/gamma first, which rescales every coefficient by a_k ->
 a_k/gamma**(k+1), and undo the scaling on output fields.
+
+Any finite Laurent tail is accepted, but it only describes an inclusion
+when Psi is univalent.  The map owns that rule: ``univalence`` runs
+``validate_univalence`` once per map object and keeps the report, and
+``require_univalent`` raises NonUnivalentMapError when it failed.  The
+solver and the field evaluators call it; evaluation, inversion and the
+Faber tables do not.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonUnivalentMapError
 
 #: tolerance below which |w| < 1 is treated as a domain violation
 _INSIDE_TOL = 1e-12
@@ -108,6 +115,16 @@ class ExteriorMap:
         rows[1, 2:] = -np.arange(1, len(a)) * a[1:]
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def univalence(self) -> UnivalenceReport:
+        """``validate_univalence()`` at its defaults, run on first read only."""
+        return self.validate_univalence()
+
+    def require_univalent(self) -> None:
+        """Raise NonUnivalentMapError unless ``univalence`` passed."""
+        if not self.univalence.ok:
+            raise NonUnivalentMapError(self.univalence)
 
     def coefficient(self, k: int) -> complex:
         """a_k with the convention a_{-1} = 1 and a_k = 0 beyond the order."""

@@ -35,3 +35,21 @@ class TruncationError(FaberElastError, ValueError):
 
 class ConfigError(FaberElastError, ValueError):
     """A job configuration file is missing keys or violates an invariant."""
+
+
+class NonUnivalentMapError(FaberElastError):
+    """The exterior map failed its univalence check; ``report`` says how."""
+
+    def __init__(self, report):
+        lines = ["map failed the univalence check:",
+                 f"  min |Psi'| on the boundary samples: {report.min_abs_derivative:.3e}"]
+        if report.derivative_winding:
+            lines.append(f"  Psi' has {report.derivative_winding} zero(s) outside the unit circle")
+        if report.crossing_segments:
+            pairs = list(report.crossing_segments)[:4]
+            lines.append(f"  boundary self-intersections at segment pairs {pairs}")
+        super().__init__("\n".join(lines))
+        self.report = report
+
+    def __reduce__(self):  # pickle from the report, not from the message
+        return type(self), (self.report,)

@@ -435,11 +435,15 @@ def displacement(
     loading: FarFieldLoading,
     w: complex,
 ) -> FieldSample:
-    """Total displacement at the preimage point w, |w| >= 1."""
+    """Total displacement at the preimage point w, |w| >= 1.
+
+    Raises NonUnivalentMapError when the map fails its univalence check.
+    """
     w = complex(w)
     r = abs(w)
     if not r >= 1.0 - _INSIDE_TOL or not math.isfinite(r):
         raise DomainError("displacement is defined for finite w with |w| >= 1")
+    mapping.require_univalent()
     wa = np.array([w])
     if r <= 1.0 + _BOUNDARY_TOL:
         z = complex(_map_values(mapping, wa)[0][0])
@@ -511,8 +515,10 @@ def field_grid(
     preimages w of all exterior points, and ``single_layer_interior`` at
     all other points.  The result is a FieldGrid of arrays of shape
     (ny, nx).  An exterior sample holds u0 at z and S at Psi(w), which
-    lies within the inversion tolerance of z, and u = u0 + S.
+    lies within the inversion tolerance of z, and u = u0 + S.  A map that
+    fails its univalence check raises NonUnivalentMapError.
     """
+    mapping.require_univalent()
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
     Z = (xs[None, :] + 1j * ys[:, None]).ravel()

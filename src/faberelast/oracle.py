@@ -190,6 +190,12 @@ def equilibrium_residual(
 
     Returns |integral phi_1|, |integral phi_2|, and the rotation moment
     |Im integral phi conj(z)| over the boundary.
+
+    The first two certify nothing: phi h is a sum of e^{-+i m theta},
+    1 <= m <= n, and the rule integrates each such mode to zero while
+    m < q, so they read rounding for every density of order below q.
+    Only the rotation moment, 2 pi |Im(t_1 + sum_k conj(a_k) s_k)|,
+    constrains the solve.
     """
     rule = QuadratureRule(q)
     zeta, h = boundary_nodes(mapping, rule)

@@ -329,13 +329,17 @@ def solve_full(
     n: int,
     table: FaberTable | None = None,
 ) -> DensitySolution:
-    """Run the whole determination pipeline at truncation order n."""
+    """Run the whole determination pipeline at truncation order n.
+
+    Raises NonUnivalentMapError when the map fails its univalence check.
+    """
     if n < 1:
         raise ValueError("truncation order must be at least 1")
     if loading.degree > n:
         raise TruncationError(
             f"loading has degree {loading.degree}, above the truncation order {n}"
         )
+    mapping.require_univalent()
     if table is not None:
         check_table_map(mapping, table)
     if table is None or table.order < required_table_order(mapping, n) - 1:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from faberelast.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_VALIDATION, main
-from util import random_univalent_map
+from util import count_univalence_checks, random_univalent_map
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,6 +64,16 @@ class TestConfigParsing:
         )
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
 
+    def test_truncation_floor_reads_the_loading_degree(self, tmp_path, monkeypatch):
+        # trailing zero coefficients do not raise the loading's degree
+        monkeypatch.chdir(tmp_path)
+        job = "map = 0,0 0.1,0.1\nalpha1 = 0.5\nkappa = 0.3\nB = 0,0 1,0\ntruncation_N = 3\n"
+        for name, A in (("padded", "0,0 1,0 0,0 0,0 0,0"), ("tight", "0,0 1,0")):
+            cfg = write_config(tmp_path, job + f"A = {A}\noutput_path = {name}\n", name=name)
+            assert main(["solve", "--config", cfg]) == EXIT_OK
+        for suffix in ("_solution.csv", "_summary.txt"):
+            assert Path("padded" + suffix).read_bytes() == Path("tight" + suffix).read_bytes()
+
     def test_lame_material_accepted(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(
@@ -119,6 +129,41 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--order", "12"]) == EXIT_OK
         rows = Path("ovr_solution.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 12
+
+
+class TestNonUnivalentMap:
+    """w + 2/w: Psi' has two zeros outside the disk.  The map's check
+    raises in the solver, and the CLI maps that to exit 3."""
+
+    CONFIG = (
+        "map = 0,0 2,0\nalpha1 = 0.5\nkappa = 0.3\nA = 0,0 1,0\nB = 0,0 1,0\n"
+        "truncation_N = 8\nquadrature_Q = 512\ngrid = -3 3 -3 3 11 11\noutput_path = nu\n"
+    )
+    STDERR = (
+        "map failed the univalence check:\n"
+        "  min |Psi'| on the boundary samples: 1.000e+00\n"
+        "  Psi' has 2 zero(s) outside the unit circle\n"
+    )
+
+    @pytest.mark.parametrize("command", ["solve", "field", "validate"])
+    def test_exit_3_with_the_report(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main([command, "--config", cfg]) == EXIT_DEGENERATE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", self.STDERR)
+        assert not list(tmp_path.glob("nu_*"))
+
+    def test_faber_table_accepts_the_map(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["faber-table", "--config", write_config(tmp_path, self.CONFIG)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["solve", "field", "validate"])
+    def test_fig1_checks_once(self, tmp_path, monkeypatch, command):
+        checked = count_univalence_checks(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", str(CONFIGS / "fig1.cfg"), "--out", "f1"]) == EXIT_OK
+        assert len(checked) == 1
 
 
 class TestFieldCommand:

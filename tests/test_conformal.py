@@ -1,11 +1,30 @@
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from faberelast import DomainError, ExteriorMap, boundary_perimeter
+from faberelast import (
+    DomainError,
+    ExteriorMap,
+    GridSpec,
+    NonUnivalentMapError,
+    boundary_perimeter,
+    build_faber,
+    displacement,
+    field_grid,
+    required_table_order,
+    solve_full,
+)
 from faberelast.conformal import _polyline_self_intersections
-from util import FIG_MAPS, random_univalent_map
+from faberelast.solver import DensitySolution
+from util import (
+    FIG_LOADING,
+    FIG_MAPS,
+    FIG_MATERIAL,
+    count_univalence_checks,
+    random_univalent_map,
+)
 
 
 class TestEval:
@@ -472,3 +491,83 @@ class TestDerivativeZeros:
         rng = np.random.default_rng(9)
         for order in range(1, 25):
             assert random_univalent_map(rng, order, margin=0.99).validate_univalence().ok
+
+
+class TestUnivalenceGate:
+    """The map owns the univalence rule: its report is built once per map
+    object, and the solver and the field evaluators refuse a failing map."""
+
+    NON_UNIVALENT = {
+        "w + 0.6/w^2": (0.0, 0.0, 0.6),
+        "w + 1.2/w": (0.0, 1.2),
+        "w + 0.5/w^3": (0.0, 0.0, 0.0, 0.5),
+        "w + 1.5/w^2": (0.0, 0.0, 1.5),
+        "deltoid rotated by 0.001": (0.0, 0.0, 0.5 * np.exp(0.001j)),
+        "w + 1.2/w^5": (0.0, 0.0, 0.0, 0.0, 0.0, 1.2),
+    }
+    GRID = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5)
+
+    def _assert_refused(self, mp):
+        table = build_faber(mp, 12)  # a Faber table exists for any Laurent map
+        assert table.order == 12
+        sol = DensitySolution(np.zeros(6, complex), np.zeros(6, complex), 0.0, 0.0, 0.0, 6)
+        calls = [
+            lambda: solve_full(mp, FIG_LOADING, FIG_MATERIAL, 6, table=table),
+            lambda: field_grid(sol, table, mp, FIG_MATERIAL, FIG_LOADING, self.GRID),
+            lambda: displacement(sol, table, mp, FIG_MATERIAL, FIG_LOADING, 1.5),
+            lambda: displacement(sol, table, mp, FIG_MATERIAL, FIG_LOADING, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(NonUnivalentMapError) as info:
+                call()
+            assert info.value.report is mp.univalence
+            assert not info.value.report.ok
+            assert str(info.value).startswith("map failed the univalence check:\n")
+
+    @pytest.mark.parametrize("name", list(NON_UNIVALENT))
+    def test_non_univalent_maps_raise(self, name):
+        self._assert_refused(ExteriorMap(self.NON_UNIVALENT[name]))
+
+    def test_maps_just_outside_the_sampler_bound_raise(self):
+        # sum k|a_k| in [1, 1.5], kept when Psi' has a zero outside the disk
+        rng = np.random.default_rng(19)
+        refused = 0
+        for _ in range(40):
+            mp = random_univalent_map(rng, int(rng.integers(1, 13)), margin=0.9)
+            a = np.array(mp.coefficients)
+            k = np.arange(len(a))
+            tail = a[1:] * rng.uniform(1.0, 1.5) / np.sum(k[1:] * np.abs(a[1:]))
+            big = ExteriorMap((a[0], *tail))
+            # w**(M+1) Psi'(w) = w**(M+1) - sum_k k a_k w**(M-k)
+            zeros = np.roots(np.concatenate(([1.0, 0.0], -k[1:] * tail)))
+            if np.abs(zeros).max() > 1.0:
+                self._assert_refused(big)
+                refused += 1
+        assert refused >= 10
+
+    def test_message_lists_self_intersections(self):
+        report = ExteriorMap((0.0, 0.0, 1.5)).univalence
+        lines = str(NonUnivalentMapError(report)).splitlines()
+        assert lines[0] == "map failed the univalence check:"
+        assert lines[1].startswith("  min |Psi'| on the boundary samples: ")
+        assert lines[-1] == (
+            f"  boundary self-intersections at segment pairs {list(report.crossing_segments)[:4]}"
+        )
+
+    def test_error_pickles_with_its_report(self):
+        err = NonUnivalentMapError(ExteriorMap((0.0, 2.0)).univalence)
+        back = pickle.loads(pickle.dumps(err))
+        assert str(back) == str(err)
+        assert back.report == err.report
+
+    def test_one_check_per_map_object(self, monkeypatch):
+        checked = count_univalence_checks(monkeypatch)
+        for round_ in (1, 2):
+            mp = ExteriorMap(FIG_MAPS["fig2"].coefficients)  # a new object each round
+            table = build_faber(mp, required_table_order(mp, 12))
+            sol = solve_full(mp, FIG_LOADING, FIG_MATERIAL, 12, table=table)
+            field_grid(sol, table, mp, FIG_MATERIAL, FIG_LOADING, self.GRID)
+            for w in (1.0, 1.5, 2.0j, -3.0 + 1.0j, 1e3):
+                displacement(sol, table, mp, FIG_MATERIAL, FIG_LOADING, w)
+            assert mp.univalence is mp.univalence
+            assert len(checked) == round_ and checked[-1] is mp

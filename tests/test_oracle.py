@@ -23,7 +23,7 @@ from faberelast import (
 )
 from faberelast.oracle import _density_at_nodes, _target_distances
 from faberelast.solver import DensitySolution
-from util import FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
+from util import FIG_MAPS, FIG_MATERIAL, random_loading, random_univalent_map, solved_figure
 
 
 class TestRule:
@@ -392,6 +392,21 @@ class TestEquilibriumResidual:
             s=sol.s, t=t, c1=sol.c1, c2=sol.c2, c3=sol.c3, order=sol.order
         )
         assert equilibrium_residual(bumped, mapping, 2048)[2] >= 1e-3
+
+    @pytest.mark.parametrize("order", [5, 48, 200])
+    def test_only_the_rotation_moment_constrains(self, order):
+        # any density of order below q: the two force moments read rounding,
+        # the rotation moment is 2 pi |Im(t_1 + sum_k conj(a_k) s_k)|
+        mapping = FIG_MAPS["fig2"]
+        rng = np.random.default_rng(2048)
+        s, t = (rng.normal(size=order) + 1j * rng.normal(size=order) for _ in range(2))
+        sol = DensitySolution(s=s, t=t, c1=0.0, c2=0.0, c3=0.0, order=order)
+        eq = equilibrium_residual(sol, mapping, 2048)
+        assert eq[0] <= 1e-14 and eq[1] <= 1e-14
+        a = np.array(mapping.coefficients[1:])
+        rotation = 2.0 * np.pi * abs((t[0] + np.sum(np.conj(a) * s[: len(a)])).imag)
+        assert rotation > 1e-3  # far above rounding
+        assert abs(eq[2] - rotation) <= 1e-13 * rotation
 
 
 class TestTrapezoidConvergence:

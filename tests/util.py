@@ -40,6 +40,20 @@ def solved_figure(name: str, n: int = 48):
     return mapping, FIG_MATERIAL, FIG_LOADING, table, sol
 
 
+def count_univalence_checks(monkeypatch) -> list:
+    """Patch ExteriorMap.validate_univalence to append each map it checks
+    to the returned list."""
+    checked = []
+    original = ExteriorMap.validate_univalence
+
+    def counting(self, *args, **kwargs):
+        checked.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExteriorMap, "validate_univalence", counting)
+    return checked
+
+
 def ellipse_faber_closed_form(m: int, z, a: complex):
     """Closed-form Faber polynomial of the ellipse map w + a/w."""
     z = np.asarray(z, dtype=complex)
@@ -61,6 +75,7 @@ __all__ = [
     "FIG_MAPS",
     "HARD_SHAPES",
     "solved_figure",
+    "count_univalence_checks",
     "ellipse_faber_closed_form",
     "random_loading",
     "random_univalent_map",
