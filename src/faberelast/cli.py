@@ -307,10 +307,11 @@ def _interior_targets(mapping: ExteriorMap, count: int) -> np.ndarray:
 
 
 def cmd_validate(job: JobConfig) -> int:
-    ok = job.mapping.univalence.ok
-    checks = [("univalence", float(not ok), 0.5, ok)]
-
     table, sol = _solve_job(job)
+    # solve_full has already raised on a map that fails the univalence
+    # check, so this row can only pass; it stays because
+    # benchmarks/checks.py expects a univalence row
+    checks = [("univalence", 0.0, 0.5, True)]
     n = min(24, table.order)
     c = table.grunsky[:n, :n]
     idx = np.arange(1, n + 1)

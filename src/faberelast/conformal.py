@@ -273,9 +273,9 @@ class ExteriorMap:
         zeros = tuple(complex(r) for r in roots[radius >= 1.0 - derivative_tol])
         winding = int(np.count_nonzero(radius > 1.0 + derivative_tol))
 
-        theta_b = np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False)
-        min_abs = float(np.abs(self._derivative_raw(np.exp(1j * theta_b))).min())
-        crossings = _polyline_self_intersections(self.boundary_point(theta_b))
+        w = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False))
+        min_abs = float(np.abs(self._derivative_raw(w)).min())
+        crossings = _polyline_self_intersections(self._eval_raw(w))
 
         return UnivalenceReport(
             ok=not zeros and not crossings,
