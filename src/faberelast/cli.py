@@ -297,15 +297,6 @@ def cmd_field(job: JobConfig) -> int:
     return EXIT_OK if _residuals_pass(summary) else EXIT_VALIDATION
 
 
-def _interior_targets(mapping: ExteriorMap, count: int) -> np.ndarray:
-    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    boundary = mapping.boundary_point(theta)
-    center = boundary.mean()
-    r_in = np.abs(boundary - center).min()
-    angles = 2.0 * np.pi * np.arange(count) / count
-    return center + 0.45 * r_in * np.exp(1j * angles)
-
-
 def cmd_validate(job: JobConfig) -> int:
     table, sol = _solve_job(job)
     # solve_full has already raised on a map that fails the univalence
@@ -348,11 +339,13 @@ def cmd_validate(job: JobConfig) -> int:
     checks.append(("equilibrium", eqmax, EQUILIBRIUM_TOL, eqmax < EQUILIBRIUM_TOL))
 
     # both series at the same boundary points z = Psi(e^{i theta}), and
-    # each at the 10 oracle points of its domain, in one call per series
+    # each at the 10 oracle points of its domain, in one call per series;
+    # the interior ones lie on a circle about the boundary's centroid
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    z_in = np.concatenate(
-        [job.mapping.boundary_point(theta), _interior_targets(job.mapping, 10)]
-    )
+    boundary = job.mapping.boundary_point(theta)
+    center = boundary.mean()
+    ring = 0.45 * np.abs(boundary - center).min() * np.exp(1j * (2.0 * np.pi * np.arange(10) / 10))
+    z_in = np.concatenate([boundary, center + ring])
     w_out = np.concatenate(
         [np.exp(1j * theta), 1.5 * np.exp(2j * np.pi * np.arange(10) / 10)]
     )

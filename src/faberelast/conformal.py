@@ -76,6 +76,8 @@ class ExteriorMap:
     coefficients: tuple = ()
     conformal_radius: float = 1.0
     _coeff_array: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (q, zeta, h) of the last quadrature rule, kept by ``oracle.boundary_nodes``
+    _nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.conformal_radius != 1.0:

@@ -42,15 +42,16 @@ hit at large |w| (the two sides grow like |w|**m) and keeps the far
 field accurate out to arbitrary radius.
 
 The background field u0 = (kappa h - z conj(h') - conj(l))/2 of
-loading goes through the same rows at a probe (``displacement``), where
-z = Psi(w) holds exactly: with F_m'(Psi(w)) Psi'(w) = m w**(m-1) -
-sum_k k c_{m,k} u**(k+1), each of h, h' Psi' and l is a polynomial in w
-(from A_m, B_m alone) plus one in u (from the Grunsky rows), so no
-Faber recurrence runs there.  A grid point lies only within the Newton
-tolerance of Psi(w), so ``field_grid`` takes u0 at z itself from
-``eval_u0``, and S from the public evaluators: ``single_layer_exterior``
-at the exterior preimages, ``single_layer_interior`` at every other
-point.
+loading goes through the same rows outside (``_exterior_field``): with
+F_m'(Psi(w)) Psi'(w) = m w**(m-1) - sum_k k c_{m,k} u**(k+1), each of h,
+h' Psi' and l is a polynomial in w (from A_m, B_m alone) plus one in u
+(from the Grunsky rows), so no Faber recurrence runs there.  A probe
+(``displacement``) is given w, so z = Psi(w) holds exactly.  A grid point
+is given z, and Newton inversion stops within 1e-12 max(1, |z|) of it,
+so ``field_grid`` polishes each exterior preimage with one more Newton
+step from the map rows, which takes |Psi(w) - z| to rounding, and then
+sums S and u0 at it as a probe does.  ``eval_u0`` and
+``single_layer_interior`` run only at interior and boundary points.
 
 The rows do not depend on w or on the Material, so each set is built
 once, from one product with the Grunsky rows, and kept: the (4, K) rows
@@ -397,17 +398,20 @@ def _u0_rows(loading: FarFieldLoading, table: FaberTable) -> tuple:
     return coef, grow
 
 
-def _u0_from_sums(mat: Material, psi: np.ndarray, dpsi: np.ndarray, decaying, growing):
-    """u0 from the sums of the u0 rows in u and in w, given psi = Psi(w) and dpsi = Psi'(w)."""
-    (H, L, dH), (gH, gL, gdH) = decaying, growing
-    return mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
+def _exterior_field(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap,
+                    mat: Material, loading: FarFieldLoading, w: np.ndarray) -> tuple:
+    """S, u0 and Psi at the 1-D points w, |w| >= 1, from the kept rows.
 
-
-def _exterior_u0(loading: FarFieldLoading, table: FaberTable, mapping: ExteriorMap,
-                 mat: Material, w: np.ndarray, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
-    """u0 at the 1-D points w, |w| >= 1, given psi = Psi(w) and dpsi = Psi'(w)."""
+    The u0 rows in u go through the ``_exterior_S`` pass, the growing
+    rows take one more pass in w.  The table is checked first, so the
+    loading keeps rows only for a table that passed.
+    """
+    _check_table(sol, table, mapping)
     coef, grow = _kept_rows(loading, table, lambda: _u0_rows(loading, table))
-    return _u0_from_sums(mat, psi, dpsi, _blocked_horner(coef, 1.0 / w), _blocked_horner(grow, w))
+    S, psi, dpsi, ((H, L, dH),) = _exterior_S(sol, table, mapping, mat, w, (coef,))
+    gH, gL, gdH = _blocked_horner(grow, w)
+    u0 = mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
+    return S, u0, psi
 
 
 def single_layer_exterior(
@@ -451,14 +455,8 @@ def displacement(
         S = single_layer_interior(sol, table, mapping, mat, z)
         return FieldSample(z=z, w=w, region=REGION_BOUNDARY, u0=u0, S=S,
                            u=complex(sol.rigid_motion(z)))
-    # z = Psi(w) exactly, so u0 comes from the Grunsky rows too; the table
-    # is checked before the loading keeps rows built from it
-    _check_table(sol, table, mapping)
-    coef, grow = _kept_rows(loading, table, lambda: _u0_rows(loading, table))
-    S, psi, dpsi, (decaying,) = _exterior_S(sol, table, mapping, mat, wa, (coef,))
-    u0 = complex(_u0_from_sums(mat, psi, dpsi, decaying, _blocked_horner(grow, wa))[0])
-    S = complex(S[0])
-    return FieldSample(z=complex(psi[0]), w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)
+    S, u0, psi = (complex(v[0]) for v in _exterior_field(sol, table, mapping, mat, loading, wa))
+    return FieldSample(z=psi, w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)
 
 
 def _points_in_polygon(z: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -510,13 +508,14 @@ def field_grid(
     boundary samples carry the rigid-motion displacement of the
     inclusion; their S column holds the interior series value.
 
-    Then come three calls of the public evaluators: ``eval_u0`` at
-    every grid point z, ``single_layer_exterior`` at the Newton
-    preimages w of all exterior points, and ``single_layer_interior`` at
-    all other points.  The result is a FieldGrid of arrays of shape
-    (ny, nx).  An exterior sample holds u0 at z and S at Psi(w), which
-    lies within the inversion tolerance of z, and u = u0 + S.  A map that
-    fails its univalence check raises NonUnivalentMapError.
+    Each exterior preimage then gets one more Newton step from the map
+    rows, which takes |Psi(w) - z| from the inversion tolerance to
+    rounding, and S and u0 at it are summed from the rows kept on the
+    solution and the loading, as ``displacement`` sums them.
+    ``eval_u0`` and ``single_layer_interior`` run at the other points.
+    The result is a FieldGrid of arrays of shape (ny, nx); an exterior
+    sample holds the polished w and u = u0 + S.  A map that fails its
+    univalence check raises NonUnivalentMapError.
     """
     mapping.require_univalent()
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
@@ -537,15 +536,19 @@ def field_grid(
         outside = undecided[~_points_in_polygon(Z[undecided], poly)]
         region[outside] = BOUNDARY  # ambiguous: report as boundary
         ambiguous[outside] = True
+    ext, inner = np.flatnonzero(region == EXTERIOR), np.flatnonzero(region != EXTERIOR)
+    psi, dpsi = _map_values(mapping, wv[ext])
+    wv[ext] -= (psi - Z[ext]) / dpsi
+    del psi, dpsi  # the exterior sums set the peak; hold no more than needed through them
+    Se, u0e, _ = _exterior_field(sol, table, mapping, mat, loading, wv[ext])
     w = np.where((region != INTERIOR) & ~ambiguous, wv, complex(np.nan, np.nan))
 
-    exterior = region == EXTERIOR
-    u0 = eval_u0(loading, table, mat, Z)
-    S = np.empty_like(Z)
-    S[exterior] = single_layer_exterior(sol, table, mapping, mat, wv[exterior])
-    S[~exterior] = single_layer_interior(sol, table, mapping, mat, Z[~exterior])
-    u = u0 + S
-    u[~exterior] = sol.rigid_motion(Z[~exterior])
+    u0, S, u = np.empty_like(Z), np.empty_like(Z), np.empty_like(Z)
+    S[ext], u0[ext], u[ext] = Se, u0e, u0e + Se
+    z = Z[inner]
+    u0[inner] = eval_u0(loading, table, mat, z)
+    S[inner] = single_layer_interior(sol, table, mapping, mat, z)
+    u[inner] = sol.rigid_motion(z)
 
     shape = (grid.ny, grid.nx)
     return FieldGrid(

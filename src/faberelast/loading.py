@@ -13,11 +13,12 @@ That is the Kolosov-Muskhelishvili form kappa h - z conj(h') - conj(l).
 re-expanded in the Faber basis through the coefficients d of 1/Psi' (see
 faber), so no derivative recurrence runs.  The interior single layer of
 fields is the same form of two other Faber series and goes through the
-same sum.  At an exterior probe z = Psi(w), fields evaluates u0
-without any recurrence, through the Grunsky rows: F_m(Psi(w)) = w**m +
-sum_k c_{m,k} w**-k and F_m'(Psi(w)) Psi'(w) = m w**(m-1) -
-sum_k k c_{m,k} w**-(k+1) make h, h' Psi' and l polynomials in w and
-1/w.  Grid points keep ``eval_u0``.
+same sum.  At an exterior point z = Psi(w), a probe or a grid point,
+fields evaluates u0 without any recurrence, through the Grunsky rows:
+F_m(Psi(w)) = w**m + sum_k c_{m,k} w**-k and F_m'(Psi(w)) Psi'(w) =
+m w**(m-1) - sum_k k c_{m,k} w**-(k+1) make h, h' Psi' and l
+polynomials in w and 1/w.  Grids call ``eval_u0`` at their interior and
+boundary points only.
 
 Keeping the loading as finite coefficient vectors keeps the downstream
 solve exact; the contour-sampling helper below converts a function-

@@ -54,10 +54,18 @@ class QuadratureRule:
 
 
 def boundary_nodes(mapping: ExteriorMap, rule: QuadratureRule) -> tuple:
-    """Boundary points and arclength densities at the rule nodes."""
-    zeta = mapping.boundary_point(rule.theta)
-    h = mapping.scale_factor(np.zeros_like(rule.theta), rule.theta)
-    return zeta, h
+    """Boundary points and arclength densities at the rule nodes, read-only.
+
+    The map keeps the pair for the last node count in one slot, so the
+    quadratures of one ``validate`` run build it once.
+    """
+    if mapping._nodes is None or mapping._nodes[0] != rule.q:
+        zeta = mapping.boundary_point(rule.theta)
+        h = mapping.scale_factor(np.zeros_like(rule.theta), rule.theta)
+        zeta.setflags(write=False)
+        h.setflags(write=False)
+        object.__setattr__(mapping, "_nodes", (rule.q, zeta, h))
+    return mapping._nodes[1:]
 
 
 def _density_at_nodes(sol: DensitySolution, h: np.ndarray) -> np.ndarray:

@@ -213,27 +213,37 @@ def coupling_block(mapping: ExteriorMap, table: FaberTable, n: int) -> np.ndarra
     return _conj_d_hankel(mapping, table, n + 1, n)[1:]
 
 
-def _solve_one(E: np.ndarray, kappa: float, y: np.ndarray) -> np.ndarray:
-    """Solve kappa D s + E conj(s) = y exploiting the finite coupling."""
-    n = len(y)
+def _coupled_matrix(E: np.ndarray, kappa: float) -> np.ndarray:
+    """Real form of kappa D x + E conj(x) on the coupled head, D = diag(1/m).
+
+    Raises SingularBlockError when its condition number exceeds
+    _COND_LIMIT.
+    """
     h = E.shape[0]
-    s = np.zeros(n, dtype=complex)
-    m_idx = np.arange(1, n + 1)
+    D_h = np.diag(1.0 / np.arange(1, h + 1))
+    top = np.hstack([kappa * D_h + E.real, E.imag])
+    bot = np.hstack([E.imag, kappa * D_h - E.real])
+    mat2 = np.vstack([top, bot])
+    cond = np.linalg.cond(mat2)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularBlockError(
+            f"coupled block condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
+        )
+    return mat2
+
+
+def _solve_one(mat2: np.ndarray, kappa: float, y: np.ndarray) -> np.ndarray:
+    """Solve kappa D s + E conj(s) = y exploiting the finite coupling.
+
+    ``mat2`` is the ``_coupled_matrix`` of the coupled head, (0, 0) when
+    there is none.
+    """
+    h = len(mat2) // 2
+    s = np.zeros(len(y), dtype=complex)
     # rows past the coupled head are a pure diagonal scaling
-    s[h:] = m_idx[h:] * y[h:] / kappa
+    s[h:] = np.arange(h + 1, len(y) + 1) * y[h:] / kappa
     if h > 0:
-        D_h = np.diag(1.0 / m_idx[:h])
-        # real form of kappa D x + E conj(x) = y_head
-        top = np.hstack([kappa * D_h + E.real, E.imag])
-        bot = np.hstack([E.imag, kappa * D_h - E.real])
-        mat2 = np.vstack([top, bot])
-        cond = np.linalg.cond(mat2)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SingularBlockError(
-                f"coupled block condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
-            )
-        rhs = np.concatenate([y[:h].real, y[:h].imag])
-        xy = np.linalg.solve(mat2, rhs)
+        xy = np.linalg.solve(mat2, np.concatenate([y[:h].real, y[:h].imag]))
         s[:h] = xy[:h] + 1j * xy[h:]
     return s
 
@@ -248,12 +258,13 @@ def solve_block(
 ) -> tuple:
     """Solve the s-system for the two right-hand sides y1 and y2.
 
-    Returns (u1, u2) with the final density s = c3*u1 + u2.
+    The coupled matrix and its condition number are built once for
+    both.  Returns (u1, u2) with the final density s = c3*u1 + u2.
     """
     h = max(0, min(mapping.order - 2, n))
-    E = coupling_block(mapping, table, h) if h else np.zeros((0, 0), dtype=complex)
-    u1 = _solve_one(E, mat.kappa, np.asarray(y1, dtype=complex))
-    u2 = _solve_one(E, mat.kappa, np.asarray(y2, dtype=complex))
+    mat2 = _coupled_matrix(coupling_block(mapping, table, h), mat.kappa) if h else np.zeros((0, 0))
+    u1 = _solve_one(mat2, mat.kappa, np.asarray(y1, dtype=complex))
+    u2 = _solve_one(mat2, mat.kappa, np.asarray(y2, dtype=complex))
     return u1, u2
 
 

@@ -308,8 +308,10 @@ FIGURE_REGION_COUNTS = {
 }
 
 #: tests/data/<fig>_field_every10.csv holds the header and every 10th row
-#: and column of the field CSV that the per-mode evaluators wrote with
-#: numpy 2.4.6; tests/data/<fig>_summary.txt is the summary written then.
+#: and column of the field CSV, written by tools/field_references.py with
+#: numpy 2.4.6 once exterior grid points took a polished Newton preimage;
+#: tests/data/<fig>_summary.txt is the summary the per-mode evaluators
+#: wrote, which that change did not move.
 #: Field values and residuals depend on how numpy's kernels round (with
 #: and without FMA they differ by up to 3e-15 of a column's largest
 #: value), so they are compared to a tolerance; text columns exactly.

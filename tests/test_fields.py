@@ -33,7 +33,7 @@ from faberelast.fields import (
     EXTERIOR,
     INTERIOR,
     _blocked_horner,
-    _exterior_u0,
+    _exterior_field,
     _g17_text,
     _map_values,
     _powers,
@@ -613,8 +613,7 @@ class TestExteriorU0:
                 loading = random_loading(np.random.default_rng(p), p)
                 w = radius * np.exp(1j * theta)
                 z = mp.eval(w)
-                got = _exterior_u0(loading, table, mp, FIG_MATERIAL, w, z, mp.derivative(w))
-                S = single_layer_exterior(zero, table, mp, FIG_MATERIAL, w)
+                S, got, _ = _exterior_field(zero, table, mp, FIG_MATERIAL, loading, w)
                 np.testing.assert_array_equal(S, 0.0)
                 _assert_matches_frozen(got, eval_u0(loading, table, FIG_MATERIAL, z))
 
@@ -823,10 +822,8 @@ class TestDisplacement:
                     assert smp.u == sol.rigid_motion(z)
                 else:
                     # a probe's exterior u0 comes from the Grunsky rows
-                    wa = np.array([w])
-                    u0 = _exterior_u0(loading, table, mapping, mat, wa, np.array([z]),
-                                      _map_values(mapping, wa)[1])
-                    assert smp.u0 == u0[0]
+                    S, u0, psi = _exterior_field(sol, table, mapping, mat, loading, np.array([w]))
+                    assert (smp.S, smp.u0, smp.z) == (S[0], u0[0], psi[0])
                     ref = eval_u0(loading, table, mat, z)
                     assert abs(smp.u0 - ref) <= 1e-13 * abs(ref)
                     assert smp.S == single_layer_exterior(sol, table, mapping, mat, w)
@@ -923,28 +920,6 @@ class TestFieldGrid:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 0.0, 1.0, 1, 5)
 
-    def test_points_go_through_the_public_evaluators(self, monkeypatch):
-        # benchmarks/tracing.py times and counts the grid's points by
-        # replacing these module globals, so every point must reach them
-        import faberelast.fields as fields
-
-        seen = {"exterior": 0, "interior": 0}
-
-        def counting(key, fn):
-            def wrapper(*args):
-                seen[key] += np.size(args[4])
-                return fn(*args)
-            return wrapper
-
-        for key in seen:
-            name = f"single_layer_{key}"
-            monkeypatch.setattr(fields, name, counting(key, getattr(fields, name)))
-        mapping, mat, loading, table, sol = solved_figure("fig2", 16)
-        grid = field_grid(sol, table, mapping, mat, loading, GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21))
-        exterior = int((grid.region == EXTERIOR).sum())
-        assert 0 < exterior < len(grid)
-        assert seen == {"exterior": exterior, "interior": len(grid) - exterior}
-
     def test_repeat_grids_write_identical_bytes(self, tmp_path):
         from faberelast import write_field_csv
 
@@ -965,19 +940,77 @@ def _same(a, b):
 
 
 def _reference_sample(sol, table, mapping, mat, loading, z):
-    """One grid point classified and evaluated on its own."""
+    """One grid point classified and evaluated on its own.
+
+    An exterior point takes one more Newton step from its preimage and
+    is then the probe ``displacement`` at the polished w.
+    """
     wv, converged = mapping.invert(z)
     w, r = complex(wv[0]), abs(wv[0])
     assert converged[0]
-    u0 = complex(eval_u0(loading, table, mat, z))
     if r > 1.0 + 1e-10:
-        S = complex(single_layer_exterior(sol, table, mapping, mat, w))
-        return FieldSample(z=z, w=w, region="exterior", u0=u0, S=S, u=u0 + S)
+        w -= (mapping.eval(w) - z) / mapping.derivative(w)
+        return dataclasses.replace(displacement(sol, table, mapping, mat, loading, w), z=z)
+    u0 = complex(eval_u0(loading, table, mat, z))
     S = complex(single_layer_interior(sol, table, mapping, mat, z))
     region = "boundary" if abs(r - 1.0) <= 1e-10 else "interior"
     if region == "interior":
         w = complex(np.nan, np.nan)
     return FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=complex(sol.rigid_motion(z)))
+
+
+def _grid_case(name):
+    """Solved inputs and a grid: the fig2 21 x 21 grid, or a seeded (12, 60) one."""
+    if name == "fig2":
+        return (*solved_figure("fig2", 16), GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21))
+    mapping = random_univalent_map(np.random.default_rng(12), 12)
+    table, sol = _solved(mapping, 60, 12)
+    loading = random_loading(np.random.default_rng(12), 60)
+    return mapping, FIG_MATERIAL, loading, table, sol, GridSpec(-1.8, 1.6, -1.7, 1.9, 23, 19)
+
+
+class TestExteriorGridPath:
+    """Exterior grid points are probes at a polished preimage."""
+
+    @pytest.mark.parametrize("name", ("fig2", "order 12, degree 60"))
+    def test_polished_preimage_and_probe_values(self, name, monkeypatch):
+        import faberelast.fields as fields
+
+        seen = {"eval_u0": [], "single_layer_interior": [], "single_layer_exterior": []}
+
+        def recording(key, fn):
+            def wrapper(*args):
+                seen[key].append(np.array(args[-1], dtype=complex).ravel())
+                return fn(*args)
+            return wrapper
+
+        for key in seen:
+            monkeypatch.setattr(fields, key, recording(key, getattr(fields, key)))
+        mapping, mat, loading, table, sol, spec = _grid_case(name)
+        grid = field_grid(sol, table, mapping, mat, loading, spec)
+        monkeypatch.undo()
+        exterior = grid.region == EXTERIOR
+        assert 0 < exterior.sum() < len(grid)
+        eps = np.finfo(float).eps
+        z, w = grid.z[exterior], grid.w[exterior]
+        assert (np.abs(mapping.eval(w) - z) <= 4 * eps * np.maximum(1.0, np.abs(z))).all()
+        # a grid sums S by blocked Horner, a probe by one power-table
+        # product; their roundings differ by up to about eps times the
+        # absolute sum of S's terms, which next to the boundary at high
+        # degree is thousands of times |S|
+        (rows,) = sol._rows[1]
+        for k in np.flatnonzero(exterior):
+            smp = displacement(sol, table, mapping, mat, loading, grid.w.flat[k])
+            terms = np.abs(rows).sum(axis=0) @ np.abs(1.0 / smp.w) ** np.arange(rows.shape[1])
+            for column in ("u0", "S", "u"):
+                got, want = getattr(grid, column).flat[k], getattr(smp, column)
+                rounding = 4 * eps * terms if column != "u0" else 0.0
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)) + rounding, (k, column)
+        # the Faber recurrence runs at the other points only
+        inner = grid.z[~exterior]
+        for key in ("eval_u0", "single_layer_interior"):
+            np.testing.assert_array_equal(np.concatenate(seen[key]), inner)
+        assert seen["single_layer_exterior"] == []
 
 
 class TestFieldGridContainer:

@@ -39,6 +39,35 @@ class TestRule:
             QuadratureRule(32)
 
 
+class TestBoundaryNodes:
+    def test_kept_on_the_map_per_node_count(self):
+        mp = FIG_MAPS["fig2"]
+        mp = ExteriorMap(mp.coefficients)  # a map object of its own
+        rule = QuadratureRule(256)
+        zeta, h = boundary_nodes(mp, rule)
+        np.testing.assert_array_equal(zeta, mp.boundary_point(rule.theta))
+        np.testing.assert_array_equal(h, mp.scale_factor(np.zeros(256), rule.theta))
+        assert not zeta.flags.writeable and not h.flags.writeable
+        again = boundary_nodes(mp, QuadratureRule(256))
+        assert again[0] is zeta and again[1] is h
+        other = boundary_nodes(mp, QuadratureRule(512))
+        assert len(other[0]) == 512 and boundary_nodes(mp, rule)[0] is not zeta
+
+    def test_validate_builds_them_once(self, monkeypatch, tmp_path):
+        from pathlib import Path
+
+        from faberelast.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        scale_factor = ExteriorMap.scale_factor
+        monkeypatch.setattr(ExteriorMap, "scale_factor",
+                            lambda self, *a: calls.append(1) or scale_factor(self, *a))
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "fig1.cfg"
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+
+
 class TestKelvin:
     def test_zero_density(self):
         mp = ExteriorMap((0.0, 0.2))

@@ -181,6 +181,17 @@ class TestSolveBlock:
         with pytest.raises(SingularBlockError):
             solve_block(mp, table, y, y, mat, 8)
 
+    def test_one_condition_number_for_both_sides(self, monkeypatch):
+        mp = random_univalent_map(np.random.default_rng(4), 5)
+        table = build_faber(mp, 16)
+        y1, y2 = np.ones(10, dtype=complex), np.arange(10) * 1j
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or cond(a))
+        u1, u2 = solve_block(mp, table, y1, y2, FIG_MATERIAL, 10)
+        assert len(calls) == 1
+        assert not np.array_equal(u1, u2)
+
     def test_unreduced_equation_holds(self):
         rng = np.random.default_rng(4)
         for order in (3, 4, 5):
