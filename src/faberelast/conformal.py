@@ -20,10 +20,36 @@ when Psi is univalent.  The map owns that rule: ``univalence`` runs
 ``require_univalent`` raises NonUnivalentMapError when it failed.  The
 solver and the field evaluators call it; evaluation, inversion and the
 Faber tables do not.
+
+Everything the method sums is a polynomial in u = 1/w: Psi - w and
+Psi' - 1 (``ExteriorMap._u_rows``) here, the single layer and the
+background field outside the inclusion in fields.  One kernel sums them
+all, ``_blocked_horner`` (Paterson-Stockmeyer): a row of K coefficients
+is cut into blocks of B = ceil(sqrt(K)), one matrix product with the
+powers u**0 .. u**(B-1) sums all blocks at all points, and Horner runs
+over the block sums in u**B, so a row costs about sqrt(K) array steps
+instead of K.  |u| <= 1 keeps the power table bounded; the growing rows
+of fields go through the same kernel in w.  Rows of at most
+_HORNER_TERMS = 32 terms (every map of order 30 or less, and the figure
+configs' fields) take blocks of one term, which is plain Horner with no
+matrix product and no block sums, so none of their point arrays goes
+through BLAS.  Longer rows take their points in chunks sized from the
+number of rows times blocks, so the block sums of one chunk stay near
+1 MB however many points there are.
+
+A single point (a probe of fields) has no Horner step: ``_row_sums``
+sums several row sets from one power table u**0 .. u**(K-1), K the
+longest of them, each set by one product with a prefix of the table.
+A doubled table computes each entry from the same operands whatever its
+length, so a prefix holds the bits of a table of its own.  That rule
+lives in ``_row_sums`` only.  The map's evaluators and ``invert`` call
+``_blocked_horner`` through ``_u_sum``, which sums one point as two, so
+that one point gets the bits it would get among many.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -138,31 +164,14 @@ class ExteriorMap:
 
     # -- evaluation ---------------------------------------------------
 
-    def _u_series(self, w, r: int) -> np.ndarray:
-        """Row r of ``_u_rows`` summed at w by Horner in u = 1/w, without the domain check.
-
-        The row ends at a_M (r = 0) or -M a_M (r = 1); the pad after it is
-        skipped, and a zero row (Psi - w of the plain disk, Psi' - 1 at
-        M = 0) is not summed.  A row that is summed is inf at w = 0.
-        """
-        w = np.asarray(w, dtype=complex)
-        wa = np.atleast_1d(w)
-        end = len(self._coeff_array) + r if len(self._coeff_array) > r else 0
-        nonzero = wa != 0
-        u = np.divide(1.0, wa, out=np.zeros_like(wa), where=nonzero)
-        acc = np.zeros_like(wa)
-        for c in self._u_rows[r, :end][::-1]:
-            acc = acc * u + c
-        if end:
-            acc[~nonzero] = np.inf
-        return acc.reshape(w.shape)
-
     def _eval_raw(self, w):
         """Psi(w) without the |w| >= 1 domain check (used by inversion)."""
-        return np.asarray(w, dtype=complex) + self._u_series(w, 0)
+        w = np.asarray(w, dtype=complex)
+        return w + _u_sum(self._u_rows[:1], w)
 
     def _derivative_raw(self, w):
-        return 1.0 + self._u_series(w, 1)
+        """Psi'(w) without the |w| >= 1 domain check."""
+        return 1.0 + _u_sum(self._u_rows[1:], np.asarray(w, dtype=complex))
 
     def _check_domain(self, w):
         w = np.asarray(w, dtype=complex)
@@ -276,8 +285,9 @@ class ExteriorMap:
         winding = int(np.count_nonzero(radius > 1.0 + derivative_tol))
 
         w = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False))
-        min_abs = float(np.abs(self._derivative_raw(w)).min())
-        crossings = _polyline_self_intersections(self._eval_raw(w))
+        dz, ddz = _blocked_horner(self._u_rows, 1.0 / w)
+        min_abs = float(np.abs(1.0 + ddz).min())
+        crossings = _polyline_self_intersections(w + dz)
 
         return UnivalenceReport(
             ok=not zeros and not crossings,
@@ -286,6 +296,113 @@ class ExteriorMap:
             derivative_winding=winding,
             crossing_segments=tuple(crossings[:16]),
         )
+
+
+def _u_sum(row: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (1, K) row summed in u = 1/w at the points w, shaped as w.
+
+    A nonzero row is inf at w = 0, where u is 1/inf = 0.  One point is
+    summed as two: numpy rounds an in-place complex product of one element
+    unlike a product of many, and a one-point damping step of ``invert``
+    must round as its steps over many points do.
+    """
+    wa = w.reshape(-1)
+    pole = wa == 0
+    u = 1.0 / np.where(pole, np.inf, wa)
+    out = _blocked_horner(row, np.repeat(u, 2) if len(u) == 1 else u)[0, : len(u)]
+    if row.any():
+        out[pole] = np.inf
+    return out.reshape(w.shape)
+
+
+#: complex values in the block sums of one chunk of points (1 MB)
+_BLOCK_VALUES = 1 << 16
+#: rows of at most this many terms are summed by plain Horner (blocks of
+#: one term, no matrix product): a product that thin saves little, and a
+#: threaded BLAS can make it cost more than the whole sum
+_HORNER_TERMS = 32
+
+
+def _blocked_horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[r, k] x**k for each row r at the 1-D points x, shape (R, len(x)).
+
+    Paterson-Stockmeyer: the K coefficients of each row are cut into nb
+    blocks of B = ceil(sqrt(K)), or of B = 1 for K <= _HORNER_TERMS.  One
+    product with the power table x**0 .. x**(B-1), built by doubling,
+    sums every block, and Horner then runs over the nb block sums in
+    x**B: about sqrt(K) array steps in place of K.  Points go in chunks,
+    so the block sums of a chunk hold about _BLOCK_VALUES values.
+    """
+    R, K = coef.shape
+    B = 1 if K <= _HORNER_TERMS else math.isqrt(K - 1) + 1
+    nb = -(-K // B)
+    if nb * B > K:
+        coef = np.concatenate((coef, np.zeros((R, nb * B - K), dtype=complex)), axis=1)
+    # blocks[i, r] is block i of row r
+    blocks = np.ascontiguousarray(coef.reshape(R, nb, B).transpose(1, 0, 2))
+    # blocks of one term are the coefficients themselves: no block sums
+    step = max(1, _BLOCK_VALUES // (nb * R) if B > 1 else len(x))
+    if len(x) <= step:
+        return _horner_over_blocks(blocks, x)
+    out = np.empty((R, len(x)), dtype=complex)
+    for lo in range(0, len(x), step):
+        out[:, lo : lo + step] = _horner_over_blocks(blocks, x[lo : lo + step])
+    return out
+
+
+def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One chunk of ``_blocked_horner``: blocks has shape (nb, R, B).
+
+    A function of its own, so one chunk's block sums are freed before
+    the next chunk's are made.
+    """
+    nb, R, B = blocks.shape
+    if B > 1:
+        powers = _powers(x, B)
+        sums = (blocks.reshape(nb * R, B) @ powers).reshape(nb, R, len(x))
+        step_power = powers[-1:] * x
+    else:
+        sums, step_power = blocks, x[None]  # (nb, R, 1): plain Horner in x
+    # step_power is (1, n), so a single row is multiplied with no broadcast
+    acc = np.empty((R, len(x)), dtype=complex)
+    acc[:] = sums[-1]
+    for part in sums[-2::-1]:
+        acc *= step_power
+        acc += part
+    return acc
+
+
+def _powers(x: np.ndarray, K: int) -> np.ndarray:
+    """x**0 .. x**(K-1) at the 1-D points x, shape (K, len(x)), by doubling.
+
+    ceil(log2 K) products of whole slabs, where cumprod along the first
+    axis costs ten times as much.  Entry j is the product of the same two
+    entries whatever K is, so the first k rows hold the bits of
+    ``_powers(x, k)``.
+    """
+    powers = np.empty((K, len(x)), dtype=complex)
+    powers[0] = 1.0
+    k = 1
+    while k < K:
+        m = min(k, K - k)
+        np.multiply(powers[:m], powers[k - 1] * x, out=powers[k : k + m])
+        k += m
+    return powers
+
+
+def _row_sums(row_sets, x: np.ndarray) -> list:
+    """``_blocked_horner(rows, x)`` for each (R, K) row set, at the 1-D points x.
+
+    A single point builds one power table x**0 .. x**(K-1), K the longest
+    set, and sums each set as one product with a prefix of it, with no
+    Horner step; a prefix holds the bits of a table of its own, so each
+    set gets the bits of its own table.  More points take
+    ``_blocked_horner`` set by set.
+    """
+    if len(x) != 1:
+        return [_blocked_horner(rows, x) for rows in row_sets]
+    powers = _powers(x, max(rows.shape[1] for rows in row_sets))
+    return [rows @ powers[: rows.shape[1]] for rows in row_sets]
 
 
 #: candidate segment pairs generated at once in _polyline_self_intersections

@@ -61,38 +61,27 @@ one (table, rows) pair, the table compared by identity; another table
 object rebuilds the rows and replaces the pair.  The table and domain
 checks still run on every call; the loading-degree check runs where the
 u0 rows are built, as rows kept for a table have passed it.  Psi - w and
-Psi' - 1 are two more rows in u, kept on the map (``ExteriorMap._u_rows``),
-so Psi and Psi' at w come from the same kernel as S and u0.
+Psi' - 1 are two more rows in u, kept on the map (``ExteriorMap._u_rows``).
 
-Every row is summed by blocked (Paterson-Stockmeyer) evaluation: a row
-of K coefficients is cut into blocks of B = ceil(sqrt(K)), one matrix
-product with the powers u**0 .. u**(B-1) sums all blocks at all points,
-and Horner runs over the block sums in u**B, so a row costs about
-sqrt(K) array steps instead of K.  |u| <= 1 keeps the power table
-bounded; the rows in w go through the same kernel in w.  Rows of at
-most 32 terms (the figure configs) take blocks of one term, which is
-plain Horner with no matrix product, so none of their point arrays goes
-through BLAS, and Psi, Psi' get the bits of the map's own evaluators.
-A single point (a probe) has no Horner step: the map, S and u0 rows in
-u are summed from one power table u**0 .. u**(K-1), K the longest of
-them, each set by one product with a prefix of the table; the growing
-rows take one more table in w.  A doubled table computes each entry from
-the same operands whatever its length, so a prefix holds the bits of a
-table of its own and a probe keeps the bits of a table per set.  Points
-are taken in chunks sized from the number of rows times blocks, so the
-block sums of one chunk stay near 1 MB however many points a grid has.
+Every row, in u or in w, is summed by the one series kernel of the map
+(``conformal._blocked_horner``, Paterson-Stockmeyer, plain Horner for
+rows of at most 32 terms).  ``_exterior_S`` and ``_exterior_field`` call
+it through ``conformal._row_sums``, so a single point (a probe) sums the
+map, S and u0 rows in u from one power table in u = 1/w, and the growing
+rows from one table in w, as ``_row_sums`` describes.  The Newton polish
+of ``field_grid`` and the boundary branch of ``displacement`` call the
+map's own evaluators.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import _INSIDE_TOL, ExteriorMap
+from .conformal import _INSIDE_TOL, ExteriorMap, _row_sums
 from .errors import DomainError
 from .faber import FaberTable, _derivative_coefficients, _tail, check_table_map
 from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials, eval_u0
@@ -231,110 +220,6 @@ def single_layer_interior(
     return _km_displacement(phi, psi, table, mat.kappa, z)
 
 
-#: complex values in the block sums of one chunk of points (1 MB)
-_BLOCK_VALUES = 1 << 16
-#: rows of at most this many terms are summed by plain Horner (blocks of
-#: one term, no matrix product): a product that thin saves little, and a
-#: threaded BLAS can make it cost more than the whole sum
-_HORNER_TERMS = 32
-
-
-def _blocked_horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coef[r, k] x**k for each row r at the 1-D points x, shape (R, len(x)).
-
-    Paterson-Stockmeyer: the K coefficients of each row are cut into nb
-    blocks of B = ceil(sqrt(K)), or of B = 1 for K <= _HORNER_TERMS.  One
-    product with the power table x**0 .. x**(B-1), built by doubling,
-    sums every block, and Horner then runs over the nb block sums in
-    x**B: about sqrt(K) array steps in place of K.  A single point takes
-    the power table x**0 .. x**(K-1) and one product, no Horner step.
-    Points go in chunks, so the block sums of a chunk hold about
-    _BLOCK_VALUES values.
-    """
-    R, K = coef.shape
-    if len(x) == 1:
-        return coef @ _powers(x, K)
-    B = 1 if K <= _HORNER_TERMS else math.isqrt(K - 1) + 1
-    nb = -(-K // B)
-    if nb * B > K:
-        coef = np.concatenate((coef, np.zeros((R, nb * B - K), dtype=complex)), axis=1)
-    # blocks[i, r] is block i of row r
-    blocks = np.ascontiguousarray(coef.reshape(R, nb, B).transpose(1, 0, 2))
-    # blocks of one term are the coefficients themselves: no block sums
-    step = max(1, _BLOCK_VALUES // (nb * R) if B > 1 else len(x))
-    if len(x) <= step:
-        return _horner_over_blocks(blocks, x)
-    out = np.empty((R, len(x)), dtype=complex)
-    for lo in range(0, len(x), step):
-        out[:, lo : lo + step] = _horner_over_blocks(blocks, x[lo : lo + step])
-    return out
-
-
-def _horner_over_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One chunk of ``_blocked_horner``: blocks has shape (nb, R, B).
-
-    A function of its own, so one chunk's block sums are freed before
-    the next chunk's are made.
-    """
-    nb, R, B = blocks.shape
-    if B > 1:
-        powers = _powers(x, B)
-        sums = (blocks.reshape(nb * R, B) @ powers).reshape(nb, R, len(x))
-        step_power = powers[-1] * x
-    else:
-        sums, step_power = blocks, x  # (nb, R, 1): plain Horner in x
-    acc = np.empty((R, len(x)), dtype=complex)
-    acc[:] = sums[-1]
-    for part in sums[-2::-1]:
-        acc *= step_power
-        acc += part
-    return acc
-
-
-def _powers(x: np.ndarray, K: int) -> np.ndarray:
-    """x**0 .. x**(K-1) at the 1-D points x, shape (K, len(x)), by doubling.
-
-    ceil(log2 K) products of whole slabs, where cumprod along the first
-    axis costs ten times as much.  Entry j is the product of the same two
-    entries whatever K is, so the first k rows hold the bits of
-    ``_powers(x, k)``.
-    """
-    powers = np.empty((K, len(x)), dtype=complex)
-    powers[0] = 1.0
-    k = 1
-    while k < K:
-        m = min(k, K - k)
-        np.multiply(powers[:m], powers[k - 1] * x, out=powers[k : k + m])
-        k += m
-    return powers
-
-
-def _row_sums(row_sets, x: np.ndarray) -> list:
-    """``_blocked_horner(rows, x)`` for each (R, K) row set, at the 1-D points x.
-
-    A single point builds one power table x**0 .. x**(K-1), K the longest
-    set, and sums each set as one product with a prefix of it: the bits
-    of ``_blocked_horner``, whose one-point sum is the product with a
-    table of its own.  More points take ``_blocked_horner`` set by set.
-    """
-    if len(x) != 1:
-        return [_blocked_horner(rows, x) for rows in row_sets]
-    powers = _powers(x, max(rows.shape[1] for rows in row_sets))
-    return [rows @ powers[: rows.shape[1]] for rows in row_sets]
-
-
-def _map_values(mapping: ExteriorMap, w: np.ndarray) -> tuple:
-    """Psi(w) and Psi'(w) at the 1-D points w, |w| >= 1.
-
-    The map's two rows in u (``ExteriorMap._u_rows``) summed by
-    ``_blocked_horner``; rows of at most _HORNER_TERMS terms at more than
-    one point take the operations of ``mapping._eval_raw`` and
-    ``_derivative_raw``, and the same bits.
-    """
-    dz, ddz = _blocked_horner(mapping._u_rows, 1.0 / w)
-    return w + dz, 1.0 + ddz
-
-
 def _S_rows(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> tuple:
     """The (4, K) rows of P1 .. P4 in u, as a 1-tuple."""
     n, s, t, W = _weights(sol, mapping)
@@ -409,9 +294,21 @@ def _exterior_field(sol: DensitySolution, table: FaberTable, mapping: ExteriorMa
     _check_table(sol, table, mapping)
     coef, grow = _kept_rows(loading, table, lambda: _u0_rows(loading, table))
     S, psi, dpsi, ((H, L, dH),) = _exterior_S(sol, table, mapping, mat, w, (coef,))
-    gH, gL, gdH = _blocked_horner(grow, w)
+    ((gH, gL, gdH),) = _row_sums((grow,), w)
     u0 = mat.kappa * (H + gH) - psi * np.conj((dH + gdH) / dpsi) - np.conj(L + gL)
     return S, u0, psi
+
+
+def _check_exterior(w) -> None:
+    """DomainError unless every point of w is finite with |w| >= 1.
+
+    A Python complex (a probe) is checked in Python floats and bools, as
+    numpy's scalar operations would add about a tenth to a probe's time.
+    """
+    r = abs(w)
+    outside = (r >= 1.0 - _INSIDE_TOL) & (r < np.inf)  # NaN fails both
+    if outside is not True and not np.all(outside):
+        raise DomainError("exterior evaluation needs finite w with |w| >= 1")
 
 
 def single_layer_exterior(
@@ -423,11 +320,9 @@ def single_layer_exterior(
 ):
     """Single-layer value S at z = Psi(w), |w| >= 1."""
     w = np.asarray(w, dtype=complex)
-    wa = w.reshape(-1)
-    if not np.all(np.abs(wa) >= 1.0 - _INSIDE_TOL) or not np.isfinite(wa).all():
-        raise DomainError("exterior evaluation needs finite w with |w| >= 1")
+    _check_exterior(w)
     _check_table(sol, table, mapping)
-    out = _exterior_S(sol, table, mapping, mat, wa)[0]
+    out = _exterior_S(sol, table, mapping, mat, w.reshape(-1))[0]
     return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
 
 
@@ -444,17 +339,15 @@ def displacement(
     Raises NonUnivalentMapError when the map fails its univalence check.
     """
     w = complex(w)
-    r = abs(w)
-    if not r >= 1.0 - _INSIDE_TOL or not math.isfinite(r):
-        raise DomainError("displacement is defined for finite w with |w| >= 1")
+    _check_exterior(w)
     mapping.require_univalent()
-    wa = np.array([w])
-    if r <= 1.0 + _BOUNDARY_TOL:
-        z = complex(_map_values(mapping, wa)[0][0])
+    if abs(w) <= 1.0 + _BOUNDARY_TOL:
+        z = mapping.eval(w)
         u0 = eval_u0(loading, table, mat, z)
         S = single_layer_interior(sol, table, mapping, mat, z)
         return FieldSample(z=z, w=w, region=REGION_BOUNDARY, u0=u0, S=S,
                            u=complex(sol.rigid_motion(z)))
+    wa = np.array([w])
     S, u0, psi = (complex(v[0]) for v in _exterior_field(sol, table, mapping, mat, loading, wa))
     return FieldSample(z=psi, w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)
 
@@ -537,9 +430,7 @@ def field_grid(
         region[outside] = BOUNDARY  # ambiguous: report as boundary
         ambiguous[outside] = True
     ext, inner = np.flatnonzero(region == EXTERIOR), np.flatnonzero(region != EXTERIOR)
-    psi, dpsi = _map_values(mapping, wv[ext])
-    wv[ext] -= (psi - Z[ext]) / dpsi
-    del psi, dpsi  # the exterior sums set the peak; hold no more than needed through them
+    wv[ext] -= (mapping._eval_raw(wv[ext]) - Z[ext]) / mapping._derivative_raw(wv[ext])
     Se, u0e, _ = _exterior_field(sol, table, mapping, mat, loading, wv[ext])
     w = np.where((region != INTERIOR) & ~ambiguous, wv, complex(np.nan, np.nan))
 

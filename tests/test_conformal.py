@@ -23,6 +23,8 @@ from util import (
     FIG_MAPS,
     FIG_MATERIAL,
     count_univalence_checks,
+    frozen_derivative,
+    frozen_eval,
     random_univalent_map,
 )
 
@@ -334,31 +336,32 @@ class TestSelfIntersections:
 
 def _invert_reference(mapping, z, tol=1e-12, max_iter=80):
     """The Newton loop that re-evaluated Psi at every active point on each
-    pass, kept as a frozen reference for ExteriorMap.invert."""
+    pass, on the frozen Horner evaluators, kept as a reference for
+    ExteriorMap.invert."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     a0 = mapping.coefficient(0)
     w = z - a0
     small = np.abs(w) < 0.3
     w[small] = 0.3 * np.exp(1j * np.angle(z[small] - a0 + 1e-30))
     target = tol * np.maximum(1.0, np.abs(z))
-    res = np.abs(mapping._eval_raw(w) - z)
+    res = np.abs(frozen_eval(mapping, w) - z)
     active = res > target
     for _ in range(max_iter):
         if not np.any(active):
             break
         wa = w[active]
-        dpsi = mapping._derivative_raw(wa)
+        dpsi = frozen_derivative(mapping, wa)
         dpsi = np.where(np.abs(dpsi) < 1e-14, 1e-14, dpsi)
-        step = (mapping._eval_raw(wa) - z[active]) / dpsi
+        step = (frozen_eval(mapping, wa) - z[active]) / dpsi
         new = wa - step
-        new_res = np.abs(mapping._eval_raw(new) - z[active])
+        new_res = np.abs(frozen_eval(mapping, new) - z[active])
         for _ in range(20):
             worse = new_res > res[active]
             if not np.any(worse):
                 break
             step = np.where(worse, 0.5 * step, step)
             new = wa - step
-            new_res = np.abs(mapping._eval_raw(new) - z[active])
+            new_res = np.abs(frozen_eval(mapping, new) - z[active])
         w[active] = new
         res[active] = new_res
         active = res > target

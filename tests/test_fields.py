@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -25,24 +26,17 @@ from faberelast import (
     transmission_residual,
     write_field_csv,
 )
+from faberelast.conformal import _BLOCK_VALUES, _HORNER_TERMS, _blocked_horner, _powers, _row_sums
 from faberelast.faber import faber_values
-from faberelast.fields import (
-    _BLOCK_VALUES,
-    _HORNER_TERMS,
-    BOUNDARY,
-    EXTERIOR,
-    INTERIOR,
-    _blocked_horner,
-    _exterior_field,
-    _g17_text,
-    _map_values,
-    _powers,
-)
+from faberelast.fields import BOUNDARY, EXTERIOR, INTERIOR, _exterior_field, _g17_text
 from faberelast.solver import DensitySolution
 from util import (
     FIG_MAPS,
     FIG_MATERIAL,
     HARD_SHAPES,
+    frozen_derivative,
+    frozen_eval,
+    plain_horner,
     random_loading,
     random_univalent_map,
     solved_figure,
@@ -372,13 +366,6 @@ def _solved(mp, degree, seed):
     return table, solve_full(mp, loading, FIG_MATERIAL, n, table=table)
 
 
-def _plain_horner(coef, x):
-    acc = np.zeros((coef.shape[0], len(x)), dtype=complex)
-    for c in coef.T[::-1]:
-        acc = acc * x + c[:, None]
-    return acc
-
-
 def _horner_scale(coef, x):
     """sum_k |c_k| |x|**k per row and point, the scale of Horner's roundoff."""
     return np.abs(coef) @ (np.abs(x)[None, :] ** np.arange(coef.shape[1])[:, None])
@@ -403,7 +390,7 @@ class TestBlockedHorner:
         x = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 9))
         got = _blocked_horner(coef, x)
         assert got.shape == (3, 9)
-        err = np.abs(got - _plain_horner(coef, x))
+        err = np.abs(got - plain_horner(coef, x))
         assert (err <= KERNEL_TOL * _horner_scale(coef, x)).all()
 
     def test_point_counts_around_the_chunk(self):
@@ -413,7 +400,7 @@ class TestBlockedHorner:
         rng = np.random.default_rng(1)
         coef = rng.normal(size=(R, K)) + 1j * rng.normal(size=(R, K))
         x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, chunk + 1))
-        ref = _plain_horner(coef, x)
+        ref = plain_horner(coef, x)
         scale = _horner_scale(coef, x)
         assert _blocked_horner(coef, x[:0]).shape == (R, 0)
         for count in (1, chunk - 1, chunk, chunk + 1):
@@ -430,21 +417,22 @@ class TestBlockedHorner:
         for count in (0, 1, len(x)):
             got = _blocked_horner(coef, x[:count])
             assert got.shape == (R, count)
-            err = np.abs(got - _plain_horner(coef, x[:count]))
+            err = np.abs(got - plain_horner(coef, x[:count]))
             assert (err <= KERNEL_TOL * _horner_scale(coef, x[:count])).all(), count
 
     @pytest.mark.parametrize("K", (1, 2, 32, 33, 400, 1741))
     @pytest.mark.parametrize("radius", (1.0, 0.5))
     def test_one_point_is_one_block(self, K, radius):
-        # one point takes B = K: the power table and one product
+        # _row_sums takes B = K at one point: the power table and one
+        # product; _blocked_horner treats one point like many
         rng = np.random.default_rng(K)
         coef = rng.normal(size=(4, K)) + 1j * rng.normal(size=(4, K))
         for theta in rng.uniform(0.0, 2.0 * np.pi, 5):
             x = np.array([radius * np.exp(1j * theta)])
-            got = _blocked_horner(coef, x)
-            assert got.shape == (4, 1)
-            err = np.abs(got - _plain_horner(coef, x))
-            assert (err <= KERNEL_TOL * _horner_scale(coef, x)).all()
+            for got in (_row_sums((coef,), x)[0], _blocked_horner(coef, x)):
+                assert got.shape == (4, 1)
+                err = np.abs(got - plain_horner(coef, x))
+                assert (err <= KERNEL_TOL * _horner_scale(coef, x)).all()
 
 
 class TestPowerTable:
@@ -478,16 +466,17 @@ class TestPowerTable:
                 table = _powers(x, max(lengths))
                 for k in lengths:
                     coef = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
-                    np.testing.assert_array_equal(coef @ table[:k], _blocked_horner(coef, x))
+                    np.testing.assert_array_equal(coef @ table[:k], _row_sums((coef,), x)[0])
 
 
 class TestMapRows:
-    """Psi - w and Psi' - 1 as two rows in u = 1/w."""
+    """Psi - w and Psi' - 1 as two rows in u = 1/w, summed by the series
+    kernel, against the frozen plain-Horner loop."""
 
-    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "disk"]
-                             + [f"M={M}" for M in (0, 1, 7, 30)])
-    def test_bit_equal_to_the_map_evaluators(self, name):
-        # rows of at most _HORNER_TERMS terms take the map's own Horner steps
+    CASES = ["fig1", "fig2", "fig3", "disk"] + [f"M={M}" for M in (0, 1, 7, 30)]
+
+    @staticmethod
+    def _case(name):
         rng = np.random.default_rng(len(name))
         if name.startswith("fig"):
             mp = FIG_MAPS[name]
@@ -496,19 +485,47 @@ class TestMapRows:
         else:
             order = int(name[2:])
             mp = random_univalent_map(rng, order) if order else ExteriorMap((0.3,))
-        assert mp.order + 2 <= _HORNER_TERMS
         w = rng.uniform(1.0, 20.0, 1000) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1000))
-        psi, dpsi = _map_values(mp, w)
-        np.testing.assert_array_equal(psi, mp._eval_raw(w))
-        np.testing.assert_array_equal(dpsi, mp._derivative_raw(w))
+        return mp, w
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_bit_equal_to_the_map_evaluators(self, name):
+        # rows of at most _HORNER_TERMS terms take the frozen loop's Horner steps
+        mp, w = self._case(name)
+        assert mp.order + 2 <= _HORNER_TERMS
+        theta = np.angle(w)
+        for count in (2, 3, len(w)):
+            wc = w[:count]
+            for got, ref in ((mp._eval_raw(wc), frozen_eval(mp, wc)),
+                             (mp.eval(wc), frozen_eval(mp, wc)),
+                             (mp._derivative_raw(wc), frozen_derivative(mp, wc)),
+                             (mp.derivative(wc), frozen_derivative(mp, wc)),
+                             (mp.boundary_point(theta[:count]),
+                              frozen_eval(mp, np.exp(1j * theta[:count])))):
+                np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_one_point_matches_the_map(self):
-        mp = random_univalent_map(np.random.default_rng(5), 12)
-        for w in (1.0, 1.5 - 0.5j, -30.0j):
-            wa = np.array([w])
-            psi, dpsi = _map_values(mp, wa)
-            assert abs(psi[0] - mp.eval(w)) <= 1e-15 * abs(psi[0])
-            assert abs(dpsi[0] - mp.derivative(w)) <= 1e-15 * abs(dpsi[0])
+        # numpy may round a complex product of one element unlike one of many
+        for name in self.CASES:
+            mp, w = self._case(name)
+            for wp in w[:50]:
+                for got, ref in ((mp.eval(wp), frozen_eval(mp, wp)),
+                                 (mp.derivative(wp), frozen_derivative(mp, wp))):
+                    assert abs(got - ref) <= 1e-15 * abs(ref), name
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.1 + 0.1j), (0.3,), (0.2, 0.0, -0.1j), ()])
+    def test_pole_at_zero(self, coeffs):
+        # a nonzero row is inf at w = 0, with no division warning; a zero
+        # row (Psi - w of the disk, Psi' - 1 at order 0) stays zero there
+        mp = ExteriorMap(coeffs)
+        for w in (0.0, np.array([2.0, 0.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                psi, dpsi = mp._eval_raw(w), mp._derivative_raw(w)
+            np.testing.assert_array_equal(psi, frozen_eval(mp, w))
+            np.testing.assert_array_equal(dpsi, frozen_derivative(mp, w))
+        assert mp._eval_raw(0.0) == (np.inf if coeffs else 0.0)
+        assert mp._derivative_raw(0.0) == (np.inf if mp.order else 1.0)
 
 
 class TestKeptRows:
@@ -699,6 +716,53 @@ class TestEnvelope:
         assert type(outer) is complex and type(inner) is complex
         assert outer == single_layer_exterior(sol, table, mapping, mat, np.array([1.5]))[0]
         assert inner == single_layer_interior(sol, table, mapping, mat, np.array([0.1 + 0.2j]))[0]
+
+
+class TestRotationCovariance:
+    """Rotating the inclusion and the loading by theta rotates the field.
+
+    The map e^{i theta} Psi(e^{-i theta} w) has a_k e^{i(k+1) theta}, and
+    its Faber polynomials are e^{i m theta} F_m(e^{-i theta} z).  So the
+    loading A_m e^{i(1-m) theta}, B_m e^{-i(m+1) theta} makes h, z conj(h')
+    and conj(l) turn by e^{i theta}, and the field at e^{i theta} w must be
+    e^{i theta} times the field at w: c1 + i c2 turns, c3 stays.  A conj
+    misplaced on a quantity that turns (z, Psi, h) breaks this, where
+    linearity cannot see it.
+    """
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(5150)
+        maps = {f"M={order}": random_univalent_map(np.random.default_rng(order), order, margin=0.99)
+                for order in (1, 3, 8, 24)}
+        for name, mp in {**maps, **HARD_SHAPES}.items():
+            yield name, mp, int(rng.integers(1, 61)), rng.uniform(0.0, 2.0 * np.pi)
+        yield "M=24, degree 60", maps["M=24"], 60, 2.5
+
+    def test_field_turns_with_the_inclusion(self):
+        rng = np.random.default_rng(7)
+        for name, mp, degree, theta in self._cases():
+            turn = np.exp(1j * theta)
+            k = np.arange(mp.order + 1)
+            turned = ExteriorMap(np.asarray(mp.coefficients) * turn ** (k + 1))
+            loading = random_loading(np.random.default_rng(degree), degree)
+            m = np.arange(len(loading.A))
+            turned_loading = FarFieldLoading(loading.A * turn ** (1 - m), loading.B * turn ** -(m + 1))
+            w = np.concatenate([np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3)),
+                                _exterior_points(rng, 5)])
+            n = degree + max(mp.order, 1)
+            fields = []
+            for mapping, load, points in ((mp, loading, w), (turned, turned_loading, turn * w)):
+                table = build_faber(mapping, required_table_order(mapping, n))
+                sol = solve_full(mapping, load, FIG_MATERIAL, n, table=table)
+                samples = [displacement(sol, table, mapping, FIG_MATERIAL, load, p) for p in points]
+                fields.append((sol, np.array([[s.z, s.u0, s.S, s.u] for s in samples])))
+            (sol, ref), (got_sol, got) = fields
+            scale = np.abs(ref).max(axis=0)
+            assert (np.abs(got - turn * ref) <= 1e-12 * scale).all(), name
+            c = complex(sol.c1, sol.c2)
+            assert abs(complex(got_sol.c1, got_sol.c2) - turn * c) <= 1e-12 * max(abs(c), 1.0), name
+            assert abs(got_sol.c3 - sol.c3) <= 1e-12 * max(abs(sol.c3), 1.0), name
 
 
 class TestBoundaryContinuity:

@@ -63,6 +63,46 @@ def ellipse_faber_closed_form(m: int, z, a: complex):
     return ((z + root) ** m + (z - root) ** m) / 2.0**m
 
 
+def plain_horner(coef, x):
+    """sum_k coef[r, k] x**k for each row r at the 1-D points x, by plain Horner."""
+    acc = np.zeros((coef.shape[0], len(x)), dtype=complex)
+    for c in coef.T[::-1]:
+        acc = acc * x + c[:, None]
+    return acc
+
+
+def frozen_u_series(mapping, w, r: int):
+    """Psi(w) - w (r = 0) or Psi'(w) - 1 (r = 1), by Horner in u = 1/w.
+
+    A frozen copy of the loop the map's evaluators once ran, built from
+    the coefficients alone: the row is a_0 .. a_M or (0, 0, -a_1, ..,
+    -M a_M), a zero row is not summed, and a summed row is inf at w = 0.
+    """
+    a = np.asarray(mapping.coefficients, dtype=complex)
+    if r == 1:
+        a = np.concatenate(([0.0, 0.0], -np.arange(1, len(a)) * a[1:])) if len(a) > 1 else a[:0]
+    w = np.asarray(w, dtype=complex)
+    wa = np.atleast_1d(w)
+    nonzero = wa != 0
+    u = np.divide(1.0, wa, out=np.zeros_like(wa), where=nonzero)
+    acc = np.zeros_like(wa)
+    for c in a[::-1]:
+        acc = acc * u + c
+    if len(a):
+        acc[~nonzero] = np.inf
+    return acc.reshape(w.shape)
+
+
+def frozen_eval(mapping, w):
+    """Psi(w) from ``frozen_u_series``."""
+    return np.asarray(w, dtype=complex) + frozen_u_series(mapping, w, 0)
+
+
+def frozen_derivative(mapping, w):
+    """Psi'(w) from ``frozen_u_series``."""
+    return 1.0 + frozen_u_series(mapping, w, 1)
+
+
 def random_loading(rng: np.random.Generator, degree: int) -> FarFieldLoading:
     A = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
     B = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
@@ -77,6 +117,10 @@ __all__ = [
     "solved_figure",
     "count_univalence_checks",
     "ellipse_faber_closed_form",
+    "plain_horner",
+    "frozen_u_series",
+    "frozen_eval",
+    "frozen_derivative",
     "random_loading",
     "random_univalent_map",
 ]
