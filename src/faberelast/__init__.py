@@ -50,6 +50,7 @@ from .loading import (
     material_from_lame,
 )
 from .oracle import (
+    Check,
     QuadratureRule,
     boundary_nodes,
     cauchy_operator,
@@ -57,7 +58,9 @@ from .oracle import (
     equilibrium_residual,
     kelvin_single_layer,
     log_operator,
+    residual_checks,
     transmission_residual,
+    validation_checks,
 )
 from .solver import (
     DensitySolution,

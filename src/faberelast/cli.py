@@ -15,7 +15,10 @@ are written as re,im pairs and lists are whitespace separated:
     output_path = fig1
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 solver
-degeneracy.
+degeneracy or a map that fails the univalence check.
+
+The checks themselves, and their tolerances, live in ``oracle``
+(``validation_checks`` and ``residual_checks``); this module prints them.
 """
 
 from __future__ import annotations
@@ -38,30 +41,13 @@ from .errors import (
     TruncationError,
 )
 from .faber import build_faber
-from .fields import (
-    GridSpec,
-    _write_csv,
-    field_grid,
-    single_layer_exterior,
-    single_layer_interior,
-    write_field_csv,
-)
+from .fields import GridSpec, _write_csv, field_grid, write_field_csv
 from .loading import FarFieldLoading, Material
-from .oracle import (
-    QuadratureRule,
-    _density_at_nodes,
-    boundary_nodes,
-    equilibrium_residual,
-    kelvin_single_layer,
-    transmission_residual,
+from .oracle import Check, QuadratureRule, residual_checks, validation_checks
+from .oracle import (  # re-exported
+    CONTINUITY_TOL, EQUILIBRIUM_TOL, GRUNSKY_SYMMETRY_TOL, ORACLE_TOL, TRANSMISSION_TOL,
 )
 from .solver import required_table_order, solve_full
-
-TRANSMISSION_TOL = 1e-6
-EQUILIBRIUM_TOL = 1e-8
-CONTINUITY_TOL = 1e-6
-ORACLE_TOL = 1e-6
-GRUNSKY_SYMMETRY_TOL = 1e-10
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -238,27 +224,7 @@ def _solve_job(job: JobConfig):
     return table, sol
 
 
-def _residual_summary(job: JobConfig, table, sol) -> dict:
-    trans = transmission_residual(
-        sol, job.mapping, table, job.loading, job.material, 256
-    )
-    eq = equilibrium_residual(sol, job.mapping, job.quadrature_q)
-    return {
-        "transmission": trans,
-        "equilibrium_1": float(eq[0]),
-        "equilibrium_2": float(eq[1]),
-        "equilibrium_3": float(eq[2]),
-    }
-
-
-def _residuals_pass(summary: dict) -> bool:
-    return summary["transmission"] < TRANSMISSION_TOL and all(
-        summary[k] < EQUILIBRIUM_TOL
-        for k in ("equilibrium_1", "equilibrium_2", "equilibrium_3")
-    )
-
-
-def _write_solution(job: JobConfig, sol, summary: dict) -> None:
+def _write_solution(job: JobConfig, sol, checks) -> None:
     n = sol.order
     s, t = sol.s[:n], sol.t[:n]
     _write_csv(
@@ -271,19 +237,19 @@ def _write_solution(job: JobConfig, sol, summary: dict) -> None:
         fh.write(f"c1 = {_FMT % sol.c1}\n")
         fh.write(f"c2 = {_FMT % sol.c2}\n")
         fh.write(f"c3 = {_FMT % sol.c3}\n")
-        for key, value in summary.items():
-            fh.write(f"{key}_residual = {_FMT % value}\n")
-        fh.write(f"status = {'pass' if _residuals_pass(summary) else 'fail'}\n")
+        for c in checks:
+            fh.write(f"{c.name}_residual = {_FMT % c.value}\n")
+        fh.write(f"status = {'pass' if all(c.ok for c in checks) else 'fail'}\n")
 
 
 def cmd_solve(job: JobConfig) -> int:
     table, sol = _solve_job(job)
-    summary = _residual_summary(job, table, sol)
-    _write_solution(job, sol, summary)
+    checks = residual_checks(sol, job.mapping, table, job.loading, job.material, job.quadrature_q)
+    _write_solution(job, sol, checks)
     print(f"c1 = {sol.c1:.12g}  c2 = {sol.c2:.12g}  c3 = {sol.c3:.12g}")
-    for key, value in summary.items():
-        print(f"{key}_residual = {value:.3e}")
-    return EXIT_OK if _residuals_pass(summary) else EXIT_VALIDATION
+    for c in checks:
+        print(f"{c.name}_residual = {c.value:.3e}")
+    return EXIT_OK if all(c.ok for c in checks) else EXIT_VALIDATION
 
 
 def cmd_field(job: JobConfig) -> int:
@@ -292,9 +258,9 @@ def cmd_field(job: JobConfig) -> int:
     table, sol = _solve_job(job)
     grid = field_grid(sol, table, job.mapping, job.material, job.loading, job.grid)
     write_field_csv(grid, job.output_path + "_field.csv")
-    summary = _residual_summary(job, table, sol)
+    checks = residual_checks(sol, job.mapping, table, job.loading, job.material, job.quadrature_q)
     print(f"wrote {len(grid)} samples to {job.output_path}_field.csv")
-    return EXIT_OK if _residuals_pass(summary) else EXIT_VALIDATION
+    return EXIT_OK if all(c.ok for c in checks) else EXIT_VALIDATION
 
 
 def cmd_validate(job: JobConfig) -> int:
@@ -302,75 +268,17 @@ def cmd_validate(job: JobConfig) -> int:
     # solve_full has already raised on a map that fails the univalence
     # check, so this row can only pass; it stays because
     # benchmarks/checks.py expects a univalence row
-    checks = [("univalence", 0.0, 0.5, True)]
-    n = min(24, table.order)
-    c = table.grunsky[:n, :n]
-    idx = np.arange(1, n + 1)
-    sym = float(np.abs(idx[None, :] * c - (idx[None, :] * c).T).max())
-    checks.append(
-        ("grunsky_symmetry", sym, GRUNSKY_SYMMETRY_TOL, sym < GRUNSKY_SYMMETRY_TOL)
+    checks = (
+        Check("univalence", 0.0, 0.5, True),
+        *validation_checks(sol, job.mapping, table, job.loading, job.material, job.quadrature_q),
     )
-    bound = float((np.abs(c) - 2.0 * idx[:, None] * (1 + 1e-8)).max())
-    checks.append(("grunsky_bound", bound, 0.0, bound <= 0.0))
-    rng = np.random.default_rng(0)
-    # np.min/np.max, unlike the builtins, propagate NaN, so a NaN fails
-    r = min(5, n)
-    slacks = []
-    for _ in range(5):
-        lam = rng.normal(size=r) + 1j * rng.normal(size=r)
-        lhs = np.sum(idx * np.abs(lam @ c[:r]) ** 2)
-        rhs = float(np.sum(np.arange(1, r + 1) * np.abs(lam) ** 2))
-        slacks.append(rhs - lhs)
-    worst_slack = float(np.min(slacks))
-    checks.append(
-        ("grunsky_strong_inequality", -worst_slack, 1e-8, worst_slack >= -1e-8)
-    )
-
-    summary = _residual_summary(job, table, sol)
-    checks.append(
-        (
-            "transmission",
-            summary["transmission"],
-            TRANSMISSION_TOL,
-            summary["transmission"] < TRANSMISSION_TOL,
-        )
-    )
-    eqmax = float(np.max([summary[f"equilibrium_{k}"] for k in (1, 2, 3)]))
-    checks.append(("equilibrium", eqmax, EQUILIBRIUM_TOL, eqmax < EQUILIBRIUM_TOL))
-
-    # both series at the same boundary points z = Psi(e^{i theta}), and
-    # each at the 10 oracle points of its domain, in one call per series;
-    # the interior ones lie on a circle about the boundary's centroid
-    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    boundary = job.mapping.boundary_point(theta)
-    center = boundary.mean()
-    ring = 0.45 * np.abs(boundary - center).min() * np.exp(1j * (2.0 * np.pi * np.arange(10) / 10))
-    z_in = np.concatenate([boundary, center + ring])
-    w_out = np.concatenate(
-        [np.exp(1j * theta), 1.5 * np.exp(2j * np.pi * np.arange(10) / 10)]
-    )
-    s_in = single_layer_interior(sol, table, job.mapping, job.material, z_in)
-    s_out = single_layer_exterior(sol, table, job.mapping, job.material, w_out)
-    nb = len(theta)
-    cont = float(np.abs(s_in[:nb] - s_out[:nb]).max())
-    checks.append(("boundary_continuity", cont, CONTINUITY_TOL, cont < CONTINUITY_TOL))
-
-    rule = QuadratureRule(job.quadrature_q)
-    phi = _density_at_nodes(sol, boundary_nodes(job.mapping, rule)[1])
-    targets = np.concatenate([z_in[nb:], job.mapping.eval(w_out[nb:])])
-    quad = kelvin_single_layer(phi, job.mapping, job.material, targets, rule)
-    worst = float(np.max(np.abs(np.concatenate([s_in[nb:], s_out[nb:]]) - quad)))
-    checks.append(("oracle_quadrature", worst, ORACLE_TOL, worst < ORACLE_TOL))
-
-    width = max(len(name) for name, *_ in checks)
-    all_ok = True
-    for name, value, tol, ok in checks:
-        all_ok &= ok
+    width = max(len(c.name) for c in checks)
+    for c in checks:
         print(
-            f"{name.ljust(width)}  {value:12.4e}  (tol {tol:8.1e})  "
-            f"{'pass' if ok else 'FAIL'}"
+            f"{c.name.ljust(width)}  {c.value:12.4e}  (tol {c.tol:8.1e})  "
+            f"{'pass' if c.ok else 'FAIL'}"
         )
-    return EXIT_OK if all_ok else EXIT_VALIDATION
+    return EXIT_OK if all(c.ok for c in checks) else EXIT_VALIDATION
 
 
 def cmd_faber_table(job: JobConfig) -> int:

@@ -18,6 +18,11 @@ that the certification role does not require.  At the q rule nodes the
 density sum_m (s_m e^{-im theta} + t_m e^{im theta}) / h is one
 length-q inverse FFT (``_density_at_nodes``); from order q/2 on,
 modes fold onto the slots of lower ones, as the rule sees them.
+
+``validation_checks`` is the one owner of the package's checks and
+their tolerances: it returns them as frozen ``Check`` records, and
+``residual_checks`` gives the transmission and equilibrium subset that
+``solve`` writes.  The command line only prints the records.
 """
 
 from __future__ import annotations
@@ -29,11 +34,17 @@ import numpy as np
 from .conformal import ExteriorMap
 from .errors import ProximityError
 from .faber import FaberTable
-from .fields import single_layer_interior
+from .fields import single_layer_exterior, single_layer_interior
 from .loading import FarFieldLoading, Material, eval_u0
 from .solver import DensitySolution
 
 STANDOFF = 0.05
+
+TRANSMISSION_TOL = 1e-6
+EQUILIBRIUM_TOL = 1e-8
+CONTINUITY_TOL = 1e-6
+ORACLE_TOL = 1e-6
+GRUNSKY_SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -211,3 +222,91 @@ def equilibrium_residual(
     total = np.sum(phi * h) * rule.weight
     moment = np.sum(phi * np.conj(zeta) * h) * rule.weight
     return np.array([abs(total.real), abs(total.imag), abs(moment.imag)])
+
+
+@dataclass(frozen=True)
+class Check:
+    """One certification: its measured value, tolerance and verdict."""
+
+    name: str
+    value: float
+    tol: float
+    ok: bool
+
+
+def residual_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple:
+    """The transmission residual on 256 boundary points and the three
+    equilibrium moments on a q-node rule, as ``Check`` records; the
+    arguments are those of ``transmission_residual``."""
+    trans = transmission_residual(sol, mapping, table, loading, mat, 256)
+    moments = [float(v) for v in equilibrium_residual(sol, mapping, q)]
+    return (
+        Check("transmission", trans, TRANSMISSION_TOL, trans < TRANSMISSION_TOL),
+        *(
+            Check(f"equilibrium_{k}", v, EQUILIBRIUM_TOL, v < EQUILIBRIUM_TOL)
+            for k, v in enumerate(moments, start=1)
+        ),
+    )
+
+
+def validation_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple:
+    """Every check of a solve, as ``Check`` records in a fixed order.
+
+    The Grunsky symmetry, bound and strong inequality of the table; the
+    transmission residual and the largest equilibrium moment; the gap of
+    the interior and exterior series across the boundary; and the
+    largest gap of both series against the Kelvin quadrature of the
+    density on a q-node rule, at 10 points inside and 10 outside.  The
+    inside points lie on a circle about the boundary's centroid; those
+    closer than STANDOFF to the rule nodes, as in a thin inclusion, are
+    left out.  A NaN anywhere fails its check.
+    """
+    n = min(24, table.order)
+    c = table.grunsky[:n, :n]
+    idx = np.arange(1, n + 1)
+    sym = float(np.abs(idx[None, :] * c - (idx[None, :] * c).T).max())
+    bound = float((np.abs(c) - 2.0 * idx[:, None] * (1 + 1e-8)).max())
+    rng = np.random.default_rng(0)
+    # np.min/np.max, unlike the builtins, propagate NaN, so a NaN fails
+    r = min(5, n)
+    slacks = []
+    for _ in range(5):
+        lam = rng.normal(size=r) + 1j * rng.normal(size=r)
+        lhs = np.sum(idx * np.abs(lam @ c[:r]) ** 2)
+        rhs = float(np.sum(np.arange(1, r + 1) * np.abs(lam) ** 2))
+        slacks.append(rhs - lhs)
+    worst_slack = float(np.min(slacks))
+    trans, *moments = residual_checks(sol, mapping, table, loading, mat, q)
+    eqmax = float(np.max([m.value for m in moments]))
+
+    # both series at the same boundary points z = Psi(e^{i theta}), and
+    # each at its oracle points, in one call per series
+    rule = QuadratureRule(q)
+    zeta, h = boundary_nodes(mapping, rule)
+    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    boundary = mapping.boundary_point(theta)
+    center = boundary.mean()
+    ring = center + 0.45 * np.abs(boundary - center).min() * np.exp(
+        1j * (2.0 * np.pi * np.arange(10) / 10)
+    )
+    ring = ring[np.abs(ring[:, None] - zeta).min(axis=1) >= STANDOFF]
+    z_in = np.concatenate([boundary, ring])
+    w_out = np.concatenate(
+        [np.exp(1j * theta), 1.5 * np.exp(2j * np.pi * np.arange(10) / 10)]
+    )
+    s_in = single_layer_interior(sol, table, mapping, mat, z_in)
+    s_out = single_layer_exterior(sol, table, mapping, mat, w_out)
+    nb = len(theta)
+    cont = float(np.abs(s_in[:nb] - s_out[:nb]).max())
+    targets = np.concatenate([ring, mapping.eval(w_out[nb:])])
+    quad = kelvin_single_layer(_density_at_nodes(sol, h), mapping, mat, targets, rule)
+    worst = float(np.max(np.abs(np.concatenate([s_in[nb:], s_out[nb:]]) - quad)))
+    return (
+        Check("grunsky_symmetry", sym, GRUNSKY_SYMMETRY_TOL, sym < GRUNSKY_SYMMETRY_TOL),
+        Check("grunsky_bound", bound, 0.0, bound <= 0.0),
+        Check("grunsky_strong_inequality", -worst_slack, 1e-8, worst_slack >= -1e-8),
+        trans,
+        Check("equilibrium", eqmax, EQUILIBRIUM_TOL, eqmax < EQUILIBRIUM_TOL),
+        Check("boundary_continuity", cont, CONTINUITY_TOL, cont < CONTINUITY_TOL),
+        Check("oracle_quadrature", worst, ORACLE_TOL, worst < ORACLE_TOL),
+    )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from faberelast.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_VALIDATION, main
-from util import count_univalence_checks, random_univalent_map
+from util import HARD_SHAPES, count_univalence_checks, random_univalent_map
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,6 +28,22 @@ def write_config(tmp_path, text, name="job.cfg", **kw):
     path = tmp_path / name
     path.write_text(text.format(**kw))
     return str(path)
+
+
+def high_degree_config(tmp_path):
+    """A seeded map of order 8 under a random loading of degree 60."""
+    rng = np.random.default_rng(860)
+    mp = random_univalent_map(rng, 8)
+    A = rng.normal(size=61) + 1j * rng.normal(size=61)
+    B = rng.normal(size=61) + 1j * rng.normal(size=61)
+    text = (
+        f"map = {_pairs(mp.coefficient(k) for k in range(9))}\n"
+        f"lambda = 1\nmu = 1\nA = {_pairs(A)}\nB = {_pairs(B)}\n"
+        "truncation_N = 68\n"
+    )
+    cfg = tmp_path / "high.cfg"
+    cfg.write_text(text)
+    return str(cfg)
 
 
 class TestConfigParsing:
@@ -218,24 +234,23 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg]) == EXIT_OK
 
     def test_high_degree_config(self, tmp_path, monkeypatch):
-        # map order 8 under a random loading of degree 60
         monkeypatch.chdir(tmp_path)
-        rng = np.random.default_rng(860)
-        mp = random_univalent_map(rng, 8)
+        assert main(["validate", "--config", high_degree_config(tmp_path)]) == EXIT_OK
 
-        def pairs(values):
-            return " ".join(f"{complex(v).real!r},{complex(v).imag!r}" for v in values)
-
-        A = rng.normal(size=61) + 1j * rng.normal(size=61)
-        B = rng.normal(size=61) + 1j * rng.normal(size=61)
-        text = (
-            f"map = {pairs(mp.coefficient(k) for k in range(9))}\n"
-            f"lambda = 1\nmu = 1\nA = {pairs(A)}\nB = {pairs(B)}\n"
-            "truncation_N = 68\n"
+    @pytest.mark.parametrize("name", sorted(HARD_SHAPES))
+    def test_hard_shapes_pass(self, tmp_path, monkeypatch, capsys, name):
+        # on the thin ellipses the interior oracle ring lies within the
+        # quadrature standoff; those targets are left out, not an error
+        monkeypatch.chdir(tmp_path)
+        mp = HARD_SHAPES[name]
+        cfg = write_config(
+            tmp_path,
+            f"map = {_pairs(mp.coefficients)}\nalpha1 = 0.5\nkappa = 0.3\n"
+            "A = 0,0 1,0\nB = 0,0 1,0\n",
         )
-        cfg = tmp_path / "high.cfg"
-        cfg.write_text(text)
-        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        assert main(["validate", "--config", cfg]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and all(line.endswith("  pass") for line in lines)
 
     def test_table_order_below_five(self, tmp_path, monkeypatch, capsys):
         # truncation_N = 3 on the disk gives a table of order 4, fewer
@@ -249,6 +264,63 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 8 and all(line.endswith("  pass") for line in lines)
+
+
+class TestCheckRecords:
+    """The CLI prints the oracle's records and adds nothing but the
+    univalence row."""
+
+    @staticmethod
+    def _config(tmp_path, name):
+        if name == "high":
+            return high_degree_config(tmp_path)
+        return str(CONFIGS / f"{name}.cfg")
+
+    @staticmethod
+    def _solved(cfg):
+        from faberelast.cli import _solve_job, load_job
+
+        job = load_job(cfg)
+        table, sol = _solve_job(job)
+        return (sol, job.mapping, table, job.loading, job.material, job.quadrature_q)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "high"])
+    def test_validate_prints_the_records(self, tmp_path, monkeypatch, capsys, name):
+        from faberelast import validation_checks
+
+        monkeypatch.chdir(tmp_path)
+        cfg = self._config(tmp_path, name)
+        assert main(["validate", "--config", cfg]) == EXIT_OK
+        records = validation_checks(*self._solved(cfg))
+        expected = [("univalence", 0.0, 0.5, True)] + [
+            (c.name, c.value, c.tol, c.ok) for c in records
+        ]
+        width = max(len(n) for n, *_ in expected)
+        lines = [
+            f"{n.ljust(width)}  {v:12.4e}  (tol {t:8.1e})  {'pass' if ok else 'FAIL'}"
+            for n, v, t, ok in expected
+        ]
+        assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "high"])
+    def test_summary_keys_are_the_records(self, tmp_path, monkeypatch, name):
+        from faberelast import residual_checks
+
+        monkeypatch.chdir(tmp_path)
+        cfg = self._config(tmp_path, name)
+        assert main(["solve", "--config", cfg, "--out", "r"]) == EXIT_OK
+        keys = [line.split(" = ")[0] for line in Path("r_summary.txt").read_text().splitlines()]
+        names = [c.name + "_residual" for c in residual_checks(*self._solved(cfg))]
+        assert keys == ["c1", "c2", "c3", *names, "status"]
+
+    def test_check_is_frozen(self):
+        import dataclasses
+
+        from faberelast import Check
+
+        check = Check("transmission", 0.0, 1e-6, True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            check.ok = False
 
 
 class TestParserReuse:
@@ -446,11 +518,11 @@ class TestValidateNaN:
         return line
 
     def test_nan_oracle_fails(self, tmp_path, monkeypatch, capsys):
-        import faberelast.cli as cli
+        import faberelast.oracle as oracle
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(
-            cli, "kelvin_single_layer", lambda *a, **k: complex(np.nan, np.nan)
+            oracle, "kelvin_single_layer", lambda *a, **k: complex(np.nan, np.nan)
         )
         cfg = str(CONFIGS / "fig1.cfg")
         assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
@@ -459,15 +531,29 @@ class TestValidateNaN:
 
     def test_nan_equilibrium_fails(self, tmp_path, monkeypatch, capsys):
         # a NaN behind a finite first moment
-        import faberelast.cli as cli
+        import faberelast.oracle as oracle
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(
-            cli, "equilibrium_residual", lambda *a, **k: np.array([0.0, np.nan, 0.0])
+            oracle, "equilibrium_residual", lambda *a, **k: np.array([0.0, np.nan, 0.0])
         )
         cfg = str(CONFIGS / "fig1.cfg")
         assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
         assert self._check_line(capsys, "equilibrium").endswith("FAIL")
+
+    def test_nan_exterior_series_fails(self, tmp_path, monkeypatch, capsys):
+        import faberelast.oracle as oracle
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            oracle, "single_layer_exterior",
+            lambda *a, **k: np.full(np.shape(a[4]), complex(np.nan, np.nan)),
+        )
+        cfg = str(CONFIGS / "fig1.cfg")
+        assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line.split()[0] for line in lines if line.endswith("FAIL")]
+        assert failed == ["boundary_continuity", "oracle_quadrature"]
 
 
 # Frozen copies of the per-value writers the CLI used before every CSV
@@ -613,13 +699,14 @@ class TestCsvWritersByteIdentical:
 
     def _write_hand_solution(self, tmp_path, s, t):
         from faberelast.cli import _write_solution
+        from faberelast.oracle import Check
         from faberelast.solver import DensitySolution
 
         sol = DensitySolution(s=np.asarray(s), t=np.asarray(t), c1=0.0, c2=0.0,
                               c3=0.0, order=len(s))
-        summary = {"transmission": 0.0, "equilibrium_1": 0.0,
-                   "equilibrium_2": 0.0, "equilibrium_3": 0.0}
-        _write_solution(SimpleNamespace(output_path=str(tmp_path / "h")), sol, summary)
+        checks = [Check(name, 0.0, 1.0, True) for name in
+                  ("transmission", "equilibrium_1", "equilibrium_2", "equilibrium_3")]
+        _write_solution(SimpleNamespace(output_path=str(tmp_path / "h")), sol, checks)
         return sol, (tmp_path / "h_solution.csv").read_bytes()
 
     def test_hand_built_solution_matches_frozen_writer(self, tmp_path):
