@@ -21,6 +21,15 @@ when Psi is univalent.  The map owns that rule: ``univalence`` runs
 solver and the field evaluators call it; evaluation, inversion and the
 Faber tables do not.
 
+The map also owns its equispaced boundary samples.  ``_boundary_values(q)``
+sums Psi - w and Psi' - 1 once at w_k = e^{2 pi i k/q}, k < q, and gives
+(w, Psi(w), Psi'(w)) with the bits of ``boundary_point`` and
+``derivative``; ``boundary_samples(q)`` keeps them read-only on the map,
+one entry per q, for the quadrature nodes and residuals of oracle and
+the boundary polygon of ``field_grid``.  The univalence check sums the
+same values and keeps none: a map that is only solved would otherwise
+hold its 2048 samples (98 KB) for as long as it lives.
+
 Everything the method sums is a polynomial in u = 1/w: Psi - w and
 Psi' - 1 (``ExteriorMap._u_rows``) here, the single layer and the
 background field outside the inclusion in fields.  One kernel sums them
@@ -102,8 +111,8 @@ class ExteriorMap:
     coefficients: tuple = ()
     conformal_radius: float = 1.0
     _coeff_array: np.ndarray = field(init=False, repr=False, compare=False)
-    #: (q, zeta, h) of the last quadrature rule, kept by ``oracle.boundary_nodes``
-    _nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: q -> the read-only (w, Psi(w), Psi'(w)) of ``boundary_samples(q)``
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.conformal_radius != 1.0:
@@ -198,6 +207,26 @@ class ExteriorMap:
         out = self._eval_raw(np.exp(1j * theta))
         return complex(out) if scalar else out
 
+    def _boundary_values(self, q: int) -> tuple:
+        """(w, Psi(w), Psi'(w)) at w_k = e^{2 pi i k/q}, k < q, from one
+        kernel pass over both rows; nothing is kept."""
+        w = np.exp(1j * (2.0 * np.pi * np.arange(q) / q))
+        dz, ddz = _blocked_horner(self._u_rows, 1.0 / w)
+        return w, w + dz, 1.0 + ddz
+
+    def boundary_samples(self, q: int) -> tuple:
+        """``_boundary_values(q)``, made read-only and kept on the map per q.
+
+        The bits are those of ``boundary_point`` and ``derivative`` at the
+        same points.
+        """
+        if q not in self._samples:
+            values = self._boundary_values(q)
+            for v in values:
+                v.setflags(write=False)
+            self._samples[q] = values
+        return self._samples[q]
+
     def scale_factor(self, rho, theta):
         """Curvilinear scale factor h = |w Psi'(w)| at w = e^{rho+i*theta}.
 
@@ -284,10 +313,9 @@ class ExteriorMap:
         zeros = tuple(complex(r) for r in roots[radius >= 1.0 - derivative_tol])
         winding = int(np.count_nonzero(radius > 1.0 + derivative_tol))
 
-        w = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n_boundary, endpoint=False))
-        dz, ddz = _blocked_horner(self._u_rows, 1.0 / w)
-        min_abs = float(np.abs(1.0 + ddz).min())
-        crossings = _polyline_self_intersections(w + dz)
+        _, z, dpsi = self._boundary_values(n_boundary)
+        min_abs = float(np.abs(dpsi).min())
+        crossings = _polyline_self_intersections(z)
 
         return UnivalenceReport(
             ok=not zeros and not crossings,

@@ -126,8 +126,8 @@ class FaberTable:
 
     def grunsky_row(self, m: int) -> np.ndarray:
         """All nonzero Grunsky coefficients of row m: c_{m,1} ... c_{m,mM}."""
-        top = max(m * max(self.mapping.order, 1), 0)
-        return self._grunsky_wide[m, 1 : top + 1]
+        _check_index(self, m)
+        return self._grunsky_wide[m, 1 : m * max(self.mapping.order, 1) + 1]
 
     @cached_property
     def gamma(self) -> np.ndarray:

@@ -423,9 +423,7 @@ def field_grid(
     ambiguous = np.zeros(Z.shape, dtype=bool)
     undecided = np.nonzero(~converged)[0]
     if len(undecided):
-        poly = mapping.boundary_point(
-            np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-        )
+        poly = mapping.boundary_samples(1024)[1]
         outside = undecided[~_points_in_polygon(Z[undecided], poly)]
         region[outside] = BOUNDARY  # ambiguous: report as boundary
         ambiguous[outside] = True

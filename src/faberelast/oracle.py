@@ -19,6 +19,10 @@ density sum_m (s_m e^{-im theta} + t_m e^{im theta}) / h is one
 length-q inverse FFT (``_density_at_nodes``); from order q/2 on,
 modes fold onto the slots of lower ones, as the rule sees them.
 
+The rule nodes, and the boundary points of the residuals, are the map's
+kept ``boundary_samples(q)``, so one run sums the map once per node
+count; nothing here sets an attribute on a map.
+
 ``validation_checks`` is the one owner of the package's checks and
 their tolerances: it returns them as frozen ``Check`` records, and
 ``residual_checks`` gives the transmission and equilibrium subset that
@@ -65,18 +69,14 @@ class QuadratureRule:
 
 
 def boundary_nodes(mapping: ExteriorMap, rule: QuadratureRule) -> tuple:
-    """Boundary points and arclength densities at the rule nodes, read-only.
+    """Boundary points zeta = Psi(w) and arclength densities h = |w Psi'(w)|
+    at the rule nodes w = e^{i theta}.
 
-    The map keeps the pair for the last node count in one slot, so the
-    quadratures of one ``validate`` run build it once.
+    zeta is the map's kept, read-only ``boundary_samples(q)``, so the
+    quadratures of one ``validate`` run sum the map once.
     """
-    if mapping._nodes is None or mapping._nodes[0] != rule.q:
-        zeta = mapping.boundary_point(rule.theta)
-        h = mapping.scale_factor(np.zeros_like(rule.theta), rule.theta)
-        zeta.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(mapping, "_nodes", (rule.q, zeta, h))
-    return mapping._nodes[1:]
+    w, zeta, dpsi = mapping.boundary_samples(rule.q)
+    return zeta, np.abs(w * dpsi)
 
 
 def _density_at_nodes(sol: DensitySolution, h: np.ndarray) -> np.ndarray:
@@ -195,9 +195,13 @@ def transmission_residual(
     q: int = 256,
 ) -> float:
     """Max boundary mismatch of S + u0 against the rigid motion."""
-    theta = 2.0 * np.pi * np.arange(q) / q
-    zb = mapping.boundary_point(theta)
+    zb = mapping.boundary_samples(q)[1]
     S = single_layer_interior(sol, table, mapping, mat, zb)
+    return _boundary_mismatch(sol, table, loading, mat, zb, S)
+
+
+def _boundary_mismatch(sol, table, loading, mat, zb, S) -> float:
+    """max |S + u0 - rigid motion| at the boundary points zb, S given there."""
     u0 = eval_u0(loading, table, mat, zb)
     return float(np.abs(S + u0 - sol.rigid_motion(zb)).max())
 
@@ -259,7 +263,11 @@ def validation_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple
     density on a q-node rule, at 10 points inside and 10 outside.  The
     inside points lie on a circle about the boundary's centroid; those
     closer than STANDOFF to the rule nodes, as in a thin inclusion, are
-    left out.  A NaN anywhere fails its check.
+    left out.  One interior sum at the 256 boundary points of
+    ``transmission_residual`` and at the inside points gives the
+    transmission residual, with the bits of ``residual_checks``, the
+    continuity gap and the inside oracle values.  A NaN anywhere fails
+    its check.
     """
     n = min(24, table.order)
     c = table.grunsky[:n, :n]
@@ -276,27 +284,23 @@ def validation_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple
         rhs = float(np.sum(np.arange(1, r + 1) * np.abs(lam) ** 2))
         slacks.append(rhs - lhs)
     worst_slack = float(np.min(slacks))
-    trans, *moments = residual_checks(sol, mapping, table, loading, mat, q)
-    eqmax = float(np.max([m.value for m in moments]))
+    eqmax = float(np.max(equilibrium_residual(sol, mapping, q)))
 
-    # both series at the same boundary points z = Psi(e^{i theta}), and
-    # each at its oracle points, in one call per series
+    # both series at the 256 boundary points z = Psi(w) of the transmission
+    # residual, and each at its oracle points, in one call per series
     rule = QuadratureRule(q)
     zeta, h = boundary_nodes(mapping, rule)
-    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    boundary = mapping.boundary_point(theta)
+    w, boundary, _ = mapping.boundary_samples(256)
     center = boundary.mean()
-    ring = center + 0.45 * np.abs(boundary - center).min() * np.exp(
-        1j * (2.0 * np.pi * np.arange(10) / 10)
-    )
+    radius = 0.45 * np.abs(boundary - center).min()
+    ring = center + radius * np.exp(1j * (2.0 * np.pi * np.arange(10) / 10))
     ring = ring[np.abs(ring[:, None] - zeta).min(axis=1) >= STANDOFF]
     z_in = np.concatenate([boundary, ring])
-    w_out = np.concatenate(
-        [np.exp(1j * theta), 1.5 * np.exp(2j * np.pi * np.arange(10) / 10)]
-    )
+    w_out = np.concatenate([w, 1.5 * np.exp(2j * np.pi * np.arange(10) / 10)])
     s_in = single_layer_interior(sol, table, mapping, mat, z_in)
     s_out = single_layer_exterior(sol, table, mapping, mat, w_out)
-    nb = len(theta)
+    nb = len(w)
+    trans = _boundary_mismatch(sol, table, loading, mat, boundary, s_in[:nb])
     cont = float(np.abs(s_in[:nb] - s_out[:nb]).max())
     targets = np.concatenate([ring, mapping.eval(w_out[nb:])])
     quad = kelvin_single_layer(_density_at_nodes(sol, h), mapping, mat, targets, rule)
@@ -305,7 +309,7 @@ def validation_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple
         Check("grunsky_symmetry", sym, GRUNSKY_SYMMETRY_TOL, sym < GRUNSKY_SYMMETRY_TOL),
         Check("grunsky_bound", bound, 0.0, bound <= 0.0),
         Check("grunsky_strong_inequality", -worst_slack, 1e-8, worst_slack >= -1e-8),
-        trans,
+        Check("transmission", trans, TRANSMISSION_TOL, trans < TRANSMISSION_TOL),
         Check("equilibrium", eqmax, EQUILIBRIUM_TOL, eqmax < EQUILIBRIUM_TOL),
         Check("boundary_continuity", cont, CONTINUITY_TOL, cont < CONTINUITY_TOL),
         Check("oracle_quadrature", worst, ORACLE_TOL, worst < ORACLE_TOL),

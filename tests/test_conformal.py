@@ -496,6 +496,33 @@ class TestDerivativeZeros:
             assert random_univalent_map(rng, order, margin=0.99).validate_univalence().ok
 
 
+class TestBoundarySamples:
+    """The map's one sampler at w_k = e^{2 pi i k/q}: the bits of its own
+    evaluators, kept read-only per q; the univalence check keeps none."""
+
+    # orders up to 30 take plain Horner, 31 and 64 the blocked sum
+    @pytest.mark.parametrize("order", [0, 1, 12, 30, 31, 64])
+    @pytest.mark.parametrize("q", [256, 2048])
+    def test_bits_of_the_evaluators(self, order, q):
+        rng = np.random.default_rng(order)
+        mp = random_univalent_map(rng, order) if order else ExteriorMap((0.3 - 0.1j,))
+        theta = 2.0 * np.pi * np.arange(q) / q
+        w = np.exp(1j * theta)
+        samples = mp.boundary_samples(q)
+        for got, want in zip(samples, (w, mp.boundary_point(theta), mp.derivative(w))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable
+        assert all(a is b for a, b in zip(mp.boundary_samples(q), samples))
+
+    def test_solve_keeps_none(self):
+        mp = ExteriorMap(FIG_MAPS["fig2"].coefficients)  # a map object of its own
+        table = build_faber(mp, required_table_order(mp, 24))
+        solve_full(mp, FIG_LOADING, FIG_MATERIAL, 24, table=table)
+        assert mp.univalence.ok and mp._samples == {}
+        mp.validate_univalence(n_boundary=1024)
+        assert mp._samples == {}
+
+
 class TestUnivalenceGate:
     """The map owns the univalence rule: its report is built once per map
     object, and the solver and the field evaluators refuse a failing map."""

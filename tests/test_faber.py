@@ -141,6 +141,21 @@ class TestGrunsky:
                 ck = np.mean(fm * w**k)
                 assert abs(ck - table.grunsky[m - 1, k - 1]) < 1e-10
 
+    @pytest.mark.parametrize("order", [0, 2, 12])
+    def test_row_index_is_checked(self, order):
+        rng = np.random.default_rng(order)
+        mp = random_univalent_map(rng, order) if order else ExteriorMap(())
+        n = 10
+        table = build_faber(mp, n)
+        for m in (-1, -2, n + 1):
+            with pytest.raises(IndexError, match=f"Faber index {m} outside table order {n}"):
+                table.grunsky_row(m)
+        width = max(mp.order, 1)
+        assert table.grunsky_row(0).shape == (0,)
+        row = table.grunsky_row(n)
+        assert row.shape == (n * width,)
+        assert np.array_equal(row, table._grunsky_wide[n, 1 : n * width + 1])
+
 
 class TestDerivativeBasis:
     def test_ellipse_closed_form(self):

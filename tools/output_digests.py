@@ -1,0 +1,69 @@
+"""Print the exit code and sha256 digests of every subcommand's outputs.
+
+    python3 tools/output_digests.py > digests.txt
+
+Runs ``solve``, ``field``, ``validate`` and ``faber-table`` through
+``faberelast.cli.main`` on configs/fig1-fig3, on the ``high_degree_cli``
+config that benchmarks/inputs.py writes (map order 12, loading degree
+120), and on the non-univalent map w + 2/w, each run into a fresh
+temporary directory.  Prints one line per run with the exit code and the
+sha256 of stdout and stderr, where the output prefix reads ``<out>``,
+then one indented line per output file with its sha256.  Run it in two
+checkouts and diff the text: byte-identical outputs print identical
+lines.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks")]
+import inputs  # noqa: E402
+from faberelast.cli import main  # noqa: E402
+
+COMMANDS = ("solve", "field", "validate", "faber-table")
+#: Psi' of w + 2/w has two zeros outside the disk
+NON_UNIVALENT = (
+    "map = 0,0 2,0\nalpha1 = 0.5\nkappa = 0.3\nA = 0,0 1,0\nB = 0,0 1,0\n"
+    "truncation_N = 8\nquadrature_Q = 512\ngrid = -3 3 -3 3 11 11\n"
+)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cases(tmp: Path) -> list:
+    """(name, config path) of every case; generated configs go into tmp."""
+    named = [(fig, REPO / "configs" / f"{fig}.cfg") for fig in ("fig1", "fig2", "fig3")]
+    high = inputs.build("high_degree_cli", 1, REPO, tmp).cli_cases[0]
+    non_univalent = tmp / "non_univalent.cfg"
+    non_univalent.write_text(NON_UNIVALENT)
+    return named + [("high_degree", high.config), ("non_univalent", non_univalent)]
+
+
+def digests(name: str, command: str, config: Path, out_dir: Path) -> list:
+    """The digest lines of one run of case ``name``, its outputs under out_dir."""
+    out_dir.mkdir()
+    prefix = str(out_dir / "out")
+    streams = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+        code = main([command, "--config", str(config), "--out", prefix])
+    out, err = (s.getvalue().replace(prefix, "<out>").encode() for s in streams)
+    lines = [f"{name} {command} exit {code} stdout {sha(out)} stderr {sha(err)}"]
+    lines += [f"  {p.name} {sha(p.read_bytes())}" for p in sorted(out_dir.iterdir())]
+    return lines
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in cases(Path(tmp)):
+            for command in COMMANDS:
+                out_dir = Path(tmp) / f"{name}-{command}"
+                print("\n".join(digests(name, command, config, out_dir)))
