@@ -133,6 +133,9 @@ class ExteriorMap:
         object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
         object.__setattr__(self, "_coeff_array", coeffs)
 
+    def __reduce__(self):  # through the constructor: kept rows, samples and report are rebuilt
+        return type(self), (self.coefficients, self.conformal_radius)
+
     @property
     def order(self) -> int:
         """Tight Laurent order M (0 for a plain or shifted disk)."""

@@ -9,8 +9,9 @@ with s_n or t_n nonzero, both share the weights
     W_j = sum_m s_m conj(a_{j+m}) + t_m conj(a_{j-m}),  j = -n-1 .. n+M.
 
 Inside the inclusion the field is a Kolosov-Muskhelishvili displacement
-of two Faber series, summed as u0 is (``loading._km_displacement``).
-With alpha1 = kappa alpha2 (see Material),
+of two Faber series, as u0 is, and ``loading._km_displacement`` sums
+both from one table of Faber values (``_interior_field``).  With
+alpha1 = kappa alpha2 (see Material),
 
     S = -(alpha2/2) (kappa phi(z) - z conj(phi'(z)) - conj(psi(z))),
     phi = sum_m (t_m/m) F_m,
@@ -50,8 +51,10 @@ h' Psi' and l is a polynomial in w (from A_m, B_m alone) plus one in u
 is given z, and Newton inversion stops within 1e-12 max(1, |z|) of it,
 so ``field_grid`` polishes each exterior preimage with one more Newton
 step from the map rows, which takes |Psi(w) - z| to rounding, and then
-sums S and u0 at it as a probe does.  ``eval_u0`` and
-``single_layer_interior`` run only at interior and boundary points.
+sums S and u0 at it as a probe does.  Interior and boundary points,
+and the boundary branch of ``displacement``, take S and u0 from one
+``_interior_field`` call, so the Faber recurrence runs once per point
+set and only there.
 
 The rows do not depend on w or on the Material, so each set is built
 once, from one product with the Grunsky rows, and kept: the (4, K) rows
@@ -84,7 +87,7 @@ import numpy as np
 from .conformal import _INSIDE_TOL, ExteriorMap, _row_sums
 from .errors import DomainError
 from .faber import FaberTable, _derivative_coefficients, _tail, check_table_map
-from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials, eval_u0
+from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials
 from .solver import DensitySolution
 
 _BOUNDARY_TOL = 1e-10
@@ -197,6 +200,23 @@ def _kept_rows(owner, table: FaberTable, build) -> tuple:
     return slot[1]
 
 
+def _S_potentials(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap,
+                  mat: Material) -> tuple:
+    """Faber coefficients (phi, psi) of S inside, as the module docstring writes them."""
+    _check_table(sol, table, mapping)
+    n, s, t, W = _weights(sol, mapping)
+    M = mapping.order
+    j = np.arange(1, n + M + 1)
+    scale = -0.5 * mat.alpha2
+    # psi reaches index n+M-1, past n when M > 1
+    phi, psi = np.zeros((2, max(n + 1, n + M)), dtype=complex)
+    phi[1 : n + 1] = scale * t / j[:n]
+    psi[1 : n + 1] = -mat.kappa * scale * np.conj(s) / j[:n]
+    W_over_j = np.concatenate(([0.0], scale * W[n + 2 :] / j))
+    psi[: n + M] -= _derivative_coefficients(W_over_j, table.d)
+    return phi, psi
+
+
 def single_layer_interior(
     sol: DensitySolution,
     table: FaberTable,
@@ -205,19 +225,18 @@ def single_layer_interior(
     z,
 ):
     """Single-layer value S at z in the closed inclusion."""
-    _check_table(sol, table, mapping)
-    n, s, t, W = _weights(sol, mapping)
-    M = mapping.order
-    j = np.arange(1, n + M + 1)
-    scale = -0.5 * mat.alpha2
-    # psi reaches index n+M-1, past n when M > 1
-    phi = np.zeros(max(n + 1, n + M), dtype=complex)
-    psi = np.zeros_like(phi)
-    phi[1 : n + 1] = scale * t / j[:n]
-    psi[1 : n + 1] = -mat.kappa * scale * np.conj(s) / j[:n]
-    W_over_j = np.concatenate(([0.0], scale * W[n + 2 :] / j))
-    psi[: n + M] -= _derivative_coefficients(W_over_j, table.d)
-    return _km_displacement(phi, psi, table, mat.kappa, z)
+    return _km_displacement([_S_potentials(sol, table, mapping, mat)], table, mat.kappa, z)[0]
+
+
+def _interior_field(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap,
+                    mat: Material, loading: FarFieldLoading, z) -> list:
+    """S and u0 at z, a point or an array in the closed inclusion.
+
+    Both are summed from one table of Faber values at z, so the
+    recurrence runs once per point set.
+    """
+    pairs = [_S_potentials(sol, table, mapping, mat), _u0_potentials(loading, table)]
+    return _km_displacement(pairs, table, mat.kappa, z)
 
 
 def _S_rows(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> tuple:
@@ -343,8 +362,7 @@ def displacement(
     mapping.require_univalent()
     if abs(w) <= 1.0 + _BOUNDARY_TOL:
         z = mapping.eval(w)
-        u0 = eval_u0(loading, table, mat, z)
-        S = single_layer_interior(sol, table, mapping, mat, z)
+        S, u0 = _interior_field(sol, table, mapping, mat, loading, z)
         return FieldSample(z=z, w=w, region=REGION_BOUNDARY, u0=u0, S=S,
                            u=complex(sol.rigid_motion(z)))
     wa = np.array([w])
@@ -405,7 +423,7 @@ def field_grid(
     rows, which takes |Psi(w) - z| from the inversion tolerance to
     rounding, and S and u0 at it are summed from the rows kept on the
     solution and the loading, as ``displacement`` sums them.
-    ``eval_u0`` and ``single_layer_interior`` run at the other points.
+    The other points take S and u0 from one ``_interior_field`` call.
     The result is a FieldGrid of arrays of shape (ny, nx); an exterior
     sample holds the polished w and u = u0 + S.  A map that fails its
     univalence check raises NonUnivalentMapError.
@@ -434,10 +452,8 @@ def field_grid(
 
     u0, S, u = np.empty_like(Z), np.empty_like(Z), np.empty_like(Z)
     S[ext], u0[ext], u[ext] = Se, u0e, u0e + Se
-    z = Z[inner]
-    u0[inner] = eval_u0(loading, table, mat, z)
-    S[inner] = single_layer_interior(sol, table, mapping, mat, z)
-    u[inner] = sol.rigid_motion(z)
+    S[inner], u0[inner] = _interior_field(sol, table, mapping, mat, loading, Z[inner])
+    u[inner] = sol.rigid_motion(Z[inner])
 
     shape = (grid.ny, grid.nx)
     return FieldGrid(

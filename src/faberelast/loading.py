@@ -12,13 +12,15 @@ That is the Kolosov-Muskhelishvili form kappa h - z conj(h') - conj(l).
 ``eval_u0`` sums it from the values of F_0 .. F_p alone: h' is
 re-expanded in the Faber basis through the coefficients d of 1/Psi' (see
 faber), so no derivative recurrence runs.  The interior single layer of
-fields is the same form of two other Faber series and goes through the
-same sum.  At an exterior point z = Psi(w), a probe or a grid point,
-fields evaluates u0 without any recurrence, through the Grunsky rows:
-F_m(Psi(w)) = w**m + sum_k c_{m,k} w**-k and F_m'(Psi(w)) Psi'(w) =
-m w**(m-1) - sum_k k c_{m,k} w**-(k+1) make h, h' Psi' and l
-polynomials in w and 1/w.  Grids call ``eval_u0`` at their interior and
-boundary points only.
+fields is the same form of two other Faber series.  ``_km_displacement``
+takes a list of such (phi, psi) pairs and sums them all from one table
+of F_0 .. F_N, N the longest, so fields gets S and u0 at the same points
+from one recurrence; each pair keeps the bits of a sum of its own.  At
+an exterior point z = Psi(w), a probe or a grid point, fields evaluates
+u0 without any recurrence, through the Grunsky rows: F_m(Psi(w)) =
+w**m + sum_k c_{m,k} w**-k and F_m'(Psi(w)) Psi'(w) = m w**(m-1) -
+sum_k k c_{m,k} w**-(k+1) make h, h' Psi' and l polynomials in w and
+1/w.
 
 Keeping the loading as finite coefficient vectors keeps the downstream
 solve exact; the contour-sampling helper below converts a function-
@@ -99,7 +101,8 @@ class FarFieldLoading:
 
     A and B are read-only copies of the arrays given: the exterior probe
     of fields keeps coefficient rows built from them in ``_rows``, one
-    (table, rows) pair, so they must not change.
+    (table, rows) pair, so they must not change.  A pickle carries A and
+    B only, and the copy it makes rebuilds its rows.
     """
 
     A: np.ndarray
@@ -116,6 +119,9 @@ class FarFieldLoading:
         B.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
+
+    def __reduce__(self):  # through the constructor, without the kept rows
+        return type(self), (self.A, self.B)
 
     def coefficient_A(self, m: int) -> complex:
         return complex(self.A[m]) if 0 <= m < len(self.A) else 0.0 + 0.0j
@@ -143,25 +149,27 @@ class FarFieldLoading:
         )
 
 
-def _km_displacement(phi, psi, table: FaberTable, kappa: float, z):
-    """kappa phi(z) - z conj(phi'(z)) - conj(psi(z)) at z, a point or an array.
+def _km_displacement(pairs, table: FaberTable, kappa: float, z) -> list:
+    """kappa phi(z) - z conj(phi'(z)) - conj(psi(z)) at z for each (phi, psi) of ``pairs``.
 
-    phi and psi are Faber coefficient vectors of equal length N + 1;
-    phi' enters through its Faber coefficients from d, so only F_0..F_N
-    are evaluated.  ``table.d`` must hold d_0 .. d_{N-1}.
+    z is a point or an array.  phi and psi of a pair are Faber coefficient
+    vectors of equal length; phi' enters through its Faber coefficients
+    from d, so only F_0..F_N are evaluated, N + 1 the longest length.  One
+    table of them serves every pair, and each pair is summed over its own
+    prefix of it, so its bits are those of a table of its own length.
+    ``table.d`` must hold d_0 .. d_{N-1}.
     """
     z = np.asarray(z, dtype=complex)
     za = np.atleast_1d(z)
-    N = len(phi) - 1
-    coef = np.zeros((3, N + 1), dtype=complex)
-    coef[0] = phi
-    coef[1, :N] = _derivative_coefficients(phi, table.d)
-    coef[2] = psi
-    # einsum, not tensordot: a threaded BLAS spins up its threads for
-    # these thin products and then costs more than the whole sum
-    sums = np.einsum("rk,k...->r...", coef, _point_values(_tail(table.mapping), N, za))
-    out = kappa * sums[0] - za * np.conj(sums[1]) - np.conj(sums[2])
-    return complex(out[0]) if z.ndim == 0 else out
+    F = _point_values(_tail(table.mapping), max(len(phi) for phi, _ in pairs) - 1, za)
+    out = []
+    for phi, psi in pairs:
+        dphi = np.append(_derivative_coefficients(phi, table.d), 0.0)
+        # einsum, not tensordot: a threaded BLAS spins up its threads for
+        # these thin products and then costs more than the whole sum
+        sums = np.einsum("rk,k...->r...", np.stack([phi, dphi, psi]), F[: len(phi)])
+        out.append(kappa * sums[0] - za * np.conj(sums[1]) - np.conj(sums[2]))
+    return [complex(v[0]) if z.ndim == 0 else v for v in out]
 
 
 def _u0_potentials(loading: FarFieldLoading, table: FaberTable) -> tuple:
@@ -175,7 +183,7 @@ def _u0_potentials(loading: FarFieldLoading, table: FaberTable) -> tuple:
 
 def eval_u0(loading: FarFieldLoading, table: FaberTable, mat: Material, z):
     """Background displacement u0(z); valid in the whole plane."""
-    return _km_displacement(*_u0_potentials(loading, table), table, mat.kappa, z)
+    return _km_displacement([_u0_potentials(loading, table)], table, mat.kappa, z)[0]
 
 
 def faber_coefficients_from_samples(samples, m: int, r: float) -> complex:

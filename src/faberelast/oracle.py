@@ -4,9 +4,10 @@ The quadrature routines integrate the actual boundary kernels with the
 periodic trapezoid rule and know nothing about Faber polynomials or
 Grunsky coefficients, so agreement with the series evaluators is a
 genuine two-route certification.  ``transmission_residual`` is the
-exception: it evaluates the series itself (``single_layer_interior``
-and ``eval_u0``) on the boundary and measures how far S + u0 is from
-the rigid motion there.  Both series take their derivatives through the
+exception: it evaluates the interior series of S and u0 itself, from
+one table of Faber values on the boundary (``fields._interior_field``),
+and measures how far S + u0 is from the rigid motion there.  Both
+series take their derivatives through the
 coefficients d of 1/Psi', as the solve does, so that residual cannot
 catch a wrong d.  The independent checks of d are the Gamma identity
 test against the derivative recurrence, the Kelvin quadrature here,
@@ -38,8 +39,8 @@ import numpy as np
 from .conformal import ExteriorMap
 from .errors import ProximityError
 from .faber import FaberTable
-from .fields import single_layer_exterior, single_layer_interior
-from .loading import FarFieldLoading, Material, eval_u0
+from .fields import _interior_field, single_layer_exterior
+from .loading import FarFieldLoading, Material
 from .solver import DensitySolution
 
 STANDOFF = 0.05
@@ -196,13 +197,7 @@ def transmission_residual(
 ) -> float:
     """Max boundary mismatch of S + u0 against the rigid motion."""
     zb = mapping.boundary_samples(q)[1]
-    S = single_layer_interior(sol, table, mapping, mat, zb)
-    return _boundary_mismatch(sol, table, loading, mat, zb, S)
-
-
-def _boundary_mismatch(sol, table, loading, mat, zb, S) -> float:
-    """max |S + u0 - rigid motion| at the boundary points zb, S given there."""
-    u0 = eval_u0(loading, table, mat, zb)
+    S, u0 = _interior_field(sol, table, mapping, mat, loading, zb)
     return float(np.abs(S + u0 - sol.rigid_motion(zb)).max())
 
 
@@ -263,8 +258,8 @@ def validation_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple
     density on a q-node rule, at 10 points inside and 10 outside.  The
     inside points lie on a circle about the boundary's centroid; those
     closer than STANDOFF to the rule nodes, as in a thin inclusion, are
-    left out.  One interior sum at the 256 boundary points of
-    ``transmission_residual`` and at the inside points gives the
+    left out.  One interior sum of S and u0 at the 256 boundary points
+    of ``transmission_residual`` and at the inside points gives the
     transmission residual, with the bits of ``residual_checks``, the
     continuity gap and the inside oracle values.  A NaN anywhere fails
     its check.
@@ -286,8 +281,9 @@ def validation_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple
     worst_slack = float(np.min(slacks))
     eqmax = float(np.max(equilibrium_residual(sol, mapping, q)))
 
-    # both series at the 256 boundary points z = Psi(w) of the transmission
-    # residual, and each at its oracle points, in one call per series
+    # the interior series (S and u0 together) and the exterior one at the
+    # 256 boundary points z = Psi(w) of the transmission residual, and
+    # each at its oracle points, in one call per side
     rule = QuadratureRule(q)
     zeta, h = boundary_nodes(mapping, rule)
     w, boundary, _ = mapping.boundary_samples(256)
@@ -297,10 +293,10 @@ def validation_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple
     ring = ring[np.abs(ring[:, None] - zeta).min(axis=1) >= STANDOFF]
     z_in = np.concatenate([boundary, ring])
     w_out = np.concatenate([w, 1.5 * np.exp(2j * np.pi * np.arange(10) / 10)])
-    s_in = single_layer_interior(sol, table, mapping, mat, z_in)
+    s_in, u0 = _interior_field(sol, table, mapping, mat, loading, z_in)
     s_out = single_layer_exterior(sol, table, mapping, mat, w_out)
     nb = len(w)
-    trans = _boundary_mismatch(sol, table, loading, mat, boundary, s_in[:nb])
+    trans = float(np.abs(s_in[:nb] + u0[:nb] - sol.rigid_motion(boundary)).max())
     cont = float(np.abs(s_in[:nb] - s_out[:nb]).max())
     targets = np.concatenate([ring, mapping.eval(w_out[nb:])])
     quad = kelvin_single_layer(_density_at_nodes(sol, h), mapping, mat, targets, rule)

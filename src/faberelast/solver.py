@@ -63,10 +63,11 @@ class DensitySolution:
 
     ``s[m-1]`` and ``t[m-1]`` multiply the boundary modes
     e^{-i m theta}/h and e^{+i m theta}/h respectively; the four real
-    coefficient families are exposed as the views s1..s4.  ``solve_full``
-    returns s and t read-only: the exterior evaluators of fields keep
-    coefficient rows built from them in ``_rows``, one (table, rows)
-    pair, so they must not change.
+    coefficient families are exposed as the views s1..s4.  s and t are
+    read-only copies of the arrays given: the exterior evaluators of
+    fields keep coefficient rows built from them in ``_rows``, one
+    (table, rows) pair, so they must not change.  A pickle carries s, t
+    and the constants only, and the copy it makes rebuilds its rows.
     """
 
     s: np.ndarray
@@ -76,6 +77,15 @@ class DensitySolution:
     c3: float
     order: int
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("s", "t"):
+            v = np.array(getattr(self, name), dtype=complex)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+    def __reduce__(self):  # through the constructor, without the kept rows
+        return type(self), (self.s, self.t, self.c1, self.c2, self.c3, self.order)
 
     @property
     def s1(self) -> np.ndarray:
@@ -361,8 +371,6 @@ def solve_full(
     s = c3 * u1 + u2
     t = solve_t(loading, mat, c3, n)
     c1, c2 = solve_c12(s, c3, j01, j02, mapping, table, loading, mat)
-    s.setflags(write=False)
-    t.setflags(write=False)
     return DensitySolution(s=s, t=t, c1=c1, c2=c2, c3=c3, order=n)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -24,11 +25,19 @@ from faberelast import (
     single_layer_interior,
     solve_full,
     transmission_residual,
+    validation_checks,
     write_field_csv,
 )
 from faberelast.conformal import _BLOCK_VALUES, _HORNER_TERMS, _blocked_horner, _powers, _row_sums
 from faberelast.faber import faber_values
-from faberelast.fields import BOUNDARY, EXTERIOR, INTERIOR, _exterior_field, _g17_text
+from faberelast.fields import (
+    BOUNDARY,
+    EXTERIOR,
+    INTERIOR,
+    _exterior_field,
+    _g17_text,
+    _interior_field,
+)
 from faberelast.solver import DensitySolution
 from util import (
     FIG_MAPS,
@@ -547,7 +556,31 @@ class TestKeptRows:
                 array[0] = 1.0
         given = np.array([0.0, 1.0 + 0.0j])
         FarFieldLoading(given, given)
+        built = DensitySolution(given, given, 0.0, 0.0, 0.0, 2)
+        assert not built.s.flags.writeable and not built.t.flags.writeable
         given[0] = 2.0  # the caller's array is copied, not frozen
+        assert built.s[0] == 0.0 and built.t[0] == 0.0
+
+    def test_pickle_rebuilds_what_is_kept(self):
+        mapping, mat, loading, table, sol = solved_figure("fig1")
+        points = (1.7 + 0.3j, np.exp(0.4j))  # exterior and boundary
+        before = [displacement(sol, table, mapping, mat, loading, w) for w in points]
+        mapping.boundary_samples(256)
+        assert sol._rows is not None and "univalence" in vars(mapping)
+        sol2, table2, loading2, mapping2 = pickle.loads(
+            pickle.dumps((sol, table, loading, mapping)))
+        assert table2.mapping is mapping2
+        assert sol2._rows is None and loading2._rows is None and mapping2._samples == {}
+        assert "univalence" not in vars(mapping2) and "_u_rows" not in vars(mapping2)
+        for array in (sol2.s, sol2.t, loading2.A, loading2.B, mapping2._u_rows,
+                      *mapping2.boundary_samples(256)):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            sol2.s[0] += 1
+        after = [displacement(sol2, table2, mapping2, mat, loading2, w) for w in points]
+        for a, b in zip(before, after):
+            bits = [np.array([x.z, x.w, x.u0, x.S, x.u]).tobytes() for x in (a, b)]
+            assert a.region == b.region and bits[0] == bits[1]
 
     def test_hit_gives_the_bits_of_a_miss(self):
         mapping, table, sol, loading = self._case()
@@ -1040,7 +1073,7 @@ class TestExteriorGridPath:
     def test_polished_preimage_and_probe_values(self, name, monkeypatch):
         import faberelast.fields as fields
 
-        seen = {"eval_u0": [], "single_layer_interior": [], "single_layer_exterior": []}
+        seen = {"_interior_field": [], "single_layer_exterior": []}
 
         def recording(key, fn):
             def wrapper(*args):
@@ -1070,11 +1103,75 @@ class TestExteriorGridPath:
                 got, want = getattr(grid, column).flat[k], getattr(smp, column)
                 rounding = 4 * eps * terms if column != "u0" else 0.0
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want)) + rounding, (k, column)
-        # the Faber recurrence runs at the other points only
-        inner = grid.z[~exterior]
-        for key in ("eval_u0", "single_layer_interior"):
-            np.testing.assert_array_equal(np.concatenate(seen[key]), inner)
+        # the Faber recurrence runs at the other points only, in one call
+        assert len(seen["_interior_field"]) == 1
+        np.testing.assert_array_equal(seen["_interior_field"][0], grid.z[~exterior])
         assert seen["single_layer_exterior"] == []
+
+
+def _interior_cases():
+    """(name, mapping, loading, table, solution): the figures, the hard
+    shapes and seeded maps up to order 30 and degree 200."""
+    for name in sorted(FIG_MAPS):
+        mapping, _, loading, table, sol = solved_figure(name)
+        yield name, mapping, loading, table, sol
+    for name in sorted(HARD_SHAPES):
+        mapping = HARD_SHAPES[name]
+        table, sol = _solved(mapping, 30, 5)
+        yield name, mapping, random_loading(np.random.default_rng(5), 30), table, sol
+    for order, degree, margin in ((24, 200, 0.99), (30, 80, 0.9), (12, 120, 0.9)):
+        mapping = random_univalent_map(np.random.default_rng(order), order, margin=margin)
+        table, sol = _solved(mapping, degree, order)
+        yield f"seeded ({order}, {degree})", mapping, random_loading(
+            np.random.default_rng(order), degree), table, sol
+
+
+class TestInteriorField:
+    """S and u0 inside from one Faber table, with the bits of the two sums."""
+
+    def test_bits_of_the_separate_sums(self):
+        for name, mapping, loading, table, sol in _interior_cases():
+            # a zero density: at high degree u0's series is then the longer one
+            zero = _mode_solution(sol.order)
+            zb = mapping.boundary_samples(256)[1]
+            center = zb.mean()
+            points = {
+                "boundary": zb,
+                "inside": center + 0.4 * (zb[::8, None] - center) * np.linspace(0.0, 1.0, 9),
+                "one point": zb[5:6],
+                "scalar": complex(zb[3]),
+            }
+            for density in (sol, zero):
+                for where, z in points.items():
+                    S, u0 = _interior_field(density, table, mapping, FIG_MATERIAL, loading, z)
+                    want_S = single_layer_interior(density, table, mapping, FIG_MATERIAL, z)
+                    want_u0 = eval_u0(loading, table, FIG_MATERIAL, z)
+                    for got, want in ((S, want_S), (u0, want_u0)):
+                        assert type(got) is type(want), (name, where)
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (
+                            name, where, density is zero)
+
+    def test_one_recurrence_per_point_set(self, monkeypatch):
+        import faberelast.loading as loading_module
+
+        mapping, mat, loading, table, sol = solved_figure("fig2")
+        spec = GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)
+        calls = []
+        recurrence = loading_module._point_values
+        monkeypatch.setattr(loading_module, "_point_values",
+                            lambda *args: calls.append(1) or recurrence(*args))
+        runs = {
+            "field_grid": lambda: field_grid(sol, table, mapping, mat, loading, spec),
+            "displacement": lambda: displacement(sol, table, mapping, mat, loading,
+                                                 (1.0 + 5e-11) * np.exp(0.3j)),
+            "transmission_residual": lambda: transmission_residual(
+                sol, mapping, table, loading, mat),
+            "validation_checks": lambda: validation_checks(sol, mapping, table, loading, mat),
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            assert len(calls) == 1, name
 
 
 class TestFieldGridContainer:

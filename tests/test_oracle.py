@@ -80,8 +80,8 @@ class TestValidationChecks:
         import faberelast.oracle as oracle
 
         calls = []
-        series = oracle.single_layer_interior
-        monkeypatch.setattr(oracle, "single_layer_interior",
+        series = oracle._interior_field
+        monkeypatch.setattr(oracle, "_interior_field",
                             lambda *args: calls.append(1) or series(*args))
         mapping, mat, loading, table, sol = solved_figure("fig2")
         checks = validation_checks(sol, mapping, table, loading, mat)

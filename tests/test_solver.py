@@ -26,6 +26,7 @@ from util import (
     FIG_LOADING,
     FIG_MAPS,
     FIG_MATERIAL,
+    HARD_SHAPES,
     random_loading,
     random_univalent_map,
     solved_figure,
@@ -417,6 +418,37 @@ class TestSolveFull:
         load = FarFieldLoading(np.zeros(9).tolist() + [1.0], [0.0])
         with pytest.raises(TruncationError):
             solve_full(mp, load, FIG_MATERIAL, 4)
+
+
+class TestLinearityEnvelope:
+    """The solve is linear in the loading, over the envelope."""
+
+    def test_sum_of_loadings(self):
+        # the hard shapes at degree 60, and seeded maps of order <= 24,
+        # degree <= 200 and margin <= 0.99
+        rng = np.random.default_rng(55)
+        draws = [(24, 200, 0.99)] + [
+            (int(rng.integers(1, 25)), int(rng.integers(1, 201)), rng.uniform(0.5, 0.99))
+            for _ in range(5)
+        ]
+        cases = [(name, HARD_SHAPES[name], 60) for name in sorted(HARD_SHAPES)]
+        for i, (order, degree, margin) in enumerate(draws):
+            mp = random_univalent_map(np.random.default_rng(500 + i), order, margin=margin)
+            cases.append((f"seeded ({order}, {degree}, {margin:.2f})", mp, degree))
+        for name, mp, p in cases:
+            lr = np.random.default_rng(p)
+            la, lb = random_loading(lr, p), random_loading(lr, int(lr.integers(0, p + 1)))
+            n = p + max(mp.order, 1)
+            table = build_faber(mp, required_table_order(mp, n))
+            sa, sb, sab = (solve_full(mp, ld, FIG_MATERIAL, n, table=table)
+                           for ld in (la, lb, la + lb))
+            for key in ("s", "t", "c"):
+                a, b, ab = (
+                    np.array([x.c1, x.c2, x.c3]) if key == "c" else getattr(x, key)
+                    for x in (sa, sb, sab)
+                )
+                gap = np.abs(ab - (a + b)).max() / (np.abs(a) + np.abs(b)).max()
+                assert gap <= 1e-13, (name, key, gap)
 
 
 class TestDensityOnBoundary:
