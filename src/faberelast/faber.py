@@ -33,6 +33,9 @@ Math. Monthly 78, 1971).  The table stores d alone, and the transmission
 solve reads only d: every re-expansion of a conjugated series there is a
 convolution or a Toeplitz product with conj(d).  The matrices Gamma and
 gamma0 are built from d on first read, for the table dumps and checks.
+So are the Laurent canvas and the Grunsky matrix cut from it: only the
+exterior evaluators of fields, the table checks and the dumps read them,
+and the first reader builds them once per table.
 The field evaluators read d too: the Faber coefficients of
 sum_m c_m F_m' are one correlation of (m c_m) with d
 (``_derivative_coefficients``), so they evaluate F alone.  The solve's
@@ -114,15 +117,39 @@ def _derivative_coefficients(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return _fold_d(np.arange(len(c)) * c, d)[:-1]
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class FaberTable:
-    """Grunsky and derivative data for F_0 ... F_N."""
+    """Derivative data for F_0 ... F_N; the Grunsky rows are built on first read.
+
+    The table stores d alone, read-only; the solve reads nothing else.
+    The Laurent canvas and ``grunsky``, like gamma, gamma0 and monomial,
+    are built on first read, once per table, and are read-only: the
+    exterior evaluators of fields keep rows built from the canvas.  A
+    pickle carries the map and the order only and rebuilds the table
+    through ``build_faber``.
+    """
 
     mapping: ExteriorMap
-    grunsky: np.ndarray  # (N, N); [m-1, k-1] = c_{m,k}
     d: np.ndarray  # (N,); [k] = d_k, Laurent coefficients of 1/Psi'(w)
     order: int
-    _grunsky_wide: np.ndarray  # (N+1, N*M+1); [m, k] = c_{m,k}, exact full rows
+
+    def __reduce__(self):  # through build_faber, without the arrays built on read
+        return build_faber, (self.mapping, self.order)
+
+    @cached_property
+    def _grunsky_wide(self) -> np.ndarray:
+        """(N+1, N*M+1); [m, k] = c_{m,k}, exact full rows."""
+        return _readonly(_grunsky_wide(self.mapping, self.order))
+
+    @cached_property
+    def grunsky(self) -> np.ndarray:
+        """(N, N); [m-1, k-1] = c_{m,k}, columns 1 .. N of the canvas rows 1 .. N."""
+        return _readonly(self._grunsky_wide[1:, 1 : self.order + 1].copy())
 
     def grunsky_row(self, m: int) -> np.ndarray:
         """All nonzero Grunsky coefficients of row m: c_{m,1} ... c_{m,mM}."""
@@ -137,12 +164,12 @@ class FaberTable:
         """
         m = np.arange(1, self.order + 1)
         lag = m[:, None] - m[None, :] - 1  # m - 1 - j at [m-1, j-1]
-        return np.where(lag >= 0, m[:, None] * self.d[np.maximum(lag, 0)], 0.0)
+        return _readonly(np.where(lag >= 0, m[:, None] * self.d[np.maximum(lag, 0)], 0.0))
 
     @cached_property
     def gamma0(self) -> np.ndarray:
         """(N,); [m-1] = gamma_{m,0} = m d_{m-1}."""
-        return np.arange(1, self.order + 1) * self.d
+        return _readonly(np.arange(1, self.order + 1) * self.d)
 
     @cached_property
     def monomial(self) -> np.ndarray:
@@ -153,11 +180,11 @@ class FaberTable:
         n = self.order
         mono = np.zeros((n + 1, n + 1), dtype=complex)
         mono[0, 0] = 1.0
-        return _recurrence(
+        return _readonly(_recurrence(
             _tail(self.mapping),
             mono,
             lambda m: (slice(m + 2), np.concatenate(([0.0], mono[m, : m + 1]))),
-        )
+        ))
 
 
 def _grunsky_wide(mapping: ExteriorMap, n: int) -> np.ndarray:
@@ -191,17 +218,10 @@ def _grunsky_wide(mapping: ExteriorMap, n: int) -> np.ndarray:
 
 
 def build_faber(mapping: ExteriorMap, n: int) -> FaberTable:
-    """Build the Faber table to order n >= 1."""
+    """Build the Faber table to order n >= 1: d now, the canvas on first read."""
     if n < 1:
         raise ValueError("table order must be at least 1")
-    wide = _grunsky_wide(mapping, n)  # at least n columns past k = 0
-    return FaberTable(
-        mapping=mapping,
-        grunsky=wide[1:, 1 : n + 1].copy(),
-        d=_inverse_derivative_series(_tail(mapping), n),
-        order=n,
-        _grunsky_wide=wide,
-    )
+    return FaberTable(mapping, _readonly(_inverse_derivative_series(_tail(mapping), n)), n)
 
 
 def check_table_map(mapping: ExteriorMap, table: FaberTable) -> None:

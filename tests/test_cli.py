@@ -726,3 +726,60 @@ class TestCsvWritersByteIdentical:
         t = np.array([complex(3.0, np.nan), complex(-np.inf, 0.5)])
         _, body = self._write_hand_solution(tmp_path, s, t)
         assert body == b"m,re_s,im_s,re_t,im_t\n1,nan,nan,3,nan\n2,1,2,nan,0.5\n"
+
+
+class TestCanvasOnFirstRead:
+    """The Grunsky canvas is built by the first exterior sum or dump, once per table."""
+
+    def _configs(self, tmp_path):
+        rng = np.random.default_rng(1260)
+        mp = random_univalent_map(rng, 12)
+        A = rng.normal(size=61) + 1j * rng.normal(size=61)
+        B = rng.normal(size=61) + 1j * rng.normal(size=61)
+        seeded = (
+            f"map = {_pairs(mp.coefficient(k) for k in range(13))}\n"
+            f"lambda = 1\nmu = 1\nA = {_pairs(A)}\nB = {_pairs(B)}\n"
+            "truncation_N = 72\nquadrature_Q = 512\ngrid = -3 3 -3 3 9 9\n"
+            "output_path = {out}\n"
+        )
+        out = str(tmp_path / "out")
+        return [write_config(tmp_path, FIG1, "fig1.cfg", out=out),
+                write_config(tmp_path, seeded, "seeded.cfg", out=out)]
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        import faberelast.faber as faber
+
+        calls = []
+        original = faber._grunsky_wide
+        monkeypatch.setattr(faber, "_grunsky_wide",
+                            lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    @pytest.mark.parametrize("command,builds", [("solve", 0), ("field", 1), ("validate", 1),
+                                                ("faber-table", 1)])
+    def test_cli_builds(self, tmp_path, monkeypatch, command, builds):
+        calls = self._count_builds(monkeypatch)
+        for cfg in self._configs(tmp_path):
+            calls.clear()
+            assert main([command, "--config", cfg]) in (EXIT_OK, EXIT_VALIDATION)
+            assert len(calls) == builds, (cfg, command)
+
+    def test_library_builds(self, tmp_path, monkeypatch):
+        from faberelast import build_faber, displacement, required_table_order, solve_full
+        from faberelast.cli import load_job
+
+        calls = self._count_builds(monkeypatch)
+        for cfg in self._configs(tmp_path):
+            job = load_job(cfg)
+            mp, mat, loading, n = job.mapping, job.material, job.loading, job.truncation_n
+            solve_full(mp, loading, mat, n)
+            assert len(calls) == 0
+            table = build_faber(mp, required_table_order(mp, n))
+            sol = solve_full(mp, loading, mat, n, table=table)
+            assert len(calls) == 0
+            displacement(sol, table, mp, mat, loading, 1.5 + 0.5j)
+            assert len(calls) == 1
+            displacement(sol, table, mp, mat, loading, -2.0j)
+            assert len(calls) == 1
+            calls.clear()

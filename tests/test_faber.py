@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,32 @@ class TestGrunsky:
         row = table.grunsky_row(n)
         assert row.shape == (n * width,)
         assert np.array_equal(row, table._grunsky_wide[n, 1 : n * width + 1])
+
+
+class TestTableArrays:
+    NAMES = ("d", "_grunsky_wide", "grunsky", "gamma", "gamma0", "monomial")
+
+    def test_read_only(self):
+        mp = HARD_SHAPES["truncated square"]
+        table = build_faber(mp, 30)
+        for name in self.NAMES:
+            array = getattr(table, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[(1,) * array.ndim] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            table.grunsky_row(3)[0] = 0.0
+
+    def test_pickle_goes_through_build_faber(self):
+        mp = random_univalent_map(np.random.default_rng(31), 7)
+        table = build_faber(mp, 40)
+        for name in self.NAMES:
+            getattr(table, name)
+        table2 = pickle.loads(pickle.dumps(table))
+        assert vars(table2).keys() == {"mapping", "d", "order"}
+        assert table2.order == 40 and table2.mapping == mp
+        assert not table2.d.flags.writeable
+        for name in self.NAMES:
+            assert getattr(table2, name).tobytes() == getattr(table, name).tobytes(), name
 
 
 class TestDerivativeBasis:

@@ -572,7 +572,8 @@ class TestKeptRows:
         assert table2.mapping is mapping2
         assert sol2._rows is None and loading2._rows is None and mapping2._samples == {}
         assert "univalence" not in vars(mapping2) and "_u_rows" not in vars(mapping2)
-        for array in (sol2.s, sol2.t, loading2.A, loading2.B, mapping2._u_rows,
+        assert "_grunsky_wide" in vars(table) and "_grunsky_wide" not in vars(table2)
+        for array in (sol2.s, sol2.t, loading2.A, loading2.B, mapping2._u_rows, table2.d,
                       *mapping2.boundary_samples(256)):
             assert not array.flags.writeable
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from faberelast import (
     system_residual,
     transmission_residual,
 )
+from faberelast.faber import _derivative_coefficients
 from util import (
     FIG_LOADING,
     FIG_MAPS,
@@ -420,22 +421,26 @@ class TestSolveFull:
             solve_full(mp, load, FIG_MATERIAL, 4)
 
 
+def _envelope_cases(seed: int) -> list:
+    """(name, map, degree): the hard shapes at degree 60, and seeded maps of
+    order <= 24, degree <= 200 and margin <= 0.99, the corner (24, 200, 0.99) first."""
+    rng = np.random.default_rng(seed)
+    draws = [(24, 200, 0.99)] + [
+        (int(rng.integers(1, 25)), int(rng.integers(1, 201)), rng.uniform(0.5, 0.99))
+        for _ in range(5)
+    ]
+    cases = [(name, HARD_SHAPES[name], 60) for name in sorted(HARD_SHAPES)]
+    for i, (order, degree, margin) in enumerate(draws):
+        mp = random_univalent_map(np.random.default_rng(500 + i), order, margin=margin)
+        cases.append((f"seeded ({order}, {degree}, {margin:.2f})", mp, degree))
+    return cases
+
+
 class TestLinearityEnvelope:
     """The solve is linear in the loading, over the envelope."""
 
     def test_sum_of_loadings(self):
-        # the hard shapes at degree 60, and seeded maps of order <= 24,
-        # degree <= 200 and margin <= 0.99
-        rng = np.random.default_rng(55)
-        draws = [(24, 200, 0.99)] + [
-            (int(rng.integers(1, 25)), int(rng.integers(1, 201)), rng.uniform(0.5, 0.99))
-            for _ in range(5)
-        ]
-        cases = [(name, HARD_SHAPES[name], 60) for name in sorted(HARD_SHAPES)]
-        for i, (order, degree, margin) in enumerate(draws):
-            mp = random_univalent_map(np.random.default_rng(500 + i), order, margin=margin)
-            cases.append((f"seeded ({order}, {degree}, {margin:.2f})", mp, degree))
-        for name, mp, p in cases:
+        for name, mp, p in _envelope_cases(55):
             lr = np.random.default_rng(p)
             la, lb = random_loading(lr, p), random_loading(lr, int(lr.integers(0, p + 1)))
             n = p + max(mp.order, 1)
@@ -449,6 +454,73 @@ class TestLinearityEnvelope:
                 )
                 gap = np.abs(ab - (a + b)).max() / (np.abs(a) + np.abs(b)).max()
                 assert gap <= 1e-13, (name, key, gap)
+
+
+class TestTranslationEnvelope:
+    """Covariance of the solve under z -> z + c, over the envelope.
+
+    Translating the map by c (a_0 -> a_0 + c) shifts every Faber
+    polynomial, F_m^c(z) = F_m(z - c), so a loading with the same Faber
+    coefficients is the old one moved by c, except for the z conj(h')
+    term of u0: z conj(h'(z - c)) = (z - c) conj(h'(z - c)) + c conj(h'(z - c)).
+    The extra -(c/2) conj(h') is the l-term -conj(l)/2 of l = conj(c) h',
+    whose Faber coefficients are conj(c) e with e those of h' =
+    sum_m A_m F_m' (``_derivative_coefficients``).  So solving on the
+    moved map with (A, B) is solving on the map with (A, B + conj(c) e),
+    moved by c: s, t and c3 agree, and since the rigid motion is
+    c1 + i c2 - i c3 z, the moved c1 + i c2 is the other plus i c3 c.
+    """
+
+    def test_moved_map_against_moved_loading(self):
+        rng = np.random.default_rng(71)
+        worst = 0.0
+        for name, mp, p in _envelope_cases(71):
+            c = complex(rng.normal(), rng.normal())
+            loading = random_loading(rng, p)
+            n = p + max(mp.order, 1)
+            table = build_faber(mp, required_table_order(mp, n))
+            e = _derivative_coefficients(loading.A, table.d)
+            shifted = FarFieldLoading(loading.A, loading.B + np.conj(c) * np.append(e, 0.0))
+            base = solve_full(mp, shifted, FIG_MATERIAL, n, table=table)
+            moved_map = ExteriorMap((mp.coefficient(0) + c, *mp.coefficients[1:]))
+            moved = solve_full(moved_map, loading, FIG_MATERIAL, n)
+            c12 = complex(base.c1, base.c2)
+            c_scale = max(abs(c12), abs(base.c3 * c), abs(base.c3))
+            gaps = {
+                "s": np.abs(moved.s - base.s).max() / np.abs(base.s).max(),
+                "t": np.abs(moved.t - base.t).max() / np.abs(base.t).max(),
+                "c3": abs(moved.c3 - base.c3) / c_scale,
+                "c12": abs(complex(moved.c1, moved.c2) - (c12 + 1j * base.c3 * c)) / c_scale,
+            }
+            for key, gap in gaps.items():
+                assert gap <= 1e-12, (name, key, gap)
+                worst = max(worst, gap)
+        assert worst > 0.0  # the cases are not all trivial
+
+
+class TestRotationMomentEnvelope:
+    """``TestSolveFull::test_rotation_constraint`` over the envelope, scaled relatively.
+
+    Im(sum_m s_m conj(a_m)) + Im(A_1)/alpha2 + 2 c3/((kappa + 1) alpha2) = 0,
+    each term measured against the sum of the magnitudes it is made of.
+    """
+
+    def test_moment_vanishes(self):
+        mat = FIG_MATERIAL
+        for name, mp, p in _envelope_cases(83):
+            loading = random_loading(np.random.default_rng(p + 1), p)
+            n = p + max(mp.order, 1)
+            sol = solve_full(mp, loading, mat, n)
+            a = np.conj(mp.coefficients[1 : n + 1])
+            terms = sol.s[: len(a)] * a
+            moment = (
+                np.imag(terms.sum())
+                + np.imag(loading.coefficient_A(1)) / mat.alpha2
+                + 2.0 * sol.c3 / ((mat.kappa + 1.0) * mat.alpha2)
+            )
+            scale = (np.abs(terms).sum() + abs(loading.coefficient_A(1)) / mat.alpha2
+                     + abs(2.0 * sol.c3 / ((mat.kappa + 1.0) * mat.alpha2)))
+            assert abs(moment) <= 1e-13 * scale, (name, abs(moment) / scale)
 
 
 class TestDensityOnBoundary:
@@ -685,9 +757,10 @@ class TestAssemblyMatchesGammaReference:
         table = build_faber(mp, required_table_order(mp, n))
         solve_full(mp, random_loading(np.random.default_rng(6), 20), FIG_MATERIAL, n,
                    table=table)
-        assert "gamma" not in vars(table)
-        assert "gamma0" not in vars(table)
+        for name in ("gamma", "gamma0", "_grunsky_wide", "grunsky"):
+            assert name not in vars(table), name
         assert table.gamma is table.gamma and table.gamma0 is table.gamma0
+        assert table.grunsky is table.grunsky and table._grunsky_wide is table._grunsky_wide
 
 
 class TestTableForAnotherMap:

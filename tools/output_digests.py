@@ -8,9 +8,12 @@ config that benchmarks/inputs.py writes (map order 12, loading degree
 120), and on the non-univalent map w + 2/w, each run into a fresh
 temporary directory.  Prints one line per run with the exit code and the
 sha256 of stdout and stderr, where the output prefix reads ``<out>``,
-then one indented line per output file with its sha256.  Run it in two
-checkouts and diff the text: byte-identical outputs print identical
-lines.
+then one indented line per output file with its sha256.  Then, for fig1
+and the high-degree config, one line for the library path: the config's
+job through ``build_faber`` and ``solve_full``, then ``displacement`` at
+the fixed points PROBES in order, and the sha256 of s, t, c1-c3 and each
+probe's (u0, S, u).  Run it in two checkouts and diff the text:
+byte-identical outputs print identical lines.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks")]
 import inputs  # noqa: E402
-from faberelast.cli import main  # noqa: E402
+import numpy as np  # noqa: E402
+from faberelast import build_faber, displacement, required_table_order, solve_full  # noqa: E402
+from faberelast.cli import load_job, main  # noqa: E402
 
 COMMANDS = ("solve", "field", "validate", "faber-table")
 #: Psi' of w + 2/w has two zeros outside the disk
@@ -33,6 +38,8 @@ NON_UNIVALENT = (
     "map = 0,0 2,0\nalpha1 = 0.5\nkappa = 0.3\nA = 0,0 1,0\nB = 0,0 1,0\n"
     "truncation_N = 8\nquadrature_Q = 512\ngrid = -3 3 -3 3 11 11\n"
 )
+#: preimage points of the library probes: three outside the boundary, one on it
+PROBES = (1.3 + 0.4j, -2.0j, 1.0, 4.0 - 1.5j)
 
 
 def sha(data: bytes) -> str:
@@ -61,9 +68,24 @@ def digests(name: str, command: str, config: Path, out_dir: Path) -> list:
     return lines
 
 
+def library_digest(name: str, config: Path) -> str:
+    """The digest line of case ``name`` solved and probed through the library."""
+    job = load_job(str(config))
+    mapping, mat, loading, n = job.mapping, job.material, job.loading, job.truncation_n
+    table = build_faber(mapping, required_table_order(mapping, n))
+    sol = solve_full(mapping, loading, mat, n, table=table)
+    values = [sol.s, sol.t, np.array([sol.c1, sol.c2, sol.c3])]
+    for w in PROBES:
+        f = displacement(sol, table, mapping, mat, loading, w)
+        values.append(np.array([f.u0, f.S, f.u], dtype=complex))
+    return f"{name} library {sha(b''.join(v.tobytes() for v in values))}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in cases(Path(tmp)):
             for command in COMMANDS:
                 out_dir = Path(tmp) / f"{name}-{command}"
                 print("\n".join(digests(name, command, config, out_dir)))
+            if name in ("fig1", "high_degree"):
+                print(library_digest(name, config))
