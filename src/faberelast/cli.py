@@ -14,8 +14,12 @@ are written as re,im pairs and lists are whitespace separated:
     grid = -3 3 -3 3 201 201   # xmin xmax ymin ymax nx ny
     output_path = fig1
 
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 solver
-degeneracy or a map that fails the univalence check.
+Exit codes: 0 success, 1 validation failure, 2 config error (including
+an output prefix that cannot be written, and a material that its
+constructor rejects, reported as ``lame material: ...`` or ``synthetic
+material: ...``), 3 solver degeneracy or a map that fails the univalence
+check.  Each subcommand returns its check records and ``main`` alone
+turns them into the exit code.
 
 The checks themselves, and their tolerances, live in ``oracle``
 (``validation_checks`` and ``residual_checks``); this module prints them.
@@ -95,6 +99,36 @@ def _parse_int(text: str, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
 
 
+def _parse_grid(text: str, key: str) -> GridSpec:
+    parts = text.split()
+    if len(parts) != 6:
+        raise ConfigError("grid needs: xmin xmax ymin ymax nx ny")
+    bounds = [_parse_float(part, key) for part in parts[:4]]
+    sizes = [_parse_int(part, key) for part in parts[4:]]
+    try:
+        return GridSpec(*bounds, *sizes)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+#: the two ways to give the material: name in messages, keys, constructor
+_MATERIALS = (
+    ("lame", ("lambda", "mu"), Material.from_lame),
+    ("synthetic", ("alpha1", "kappa"), Material.from_figure_params),
+)
+#: every config key and the parser of its value
+_KEYS = {
+    "map": _parse_complex_list,
+    **{key: _parse_float for _, keys, _ in _MATERIALS for key in keys},
+    "A": _parse_complex_list,
+    "B": _parse_complex_list,
+    "truncation_N": _parse_int,
+    "quadrature_Q": _parse_int,
+    "grid": _parse_grid,
+    "output_path": lambda text, key: text,
+}
+
+
 def parse_config(path: str) -> dict:
     """Read a flat key = value file with # comments."""
     entries: dict = {}
@@ -120,63 +154,36 @@ def parse_config(path: str) -> dict:
 
 def load_job(path: str, order=None, quadrature=None, out=None) -> JobConfig:
     entries = parse_config(path)
-    known = {
-        "map",
-        "lambda",
-        "mu",
-        "alpha1",
-        "kappa",
-        "A",
-        "B",
-        "truncation_N",
-        "quadrature_Q",
-        "grid",
-        "output_path",
-    }
-    unknown = set(entries) - known
+    unknown = set(entries) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
+    def value(key, default=None):
+        # parsed on first read, so a config with several errors reports the first
+        return _KEYS[key](entries[key], key) if key in entries else default
+
     if "map" not in entries:
         raise ConfigError("missing required key: map")
-    coeffs = _parse_complex_list(entries["map"], "map")
-    if not coeffs:
-        raise ConfigError("map needs at least the a0 coefficient")
-    mapping = ExteriorMap(tuple(coeffs))
+    mapping = ExteriorMap(tuple(value("map")))
 
-    has_lame = "lambda" in entries or "mu" in entries
-    has_fig = "alpha1" in entries or "kappa" in entries
-    if has_lame == has_fig:
-        raise ConfigError(
-            "material must be given as exactly one of (lambda, mu) or (alpha1, kappa)"
-        )
-    if has_lame:
-        if "lambda" not in entries or "mu" not in entries:
-            raise ConfigError("lame material needs both lambda and mu")
-        material = Material.from_lame(
-            _parse_float(entries["lambda"], "lambda"),
-            _parse_float(entries["mu"], "mu"),
-        )
-    else:
-        if "alpha1" not in entries or "kappa" not in entries:
-            raise ConfigError("synthetic material needs both alpha1 and kappa")
-        alpha1 = _parse_float(entries["alpha1"], "alpha1")
-        kappa = _parse_float(entries["kappa"], "kappa")
-        try:
-            material = Material.from_figure_params(alpha1, kappa)
-        except ValueError as exc:
-            raise ConfigError(f"synthetic material: {exc}") from exc
+    forms = [form for form in _MATERIALS if any(key in entries for key in form[1])]
+    if len(forms) != 1:
+        raise ConfigError("material must be given as exactly one of " + " or ".join(
+            f"({', '.join(keys)})" for _, keys, _ in _MATERIALS
+        ))
+    name, keys, make = forms[0]
+    if not all(key in entries for key in keys):
+        raise ConfigError(f"{name} material needs both {keys[0]} and {keys[1]}")
+    params = [value(key) for key in keys]  # outside the try: a ConfigError is a ValueError
+    try:
+        material = make(*params)
+    except ValueError as exc:
+        raise ConfigError(f"{name} material: {exc}") from exc
 
-    A = _parse_complex_list(entries.get("A", ""), "A") or [0.0 + 0.0j]
-    B = _parse_complex_list(entries.get("B", ""), "B") or [0.0 + 0.0j]
-    loading = FarFieldLoading(np.array(A), np.array(B))
+    loading = FarFieldLoading(value("A", [0.0 + 0.0j]), value("B", [0.0 + 0.0j]))
 
-    n = order if order is not None else _parse_int(
-        entries.get("truncation_N", "48"), "truncation_N"
-    )
-    q = quadrature if quadrature is not None else _parse_int(
-        entries.get("quadrature_Q", "2048"), "quadrature_Q"
-    )
+    n = order if order is not None else value("truncation_N", 48)
+    q = quadrature if quadrature is not None else value("quadrature_Q", 2048)
     if n < 1:
         raise ConfigError("truncation_N must be positive")
     degree_floor = max(loading.degree, mapping.order) + 2
@@ -190,34 +197,25 @@ def load_job(path: str, order=None, quadrature=None, out=None) -> JobConfig:
     except ValueError as exc:
         raise ConfigError(f"quadrature_Q: {exc}") from exc
 
-    grid = None
-    if "grid" in entries:
-        parts = entries["grid"].split()
-        if len(parts) != 6:
-            raise ConfigError("grid needs: xmin xmax ymin ymax nx ny")
-        bounds = [_parse_float(part, "grid") for part in parts[:4]]
-        sizes = [_parse_int(part, "grid") for part in parts[4:]]
-        try:
-            grid = GridSpec(*bounds, *sizes)
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-
-    output_path = out if out is not None else entries.get("output_path", "job")
     return JobConfig(
         mapping=mapping,
         material=material,
         loading=loading,
         truncation_n=n,
         quadrature_q=q,
-        grid=grid,
-        output_path=output_path,
+        grid=value("grid"),
+        output_path=out if out is not None else value("output_path", "job"),
+    )
+
+
+def _table(job: JobConfig):
+    return build_faber(
+        job.mapping, required_table_order(job.mapping, job.truncation_n)
     )
 
 
 def _solve_job(job: JobConfig):
-    table = build_faber(
-        job.mapping, required_table_order(job.mapping, job.truncation_n)
-    )
+    table = _table(job)
     sol = solve_full(
         job.mapping, job.loading, job.material, job.truncation_n, table=table
     )
@@ -242,28 +240,27 @@ def _write_solution(job: JobConfig, sol, checks) -> None:
         fh.write(f"status = {'pass' if all(c.ok for c in checks) else 'fail'}\n")
 
 
-def cmd_solve(job: JobConfig) -> int:
+def cmd_solve(job: JobConfig) -> tuple:
     table, sol = _solve_job(job)
     checks = residual_checks(sol, job.mapping, table, job.loading, job.material, job.quadrature_q)
     _write_solution(job, sol, checks)
     print(f"c1 = {sol.c1:.12g}  c2 = {sol.c2:.12g}  c3 = {sol.c3:.12g}")
     for c in checks:
         print(f"{c.name}_residual = {c.value:.3e}")
-    return EXIT_OK if all(c.ok for c in checks) else EXIT_VALIDATION
+    return checks
 
 
-def cmd_field(job: JobConfig) -> int:
+def cmd_field(job: JobConfig) -> tuple:
     if job.grid is None:
         raise ConfigError("field command needs a grid in the config")
     table, sol = _solve_job(job)
     grid = field_grid(sol, table, job.mapping, job.material, job.loading, job.grid)
     write_field_csv(grid, job.output_path + "_field.csv")
-    checks = residual_checks(sol, job.mapping, table, job.loading, job.material, job.quadrature_q)
     print(f"wrote {len(grid)} samples to {job.output_path}_field.csv")
-    return EXIT_OK if all(c.ok for c in checks) else EXIT_VALIDATION
+    return residual_checks(sol, job.mapping, table, job.loading, job.material, job.quadrature_q)
 
 
-def cmd_validate(job: JobConfig) -> int:
+def cmd_validate(job: JobConfig) -> tuple:
     table, sol = _solve_job(job)
     # solve_full has already raised on a map that fails the univalence
     # check, so this row can only pass; it stays because
@@ -278,13 +275,11 @@ def cmd_validate(job: JobConfig) -> int:
             f"{c.name.ljust(width)}  {c.value:12.4e}  (tol {c.tol:8.1e})  "
             f"{'pass' if c.ok else 'FAIL'}"
         )
-    return EXIT_OK if all(c.ok for c in checks) else EXIT_VALIDATION
+    return checks
 
 
-def cmd_faber_table(job: JobConfig) -> int:
-    table = build_faber(
-        job.mapping, required_table_order(job.mapping, job.truncation_n)
-    )
+def cmd_faber_table(job: JobConfig) -> tuple:
+    table = _table(job)
     prefix = job.output_path
     for name, matrix in (
         ("monomial", table.monomial),
@@ -300,7 +295,17 @@ def cmd_faber_table(job: JobConfig) -> int:
             np.ascontiguousarray(matrix).view(float),
         )
     print(f"wrote {prefix}_{{monomial,grunsky,gamma,gamma0}}.csv")
-    return EXIT_OK
+    return ()
+
+
+#: every subcommand and its handler, which returns the check records that
+#: decide the exit code
+_COMMANDS = {
+    "solve": cmd_solve,
+    "field": cmd_field,
+    "validate": cmd_validate,
+    "faber-table": cmd_faber_table,
+}
 
 
 @functools.cache
@@ -310,7 +315,7 @@ def _parser() -> argparse.ArgumentParser:
         description="rigid-inclusion plane elastostatics by Faber series",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "field", "validate", "faber-table"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="job config file")
         p.add_argument("--order", type=int, default=None, help="override truncation_N")
@@ -328,14 +333,9 @@ def main(argv=None) -> int:
         job = load_job(
             args.config, order=args.order, quadrature=args.quadrature, out=args.out
         )
-        handler = {
-            "solve": cmd_solve,
-            "field": cmd_field,
-            "validate": cmd_validate,
-            "faber-table": cmd_faber_table,
-        }[args.command]
-        return handler(job)
-    except (ConfigError, TruncationError) as exc:
+        checks = _COMMANDS[args.command](job)
+    # OSError: an output prefix that cannot be written; its text names the file
+    except (ConfigError, TruncationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonUnivalentMapError as exc:
@@ -347,6 +347,7 @@ def main(argv=None) -> int:
     except FaberElastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK if all(c.ok for c in checks) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

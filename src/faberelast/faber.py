@@ -47,7 +47,7 @@ that closed form is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -131,11 +131,11 @@ class FaberTable:
     are built on first read, once per table, and are read-only: the
     exterior evaluators of fields keep rows built from the canvas.  A
     pickle carries the map and the order only and rebuilds the table
-    through ``build_faber``.
+    through ``build_faber``; equality and hashing read those two as well.
     """
 
     mapping: ExteriorMap
-    d: np.ndarray  # (N,); [k] = d_k, Laurent coefficients of 1/Psi'(w)
+    d: np.ndarray = field(compare=False)  # (N,); [k] = d_k, Laurent coefficients of 1/Psi'(w)
     order: int
 
     def __reduce__(self):  # through build_faber, without the arrays built on read

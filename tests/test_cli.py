@@ -511,6 +511,133 @@ class TestOutOfRangeMaterial:
         assert not list(tmp_path.glob("bad_*"))
 
 
+#: fig1 with a grid, one line per key, in this order
+BASE = {
+    "map": "0,0 0.1,0.1", "alpha1": "0.5", "kappa": "0.3", "A": "0,0 1,0", "B": "0,0 1,0",
+    "truncation_N": "48", "quadrature_Q": "2048", "grid": "-2 2 -2 2 11 11",
+}
+
+
+def _entries(**changes):
+    """BASE with each change applied: a new value, or None to drop the key."""
+    entries = {**BASE, **changes}
+    return "".join(f"{key} = {value}\n" for key, value in entries.items() if value is not None)
+
+
+LAME = {"alpha1": None, "kappa": None, "lambda": "1", "mu": "1"}
+
+#: (config text, or None for a missing file; stderr after "config error: ")
+ERROR_PATHS = {
+    "missing file": (
+        None, "cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'"
+    ),
+    "no equals sign": ("map 0,0 0.1,0.1\n", "{cfg}:1: expected key = value"),
+    "empty value": ("# fig1\nmap =\n", "{cfg}:2: empty key or value"),
+    "duplicate key": (_entries() + "map = 0,0 0.2,0\n", "{cfg}:9: duplicate key 'map'"),
+    "unknown key": (_entries(zeta="1", sigma="2"), "unknown config keys: ['sigma', 'zeta']"),
+    "no map": (_entries(map=None), "missing required key: map"),
+    "bad pair": (_entries(map="0,0 0.1"), "map: expected re,im pairs, got '0.1'"),
+    "map nan": (_entries(map="0,0 nan,0"), "map: expected a finite number, got 'nan'"),
+    "map text": (_entries(map="0,0 x,0"), "map: expected a number, got 'x'"),
+    "A inf": (_entries(A="0,0 inf,0"), "A: expected a finite number, got 'inf'"),
+    "A text": (_entries(A="0,0 1,y"), "A: expected a number, got 'y'"),
+    "B inf": (_entries(B="0,0 1,-inf"), "B: expected a finite number, got '-inf'"),
+    "B pair": (_entries(B="0,0 1"), "B: expected re,im pairs, got '1'"),
+    "alpha1 nan": (_entries(alpha1="nan"), "alpha1: expected a finite number, got 'nan'"),
+    "kappa text": (_entries(kappa="k"), "kappa: expected a number, got 'k'"),
+    "lambda inf": (
+        _entries(**{**LAME, "lambda": "inf"}), "lambda: expected a finite number, got 'inf'"
+    ),
+    "mu text": (_entries(**{**LAME, "mu": "one"}), "mu: expected a number, got 'one'"),
+    "truncation_N text": (
+        _entries(truncation_N="4.5"), "truncation_N: expected an integer, got '4.5'"
+    ),
+    "quadrature_Q text": (
+        _entries(quadrature_Q="2e3"), "quadrature_Q: expected an integer, got '2e3'"
+    ),
+    "grid nan": (_entries(grid="-2 nan -2 2 11 11"), "grid: expected a finite number, got 'nan'"),
+    "grid size text": (_entries(grid="-2 2 -2 2 11 x"), "grid: expected an integer, got 'x'"),
+    "no material": (
+        _entries(alpha1=None, kappa=None),
+        "material must be given as exactly one of (lambda, mu) or (alpha1, kappa)",
+    ),
+    "both materials": (
+        _entries(**{"lambda": "1"}, mu="1"),
+        "material must be given as exactly one of (lambda, mu) or (alpha1, kappa)",
+    ),
+    "no kappa": (_entries(kappa=None), "synthetic material needs both alpha1 and kappa"),
+    "no alpha1": (_entries(alpha1=None), "synthetic material needs both alpha1 and kappa"),
+    "no mu": (_entries(**{**LAME, "mu": None}), "lame material needs both lambda and mu"),
+    "no lambda": (_entries(**{**LAME, "lambda": None}), "lame material needs both lambda and mu"),
+    "alpha1 negative": (_entries(alpha1="-0.5"), "synthetic material: alpha1 must be positive"),
+    "kappa zero": (_entries(kappa="0"), "synthetic material: kappa must be neither 0 nor -1"),
+    "kappa -1": (_entries(kappa="-1"), "synthetic material: kappa must be neither 0 nor -1"),
+    "lame rejected": (
+        _entries(**{**LAME, "mu": "-1"}),
+        "lame material: need mu > 0 and lam + mu > 0, got lam=1.0, mu=-1.0",
+    ),
+    "truncation_N zero": (_entries(truncation_N="0"), "truncation_N must be positive"),
+    "truncation_N negative": (_entries(truncation_N="-3"), "truncation_N must be positive"),
+    "truncation_N floor": (
+        _entries(truncation_N="2"),
+        "truncation_N = 2 is below max(loading degree, map order) + 2 = 3",
+    ),
+    "quadrature_Q not a power of two": (
+        _entries(quadrature_Q="100"),
+        "quadrature_Q: node count must be a power of two, at least 64",
+    ),
+    "quadrature_Q small": (
+        _entries(quadrature_Q="32"),
+        "quadrature_Q: node count must be a power of two, at least 64",
+    ),
+    "grid five fields": (_entries(grid="-2 2 -2 2 11"), "grid needs: xmin xmax ymin ymax nx ny"),
+    "grid one row": (
+        _entries(grid="-2 2 -2 2 11 1"), "grid: grid resolution must be at least 2 per axis"
+    ),
+    "grid decreasing": (
+        _entries(grid="2 -2 -2 2 11 11"), "grid: grid ranges must be increasing"
+    ),
+    "two errors": (_entries(map=None, grid="1 2"), "missing required key: map"),
+}
+
+
+class TestErrorPaths:
+    """The exit code and the exact stderr of every config error."""
+
+    @pytest.mark.parametrize("command", ["solve", "field"])
+    @pytest.mark.parametrize("case", ERROR_PATHS)
+    def test_config_errors(self, tmp_path, monkeypatch, capsys, command, case):
+        monkeypatch.chdir(tmp_path)
+        text, message = ERROR_PATHS[case]
+        cfg = tmp_path / "job.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message.format(cfg=cfg)}\n")
+        assert sorted(os.listdir(tmp_path)) == ([] if text is None else ["job.cfg"])
+
+    def test_field_without_grid(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, _entries(grid=None))
+        assert main(["field", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: field command needs a grid in the config\n"
+        )
+        assert main(["solve", "--config", cfg]) == EXIT_OK
+
+    @pytest.mark.parametrize("command,first", [
+        ("solve", "solution.csv"), ("field", "field.csv"), ("faber-table", "monomial.csv"),
+    ])
+    def test_output_prefix_cannot_be_written(self, tmp_path, capsys, command, first):
+        cfg = write_config(tmp_path, _entries())
+        prefix = tmp_path / "missing" / "x"
+        assert main([command, "--config", cfg, "--out", str(prefix)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: [Errno 2] No such file or directory: '{prefix}_{first}'\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["job.cfg"]
+
+
 class TestValidateNaN:
     def _check_line(self, capsys, name):
         out = capsys.readouterr().out

@@ -184,6 +184,16 @@ class TestTableArrays:
         for name in self.NAMES:
             assert getattr(table2, name).tobytes() == getattr(table, name).tobytes(), name
 
+    def test_equality_and_hash_follow_map_and_order(self):
+        mp = random_univalent_map(np.random.default_rng(32), 5)
+        table = build_faber(mp, 20)
+        same = build_faber(ExteriorMap(mp.coefficients), 20)
+        assert table == same and hash(table) == hash(same)
+        assert len({table, same}) == 1
+        assert table != build_faber(mp, 21)
+        assert table != build_faber(ExteriorMap((0.0, 0.1)), 20)
+        assert pickle.loads(pickle.dumps(table)) == table
+
 
 class TestDerivativeBasis:
     def test_ellipse_closed_form(self):
