@@ -182,8 +182,10 @@ def load_job(path: str, order=None, quadrature=None, out=None) -> JobConfig:
 
     loading = FarFieldLoading(value("A", [0.0 + 0.0j]), value("B", [0.0 + 0.0j]))
 
-    n = order if order is not None else value("truncation_N", 48)
-    q = quadrature if quadrature is not None else value("quadrature_Q", 2048)
+    # both keys are parsed even when overridden, so a malformed value is reported
+    n, q = value("truncation_N", 48), value("quadrature_Q", 2048)
+    n = order if order is not None else n
+    q = quadrature if quadrature is not None else q
     if n < 1:
         raise ConfigError("truncation_N must be positive")
     degree_floor = max(loading.degree, mapping.order) + 2

@@ -95,19 +95,20 @@ def material_from_figure_params(alpha1: float, kappa: float) -> Material:
     return Material.from_figure_params(alpha1, kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FarFieldLoading:
     """Faber coefficients (A_m) of h and (B_m) of l, padded to equal length.
 
     A and B are read-only copies of the arrays given: the exterior probe
     of fields keeps coefficient rows built from them in ``_rows``, one
     (table, rows) pair, so they must not change.  A pickle carries A and
-    B only, and the copy it makes rebuilds its rows.
+    B only, and the copy it makes rebuilds its rows.  Equality and
+    hashing follow identity, as the kept rows match their owner by ``is``.
     """
 
     A: np.ndarray
     B: np.ndarray
-    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         A = np.atleast_1d(np.asarray(self.A, dtype=complex))

@@ -57,7 +57,7 @@ _COND_LIMIT = 1e10
 _ROTATION_DEN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensitySolution:
     """Density coefficients and rigid-motion constants.
 
@@ -68,6 +68,8 @@ class DensitySolution:
     fields keep coefficient rows built from them in ``_rows``, one
     (table, rows) pair, so they must not change.  A pickle carries s, t
     and the constants only, and the copy it makes rebuilds its rows.
+    Equality and hashing follow identity, as the kept rows match their
+    owner by ``is``.
     """
 
     s: np.ndarray
@@ -76,7 +78,7 @@ class DensitySolution:
     c2: float
     c3: float
     order: int
-    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("s", "t"):
@@ -122,9 +124,7 @@ def solve_t(
     t_1 = A_1/alpha2 + 2i c3 / ((kappa+1) alpha2) also carries the
     rotation constant.
     """
-    t = np.zeros(n, dtype=complex)
-    for m in range(1, n + 1):
-        t[m - 1] = m * loading.coefficient_A(m) / mat.alpha2
+    t = np.array([m * loading.coefficient_A(m) / mat.alpha2 for m in range(1, n + 1)])
     t[0] = loading.coefficient_A(1) / mat.alpha2 + 2j * c3 / (
         (mat.kappa + 1.0) * mat.alpha2
     )
@@ -181,25 +181,19 @@ def build_y(
     mA = np.arange(p + 1) * np.conj(loading.A[: p + 1])
     b[1, : p + M + 1] = np.convolve(mA, a)[1:]
     # Ftilde_j = F_j'/j = sum_{l<j} d_{j-1-l} F_l, so the weight of conj(F_l)
-    # is sum_j b_j conj(d_{j-1-l}), the d-fold of b with conj(d)
+    # is sum_j b_j conj(d_{j-1-l}), the d-fold of b with conj(d); column 0 is
+    # the constant, columns l >= 1 the coefficients of conj(F_l)
     conj_d = np.conj(table.d)
-    c1v, c2v = (_fold_d(row, conj_d) for row in b)
-    j1const, j2const = c1v[0], c2v[0]
-    c1v, c2v = c1v[1:], c2v[1:]  # J1, J2 coefficients over conj(F_l), l >= 1
-    c2v[:p] += np.conj(loading.B[1 : p + 1])
-
-    y1full = -c1v / mat.alpha2
-    y2full = -c2v / mat.alpha2
-    tail_scale = max(1.0, np.abs(y1full).max(initial=0.0), np.abs(y2full).max(initial=0.0))
-    if n < ntab and (
-        np.abs(y1full[n:]).max(initial=0.0) > 1e-13 * tail_scale
-        or np.abs(y2full[n:]).max(initial=0.0) > 1e-13 * tail_scale
-    ):
+    c = np.array([_fold_d(row, conj_d) for row in b])
+    c[1, 1 : p + 1] += np.conj(loading.B[1 : p + 1])
+    y = -c / mat.alpha2
+    tail = np.abs(y[:, n + 1 :]).max(initial=0.0)
+    if tail > 1e-13 * max(1.0, np.abs(y[:, 1:]).max(initial=0.0)):
         raise TruncationError(
-            f"loading excites Faber modes beyond the truncation order {n}; "
-            "raise it to at least degree + map order - 1"
+            f"right-hand side excites Faber modes beyond the truncation order {n}; "
+            f"raise it to at least {max(p, 1) + M - 1}"
         )
-    return y1full[:n], y2full[:n], -j1const / mat.alpha2, -j2const / mat.alpha2
+    return y[0, 1 : n + 1], y[1, 1 : n + 1], y[0, 0], y[1, 0]
 
 
 def _conj_d_hankel(mapping: ExteriorMap, table: FaberTable, rows: int, cols: int):
@@ -231,31 +225,14 @@ def _coupled_matrix(E: np.ndarray, kappa: float) -> np.ndarray:
     """
     h = E.shape[0]
     D_h = np.diag(1.0 / np.arange(1, h + 1))
-    top = np.hstack([kappa * D_h + E.real, E.imag])
-    bot = np.hstack([E.imag, kappa * D_h - E.real])
-    mat2 = np.vstack([top, bot])
+    mat2 = np.vstack([np.hstack([kappa * D_h + E.real, E.imag]),
+                      np.hstack([E.imag, kappa * D_h - E.real])])
     cond = np.linalg.cond(mat2)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularBlockError(
             f"coupled block condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
         )
     return mat2
-
-
-def _solve_one(mat2: np.ndarray, kappa: float, y: np.ndarray) -> np.ndarray:
-    """Solve kappa D s + E conj(s) = y exploiting the finite coupling.
-
-    ``mat2`` is the ``_coupled_matrix`` of the coupled head, (0, 0) when
-    there is none.
-    """
-    h = len(mat2) // 2
-    s = np.zeros(len(y), dtype=complex)
-    # rows past the coupled head are a pure diagonal scaling
-    s[h:] = np.arange(h + 1, len(y) + 1) * y[h:] / kappa
-    if h > 0:
-        xy = np.linalg.solve(mat2, np.concatenate([y[:h].real, y[:h].imag]))
-        s[:h] = xy[:h] + 1j * xy[h:]
-    return s
 
 
 def solve_block(
@@ -266,16 +243,22 @@ def solve_block(
     mat: Material,
     n: int,
 ) -> tuple:
-    """Solve the s-system for the two right-hand sides y1 and y2.
+    """Solve kappa D u + E conj(u) = y for the two right-hand sides y1 and y2.
 
-    The coupled matrix and its condition number are built once for
-    both.  Returns (u1, u2) with the final density s = c3*u1 + u2.
+    y1 and y2 must have equal length.  Rows past the coupled head of
+    order min(M-2, n) are a pure diagonal scaling; the head's real
+    matrix and its condition number are built once for both sides.
+    Returns (u1, u2) with the final density s = c3*u1 + u2.
     """
     h = max(0, min(mapping.order - 2, n))
-    mat2 = _coupled_matrix(coupling_block(mapping, table, h), mat.kappa) if h else np.zeros((0, 0))
-    u1 = _solve_one(mat2, mat.kappa, np.asarray(y1, dtype=complex))
-    u2 = _solve_one(mat2, mat.kappa, np.asarray(y2, dtype=complex))
-    return u1, u2
+    y = np.array([y1, y2], dtype=complex)
+    u = np.arange(1, y.shape[1] + 1) * y / mat.kappa
+    if h:
+        mat2 = _coupled_matrix(coupling_block(mapping, table, h), mat.kappa)
+        for u_k, y_k in zip(u, y):  # one solve per side: a two-column solve rounds otherwise
+            xy = np.linalg.solve(mat2, np.concatenate([y_k[:h].real, y_k[:h].imag]))
+            u_k[:h] = xy[:h] + 1j * xy[h:]
+    return u[0], u[1]
 
 
 def _pair_with_map(u: np.ndarray, mapping: ExteriorMap) -> complex:

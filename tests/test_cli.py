@@ -616,6 +616,17 @@ class TestErrorPaths:
         assert capsys.readouterr() == ("", f"config error: {message.format(cfg=cfg)}\n")
         assert sorted(os.listdir(tmp_path)) == ([] if text is None else ["job.cfg"])
 
+    @pytest.mark.parametrize("command", ["solve", "field"])
+    @pytest.mark.parametrize("case", ["truncation_N text", "quadrature_Q text"])
+    def test_overridden_keys_are_parsed(self, tmp_path, monkeypatch, capsys, command, case):
+        monkeypatch.chdir(tmp_path)
+        text, message = ERROR_PATHS[case]
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(text)
+        args = [command, "--config", str(cfg), "--order", "12", "--quadrature", "512"]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
     def test_field_without_grid(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, _entries(grid=None))

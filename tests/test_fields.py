@@ -549,6 +549,14 @@ class TestKeptRows:
         table, sol = _solved(mapping, 24, 8)
         return mapping, table, sol, random_loading(np.random.default_rng(8), 24)
 
+    def test_equality_and_hash_follow_identity(self):
+        mapping, table, sol, loading = self._case()
+        _, sol2 = _solved(mapping, 24, 8)
+        loading2 = FarFieldLoading(loading.A, loading.B)
+        for a, b in ((sol, sol2), (loading, loading2)):
+            assert a == a and hash(a) == hash(a)
+            assert a != b and len({a, b}) == 2
+
     def test_solution_and_loading_arrays_are_read_only(self):
         mapping, table, sol, loading = self._case()
         for array in (sol.s, sol.t, loading.A, loading.B):

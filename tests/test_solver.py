@@ -130,6 +130,16 @@ class TestBuildY:
         with pytest.raises(TruncationError):
             build_y(mp, table, load, FIG_MATERIAL, 4)
 
+    @pytest.mark.parametrize("A,B", [([1.0], [0.5]), ([0.0], [0.0, 1.0])])
+    def test_rotation_channel_tail(self, A, B):
+        # J1 reaches conj(F_M) at any loading degree, so only the rotation
+        # channel has a tail here: the order asked for is max(p, 1) + M - 1 = 6
+        mp = ExteriorMap((0.0, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002))
+        load = FarFieldLoading(A, B)
+        with pytest.raises(TruncationError, match="right-hand side .* at least 6$"):
+            solve_full(mp, load, FIG_MATERIAL, 5)
+        assert solve_full(mp, load, FIG_MATERIAL, 6).order == 6
+
 
 class TestSolveBlock:
     def test_ellipse_diagonal(self):
