@@ -51,7 +51,7 @@ from .oracle import Check, QuadratureRule, residual_checks, validation_checks
 from .oracle import (  # re-exported
     CONTINUITY_TOL, EQUILIBRIUM_TOL, GRUNSKY_SYMMETRY_TOL, ORACLE_TOL, TRANSMISSION_TOL,
 )
-from .solver import required_table_order, solve_full
+from .solver import required_table_order, solve_full, truncation_floor
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -188,12 +188,10 @@ def load_job(path: str, order=None, quadrature=None, out=None) -> JobConfig:
     q = quadrature if quadrature is not None else q
     if n < 1:
         raise ConfigError("truncation_N must be positive")
-    degree_floor = max(loading.degree, mapping.order) + 2
-    if n < degree_floor:
-        raise ConfigError(
-            f"truncation_N = {n} is below max(loading degree, map order) + 2 "
-            f"= {degree_floor}"
-        )
+    floor = truncation_floor(mapping, loading)
+    if n < floor:
+        raise ConfigError(f"truncation_N = {n} is below the solver's floor "
+                          f"max(loading degree, 1) + max(map order - 1, 0) = {floor}")
     try:
         QuadratureRule(q)
     except ValueError as exc:

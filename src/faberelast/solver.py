@@ -115,6 +115,16 @@ def required_table_order(mapping: ExteriorMap, n: int) -> int:
     return n + mapping.order + 1
 
 
+def truncation_floor(mapping: ExteriorMap, loading: FarFieldLoading) -> int:
+    """Smallest truncation order the solve takes: max(p, 1) + M - 1, and at least p.
+
+    The right-hand side reaches conj(F_l) up to l = max(p, 1) + M - 1 (the
+    rotation forcing J1 reaches conj(F_M) at any degree p), so every mode
+    it excites is solved for; at M = 0 that is p - 1, and t_p needs n >= p.
+    """
+    return max(loading.degree, 1) + max(mapping.order - 1, 0)
+
+
 def solve_t(
     loading: FarFieldLoading, mat: Material, c3: float, n: int
 ) -> np.ndarray:
@@ -191,7 +201,7 @@ def build_y(
     if tail > 1e-13 * max(1.0, np.abs(y[:, 1:]).max(initial=0.0)):
         raise TruncationError(
             f"right-hand side excites Faber modes beyond the truncation order {n}; "
-            f"raise it to at least {max(p, 1) + M - 1}"
+            f"raise it to at least {truncation_floor(mapping, loading)}"
         )
     return y[0, 1 : n + 1], y[1, 1 : n + 1], y[0, 0], y[1, 0]
 
@@ -339,11 +349,11 @@ def solve_full(
     """
     if n < 1:
         raise ValueError("truncation order must be at least 1")
-    if loading.degree > n:
-        raise TruncationError(
-            f"loading has degree {loading.degree}, above the truncation order {n}"
-        )
     mapping.require_univalent()
+    floor = truncation_floor(mapping, loading)
+    if n < floor:
+        raise TruncationError(f"loading degree {loading.degree}, map order {mapping.order}: "
+                              f"the right-hand side needs truncation order at least {floor}")
     if table is not None:
         check_table_map(mapping, table)
     if table is None or table.order < required_table_order(mapping, n) - 1:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from faberelast import build_faber
 from faberelast.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_VALIDATION, main
 from util import HARD_SHAPES, count_univalence_checks, random_univalent_map
 
@@ -579,8 +580,9 @@ ERROR_PATHS = {
     "truncation_N zero": (_entries(truncation_N="0"), "truncation_N must be positive"),
     "truncation_N negative": (_entries(truncation_N="-3"), "truncation_N must be positive"),
     "truncation_N floor": (
-        _entries(truncation_N="2"),
-        "truncation_N = 2 is below max(loading degree, map order) + 2 = 3",
+        _entries(A="0,0 1,0 0,0 0,1", truncation_N="2"),
+        "truncation_N = 2 is below the solver's floor "
+        "max(loading degree, 1) + max(map order - 1, 0) = 3",
     ),
     "quadrature_Q not a power of two": (
         _entries(quadrature_Q="100"),
@@ -647,6 +649,29 @@ class TestErrorPaths:
             "", f"config error: [Errno 2] No such file or directory: '{prefix}_{first}'\n"
         )
         assert sorted(os.listdir(tmp_path)) == ["job.cfg"]
+
+    def test_order_at_the_solver_floor(self, tmp_path, monkeypatch, capsys):
+        # the floor is max(p, 1) + max(M - 1, 0): 1 on fig1, and 67 on the
+        # order-8, degree-60 config, which is rejected before a table is built
+        import faberelast.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        fig1 = str(CONFIGS / "fig1.cfg")
+        for order in ("1", "2", "48"):
+            assert main(["solve", "--config", fig1, "--order", order, "--out", order]) == EXIT_OK
+            summary = (tmp_path / f"{order}_summary.txt").read_text().splitlines()
+            assert "c3 = -0.20312500000000003" in summary
+        high = high_degree_config(tmp_path)
+        tables = []
+        monkeypatch.setattr(cli, "build_faber", lambda *a: tables.append(a) or build_faber(*a))
+        capsys.readouterr()
+        assert main(["solve", "--config", high, "--order", "66"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: truncation_N = 66 is below the solver's floor "
+            "max(loading degree, 1) + max(map order - 1, 0) = 67\n"
+        )
+        assert tables == []
+        assert main(["solve", "--config", high, "--order", "67", "--out", "high"]) == EXIT_OK
 
 
 class TestValidateNaN:

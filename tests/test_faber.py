@@ -16,6 +16,7 @@ from faberelast import (
     solve_full,
 )
 from faberelast.faber import (
+    _canvas,
     _derivative_coefficients,
     _grunsky_wide,
     _point_values,
@@ -476,3 +477,40 @@ class TestRecurrenceKernel:
     def test_empty_points(self):
         F, Fp = faber_values(ExteriorMap((0.0, 0.2)), 5, np.zeros((0, 3), dtype=complex))
         assert F.shape == Fp.shape == (6, 0, 3)
+
+
+#: (M, N): seed of the map of order M at margin 0.99 whose table of order N is cut
+_CUT_CASES = {(12, 145): 12145, (24, 425): 24425}
+
+
+class TestCutCanvas:
+    """A canvas built to k = cap + N holds columns 0 .. cap of the whole rows bit for bit.
+
+    The whole rows are ``_grunsky_wide`` without a cap, which
+    ``TestRecurrenceKernel`` checks against the frozen row-by-row
+    reference (to 1e-15: the two sum in different orders).
+    """
+
+    @pytest.mark.parametrize("M,N", sorted(_CUT_CASES))
+    def test_cut_columns_are_bitwise_whole(self, M, N):
+        mp = random_univalent_map(np.random.default_rng(_CUT_CASES[M, N]), M, margin=0.99)
+        whole = _grunsky_wide(mp, N)
+        assert whole.shape == (N + 1, N * M + 1)
+
+        def same_bits(got, cols):
+            return np.array_equal(got.view(np.uint64), whole[:, :cols].view(np.uint64))
+
+        # at cap + N >= N * M the canvas is ``whole`` itself
+        for cap in (N, 2 * N):
+            assert same_bits(_canvas(_tail(mp), N, cap + N)[:, : cap + 1], cap + 1)
+            kept = _grunsky_wide(mp, N, cap)
+            assert kept.shape[1] > N and same_bits(kept, kept.shape[1]), cap
+        table = build_faber(mp, N)
+        width = table._grunsky_wide.shape[1]
+        assert N < width < N * M // 4  # the table's canvas is cut
+        assert same_bits(table._grunsky_wide, width)
+        assert np.array_equal(table.grunsky.view(np.uint64),
+                              whole[1:, 1 : N + 1].copy().view(np.uint64))
+        for m in (1, N // 2, N):
+            row = table.grunsky_row(m)
+            assert np.array_equal(row.view(np.uint64), whole[m, 1 : m * M + 1].view(np.uint64))

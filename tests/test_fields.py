@@ -1,6 +1,10 @@
 import dataclasses
+import importlib
 import pickle
+import tracemalloc
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +32,10 @@ from faberelast import (
     validation_checks,
     write_field_csv,
 )
+from faberelast import fields
+from faberelast.cli import load_job
 from faberelast.conformal import _BLOCK_VALUES, _HORNER_TERMS, _blocked_horner, _powers, _row_sums
-from faberelast.faber import faber_values
+from faberelast.faber import _grunsky_wide, faber_values
 from faberelast.fields import (
     BOUNDARY,
     EXTERIOR,
@@ -37,6 +43,8 @@ from faberelast.fields import (
     _exterior_field,
     _g17_text,
     _interior_field,
+    _S_rows,
+    _u0_rows,
 )
 from faberelast.solver import DensitySolution
 from util import (
@@ -50,6 +58,8 @@ from util import (
     random_univalent_map,
     solved_figure,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _mode_solution(n, s=None, t=None):
@@ -1426,3 +1436,105 @@ class TestEvalU0FarField:
         smp = displacement(sol, table, mapping, mat, loading, w)
         u0 = eval_u0(loading, table, mat, smp.z)
         assert abs(smp.u - u0) / abs(u0) < 1e-3
+
+
+def _exact_sum(row, u):
+    """sum_k row[k] u**k, exact, as Fractions (re, im).
+
+    Every double is an integer times 2**-1074, and u = (Ur + i Ui) 2**-s,
+    so Horner runs over Gaussian integers: fast for u of few bits.
+    """
+    ur, ui = Fraction(u.real), Fraction(u.imag)
+    s = max(ur.denominator, ui.denominator).bit_length() - 1
+    Ur, Ui = int(ur * 2**s), int(ui * 2**s)
+
+    def ints(x):
+        num, den = x.as_integer_ratio()
+        return num * (2**1074 // den)
+
+    Ar = Ai = 0
+    for j, c in enumerate(row[::-1].tolist()):
+        Ar, Ai = Ar * Ur - Ai * Ui, Ar * Ui + Ai * Ur
+        Ar += ints(c.real) << (s * j)
+        Ai += ints(c.imag) << (s * j)
+    den = 2 ** (1074 + s * (len(row) - 1))
+    return Fraction(Ar, den), Fraction(Ai, den)
+
+
+def _u_rows(sol, table, mapping, loading):
+    """The kept u rows of S and of u0, as ``_exterior_field`` sums them."""
+    return _S_rows(sol, table, mapping)[0], _u0_rows(loading, table)[0]
+
+
+def _chop_cases():
+    cases = {name: (mp, 30) for name, mp in HARD_SHAPES.items()}
+    for M, N in ((12, 145), (24, 425)):
+        mp = random_univalent_map(np.random.default_rng(1000 * M + N), M, margin=0.99)
+        cases[f"seeded ({M}, {N})"] = (mp, N - 1 - 2 * M)  # degree p, table order N
+    return cases
+
+
+_CHOP_CASES = _chop_cases()
+
+
+class TestChoppedRows:
+    """The u rows of S and u0 are cut where their tail is below the sum's rounding bound."""
+
+    #: u = 1/w at |w| >= 1, two on |u| = 1 where the tail is largest;
+    #: each has few bits, so the exact sums stay small integers
+    U = (1.0 + 0j, 1j, -0.75 + 0.5j)
+
+    @pytest.mark.parametrize("name", sorted(_CHOP_CASES))
+    def test_within_the_rounding_bound_of_the_whole_rows(self, name, monkeypatch):
+        mp, degree = _CHOP_CASES[name]
+        table, sol = _solved(mp, degree, 7)
+        loading = random_loading(np.random.default_rng(7), degree)
+        kept = _u_rows(sol, table, mp, loading)
+        # the rows as they were before the cut: the whole canvas, no chop
+        whole_table = build_faber(mp, table.order)
+        vars(whole_table)["_grunsky_wide"] = _grunsky_wide(mp, table.order)
+        monkeypatch.setattr(fields, "_chop_width", lambda c, weight=1.0: c.shape[1])
+        whole = _u_rows(sol, whole_table, mp, loading)
+        assert whole[1].shape[1] == degree * mp.order + 2
+        eps = np.finfo(float).eps
+        for cut, full in zip(kept, whole):
+            assert cut.shape[1] <= full.shape[1]
+            for r in range(len(full)):
+                bound = Fraction(eps * np.abs(full[r]).sum()) ** 2
+                for u in self.U:
+                    # the chop aims at a sixteenth of this bound (faber._CHOP)
+                    (a, b), (c, d) = _exact_sum(cut[r], u), _exact_sum(full[r], u)
+                    assert (a - c) ** 2 + (b - d) ** 2 <= bound, (r, u)
+
+    def test_width_on_the_high_degree_config(self, tmp_path, monkeypatch):
+        # map order 12, loading degree 120, truncation 132: the whole rows
+        # are 1718 (S) and 1442 (u0) terms wide, the kept ones about 190
+        monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+        inputs = importlib.import_module("inputs")
+        job = load_job(str(inputs.build("high_degree_cli", 1, ROOT, tmp_path).cli_cases[0].config))
+        mp, loading, n = job.mapping, job.loading, job.truncation_n
+        table = build_faber(mp, required_table_order(mp, n))
+        sol = solve_full(mp, loading, job.material, n, table=table)
+        S, u0 = _u_rows(sol, table, mp, loading)
+        assert S.shape[1] <= 256 and u0.shape[1] <= 256, (S.shape, u0.shape)
+
+
+class TestCutCanvasMemory:
+    def test_field_grid_on_a_large_case(self):
+        # the whole canvas of this (24, 425) table is 426 x 10201 complex,
+        # 69.5 MB, and field_grid peaked at 77 MB with it.  Cut, it is
+        # 426 x 975 (6.6 MB); the pass that finds the cut holds a 426 x 2151
+        # buffer (14.7 MB) and the chop test's 426 x 1701 floats (5.8 MB),
+        # and field_grid peaks at about 24 MB
+        mp = random_univalent_map(np.random.default_rng(24425), 24, margin=0.99)
+        table, sol = _solved(mp, 376, 11)
+        loading = random_loading(np.random.default_rng(11), 376)
+        assert table.order == 425
+        tracemalloc.start()
+        try:
+            grid = field_grid(sol, table, mp, FIG_MATERIAL, loading, GridSpec(-3, 3, -3, 3, 9, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(grid.u))
+        assert peak < 32e6, peak / 1e6

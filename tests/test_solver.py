@@ -23,6 +23,7 @@ from faberelast import (
     transmission_residual,
 )
 from faberelast.faber import _derivative_coefficients
+from faberelast.solver import truncation_floor
 from util import (
     FIG_LOADING,
     FIG_MAPS,
@@ -139,6 +140,32 @@ class TestBuildY:
         with pytest.raises(TruncationError, match="right-hand side .* at least 6$"):
             solve_full(mp, load, FIG_MATERIAL, 5)
         assert solve_full(mp, load, FIG_MATERIAL, 6).order == 6
+
+
+class TestTruncationFloor:
+    """max(p, 1) + max(M - 1, 0): the last Faber mode the right-hand side reaches, and p."""
+
+    @pytest.mark.parametrize("order,degree", [
+        (0, 0), (0, 1), (0, 5), (1, 0), (1, 1), (1, 7), (3, 0), (3, 2), (6, 4), (12, 20),
+    ])
+    def test_solves_at_the_floor_and_not_below(self, order, degree):
+        rng = np.random.default_rng(100 * order + degree)
+        mp = ExteriorMap((0.2,)) if order == 0 else random_univalent_map(rng, order)
+        loading = random_loading(rng, degree)
+        floor = truncation_floor(mp, loading)
+        assert floor == max(degree, 1) + max(order - 1, 0)
+        n = floor + 4
+        table = build_faber(mp, required_table_order(mp, n))
+        y = np.array(build_y(mp, table, loading, FIG_MATERIAL, n)[:2])
+        assert not np.any(y[:, floor:])  # nothing past the floor
+        if floor > 1:
+            # the floor's own mode is excited, or t_p needs it
+            assert np.any(y[:, floor - 1]) or degree == floor
+            with pytest.raises(TruncationError, match=f"at least {floor}$"):
+                solve_full(mp, loading, FIG_MATERIAL, floor - 1)
+            with pytest.raises(TruncationError, match=f"at least {floor}$"):
+                build_y(mp, table, loading, FIG_MATERIAL, floor - 1)
+        assert solve_full(mp, loading, FIG_MATERIAL, floor).order == floor
 
 
 class TestSolveBlock:
