@@ -29,12 +29,11 @@ and table order 145, the column maxima are 5.7e-15 at k = 145 and
 row m + 1 reads columns up to k + 1 of row m and up to k of the rows
 before it, so each row loses at most one exact column at the edge of
 a canvas computed only to some k.  A canvas computed to
-k = cap + N + 1 holds columns 0 .. cap of rows 0 .. N bit for bit:
-each row product is taken in fixed column blocks from the row's first
-column (``_blocked_dot``), so a column's bits do not depend on how far
-its row runs, nor on how a threaded BLAS would split one long product,
-but for the last few columns of a product, which BLAS rounds by
-another kernel; the one column more keeps those away from 0 .. cap.  The
+k = cap + N + 1 holds columns 0 .. cap of rows 0 .. N bit for bit when
+BLAS runs on one thread; the column past cap + N is for BLAS kernels
+that round the last columns of a product by another kernel.  A
+threaded BLAS splits a long product at points that depend on its
+length, so there the two agree to rounding, not bit for bit.  The
 table keeps the columns before the point past which every row's tail
 is below _CHOP, a sixteenth of eps, of the row's l1 norm, found on
 those exact columns with room to see the decay (``_grunsky_wide``):
@@ -78,10 +77,6 @@ from .errors import NumericError
 #: the chop drops a series tail below _CHOP times the series' l1 norm:
 #: a sixteenth of eps l1, the rounding bound of its sum at |u| <= 1
 _CHOP = np.finfo(float).eps / 16
-#: columns per BLAS call in a canvas row product: up to map order 61 a
-#: call, at most 65 columns by M + 2 taps, stays under the 4096 entries
-#: from which OpenBLAS splits a complex gemv over threads
-_BLOCK = 64
 
 
 def _tail(mapping: ExteriorMap) -> np.ndarray:
@@ -90,29 +85,14 @@ def _tail(mapping: ExteriorMap) -> np.ndarray:
     return a.copy() if len(a) else np.zeros(1, dtype=complex)
 
 
-def _blocked_dot(v: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """v @ A, as one product per block of _BLOCK columns from A's first column.
-
-    Each block runs on one thread (``_BLOCK``), so column j's bits do not
-    depend on the thread count, nor on A's width but for the last few
-    columns of the last block, which BLAS rounds by another kernel.  The
-    last block takes 2 .. _BLOCK + 1 columns, as numpy takes a
-    one-column product by another kernel than a long one.
-    """
-    full = max(A.shape[1] - 2, 0) // _BLOCK * _BLOCK
-    head = v @ A[:, :full].reshape(len(v), -1, _BLOCK).swapaxes(0, 1)
-    return np.concatenate((head.reshape(-1), v @ A[:, full:]))
-
-
-def _recurrence(a: np.ndarray, out: np.ndarray, times_z, dot=np.matmul) -> np.ndarray:
+def _recurrence(a: np.ndarray, out: np.ndarray, times_z) -> np.ndarray:
     """Fill out[1:] from out[0] = F_0 by the Faber recurrence, in place.
 
     ``out`` is read through its (rows, -1) view, which must not be a copy.
     ``times_z(m)`` returns ``(cols, zF)``: a slice of that view's columns
     outside which F_{m+1} is zero, and a new array holding z * F_m there.
     The s-sum is one product of the reversed taps with the history rows;
-    F_0 also carries the tail term m a_m, so its tap is (m + 1) a_m;
-    ``dot`` takes that product.
+    F_0 also carries the tail term m a_m, so its tap is (m + 1) a_m.
     """
     M = len(a) - 1
     flat = out.reshape(len(out), -1)
@@ -125,7 +105,7 @@ def _recurrence(a: np.ndarray, out: np.ndarray, times_z, dot=np.matmul) -> np.nd
         if m <= M:
             taps = np.concatenate(([(m + 1) * a[m]], taps[1:]))
         cols, new = times_z(m)
-        np.subtract(new.reshape(-1), dot(taps, flat[m + 1 - k : m + 1, cols]), out=flat[m + 1, cols])
+        np.subtract(new.reshape(-1), taps @ flat[m + 1 - k : m + 1, cols], out=flat[m + 1, cols])
     return out
 
 
@@ -250,7 +230,7 @@ def _chop_width(c: np.ndarray, weight=1.0) -> int:
 def _canvas(a: np.ndarray, n: int, width: int) -> np.ndarray:
     """Laurent coefficients of F_m(Psi(w)) for m = 0..n to w**(-width), by the recurrence.
 
-    [m, k] = c_{m,k} for k = 0 .. width; bit for bit for k < width - n.
+    [m, k] = c_{m,k} for k = 0 .. width; exact for k < width - n.
     Row m lives on the canvas at exponents w**m .. w**(-mM), column
     n - e for exponent e, so c_{m,k} sits at column n + k.  z * F_m is
     taken only over row m+1's columns, as one product of the M + 2
@@ -268,9 +248,9 @@ def _canvas(a: np.ndarray, n: int, width: int) -> np.ndarray:
 
     def times_z(m):
         cols = slice(n - m - 1, n + min((m + 1) * M, width) + 1)
-        return cols, _blocked_dot(psi, np.ascontiguousarray(windows[m, :, cols]))
+        return cols, psi @ np.ascontiguousarray(windows[m, :, cols])
 
-    _recurrence(a, comp, times_z, _blocked_dot)
+    _recurrence(a, comp, times_z)
     wide = comp[:, n:]
     wide[:, 0] = 0.0  # F_m(Psi(w)) - w**m has no constant term
     return wide
@@ -279,19 +259,20 @@ def _canvas(a: np.ndarray, n: int, width: int) -> np.ndarray:
 def _grunsky_wide(mapping: ExteriorMap, n: int, cap: int | None = None) -> np.ndarray:
     """[m, k] = c_{m,k} for m = 0..n: whole rows, k <= n*M, with ``cap`` None; else cut.
 
-    A cut canvas is built to k = cap + n + 1, which holds k = 0 .. cap
-    of every row bit for bit (module docstring), and cut by the chop test
+    A cut canvas is built to k = cap + n + 1, which holds k = 0 .. cap of
+    every row (module docstring), and cut by the chop test
     on those exact columns: at the width past which every row's tail,
     weighted by 1 + k for the rows of k c_{m,k}, is below _CHOP of its
     l1 norm.  The cut is taken when the exact columns past it are at
     least a quarter of those kept, so that the decay has been seen
     rather than assumed (the 1.25 margin of Aurentz and Trefethen's
     standardChop); otherwise cap doubles and the canvas is built again,
-    within this one call, up to whole rows.  A cut canvas keeps at
-    least columns 0 .. n, which hold the Grunsky matrix.
+    within this one call, until a try would reach half the whole rows,
+    which are then built at once.  A cut canvas keeps at least columns
+    0 .. n, which hold the Grunsky matrix.
     """
     full = n * max(mapping.order, 1)  # most negative exponent of row n
-    while cap is not None and cap + n < full:
+    while cap is not None and 2 * (cap + n + 1) < full:
         wide = _canvas(_tail(mapping), n, cap + n + 1)
         keep = _chop_width(wide[:, : cap + 1], np.arange(1, cap + 2))
         if 5 * keep <= 4 * cap:

@@ -1,8 +1,13 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faberelast
 from faberelast import (
     ExteriorMap,
     build_faber,
@@ -16,7 +21,6 @@ from faberelast import (
     solve_full,
 )
 from faberelast.faber import (
-    _blocked_dot,
     _canvas,
     _derivative_coefficients,
     _grunsky_wide,
@@ -484,58 +488,46 @@ class TestRecurrenceKernel:
 _CUT_CASES = {(12, 145): 12145, (24, 425): 24425}
 
 
+def _cut_columns_are_bitwise_whole(M, N):
+    """The checks of ``TestCutCanvas``, on this process's BLAS threads."""
+    mp = random_univalent_map(np.random.default_rng(_CUT_CASES[M, N]), M, margin=0.99)
+    whole = _grunsky_wide(mp, N)
+    assert whole.shape == (N + 1, N * M + 1)
+
+    def same_bits(got, cols):
+        return np.array_equal(got.view(np.uint64), whole[:, :cols].view(np.uint64))
+
+    # at cap + N >= N * M the canvas is ``whole`` itself
+    for cap in (N, 2 * N):
+        assert same_bits(_canvas(_tail(mp), N, cap + N + 1)[:, : cap + 1], cap + 1)
+        kept = _grunsky_wide(mp, N, cap)
+        assert kept.shape[1] > N and same_bits(kept, kept.shape[1]), cap
+    table = build_faber(mp, N)
+    width = table._grunsky_wide.shape[1]
+    assert N < width < N * M // 4  # the table's canvas is cut
+    assert same_bits(table._grunsky_wide, width)
+    assert np.array_equal(table.grunsky.view(np.uint64),
+                          whole[1:, 1 : N + 1].copy().view(np.uint64))
+    for m in (1, N // 2, N):
+        row = table.grunsky_row(m)
+        assert np.array_equal(row.view(np.uint64), whole[m, 1 : m * M + 1].view(np.uint64))
+
+
 class TestCutCanvas:
     """A canvas built to k = cap + N + 1 holds columns 0 .. cap of the whole rows bit for bit.
 
     The whole rows are ``_grunsky_wide`` without a cap, which
     ``TestRecurrenceKernel`` checks against the frozen row-by-row
-    reference (to 1e-15: the two sum in different orders).
+    reference (to 1e-15: the two sum in different orders).  Bit for bit
+    holds when BLAS runs on one thread, so the checks run in a child
+    process with ``OPENBLAS_NUM_THREADS=1``.
     """
 
     @pytest.mark.parametrize("M,N", sorted(_CUT_CASES))
     def test_cut_columns_are_bitwise_whole(self, M, N):
-        mp = random_univalent_map(np.random.default_rng(_CUT_CASES[M, N]), M, margin=0.99)
-        whole = _grunsky_wide(mp, N)
-        assert whole.shape == (N + 1, N * M + 1)
-
-        def same_bits(got, cols):
-            return np.array_equal(got.view(np.uint64), whole[:, :cols].view(np.uint64))
-
-        # at cap + N >= N * M the canvas is ``whole`` itself
-        for cap in (N, 2 * N):
-            assert same_bits(_canvas(_tail(mp), N, cap + N + 1)[:, : cap + 1], cap + 1)
-            kept = _grunsky_wide(mp, N, cap)
-            assert kept.shape[1] > N and same_bits(kept, kept.shape[1]), cap
-        table = build_faber(mp, N)
-        width = table._grunsky_wide.shape[1]
-        assert N < width < N * M // 4  # the table's canvas is cut
-        assert same_bits(table._grunsky_wide, width)
-        assert np.array_equal(table.grunsky.view(np.uint64),
-                              whole[1:, 1 : N + 1].copy().view(np.uint64))
-        for m in (1, N // 2, N):
-            row = table.grunsky_row(m)
-            assert np.array_equal(row.view(np.uint64), whole[m, 1 : m * M + 1].view(np.uint64))
-
-    def test_short_tables_of_long_maps(self):
-        # at N < M the canvas cuts rows from row 2 on, and the last columns
-        # of their products, which BLAS rounds by its remainder kernel,
-        # reach k = cap at width cap + N: the one column more keeps them past it
-        for M, N in ((8, 2), (12, 3), (40, 4), (40, 12)):
-            mp = random_univalent_map(np.random.default_rng(100 * M + N), M)
-            whole = _grunsky_wide(mp, N).view(np.uint64)
-            for cap in range(N, N * M - N):
-                cut = _canvas(_tail(mp), N, cap + N + 1)[:, : cap + 1]
-                assert np.array_equal(cut.view(np.uint64), whole[:, : 2 * cap + 2]), (M, N, cap)
-
-    def test_blocked_products_ignore_the_width(self):
-        rng = np.random.default_rng(64)
-        for taps in (3, 14, 26):
-            v = rng.standard_normal(taps) + 1j * rng.standard_normal(taps)
-            A = rng.standard_normal((taps, 700)) + 1j * rng.standard_normal((taps, 700))
-            whole = _blocked_dot(v, A)
-            assert np.allclose(whole, v @ A, rtol=0, atol=1e-13)
-            for width in (1, 2, 5, 64, 65, 66, 67, 130, 193, 699):
-                got = _blocked_dot(v, A[:, :width]).view(np.uint64)
-                # all but the last three columns, which BLAS may round by its remainder kernel
-                head = max(2 * width - 6, 0)
-                assert np.array_equal(got[:head], whole.view(np.uint64)[:head]), (taps, width)
+        path = [str(Path(faberelast.__file__).parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")])}
+        code = f"import test_faber; test_faber._cut_columns_are_bitwise_whole({M}, {N})"
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
