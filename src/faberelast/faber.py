@@ -276,7 +276,10 @@ def _grunsky_wide(mapping: ExteriorMap, n: int, cap: int | None = None) -> np.nd
         wide = _canvas(_tail(mapping), n, cap + n + 1)
         keep = _chop_width(wide[:, : cap + 1], np.arange(1, cap + 2))
         if 5 * keep <= 4 * cap:
-            return wide[:, : max(keep, n + 1)].copy()
+            # a view of the canvas buffer, as whole rows are: freeing that
+            # buffer raised glibc's dynamic mmap threshold, and with it the
+            # process's peak RSS in later allocations
+            return wide[:, : max(keep, n + 1)]
         cap *= 2
     return _canvas(_tail(mapping), n, full)
 

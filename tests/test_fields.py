@@ -1522,10 +1522,10 @@ class TestChoppedRows:
 class TestCutCanvasMemory:
     def test_field_grid_on_a_large_case(self):
         # the whole canvas of this (24, 425) table is 426 x 10201 complex,
-        # 69.5 MB, and field_grid peaked at 77 MB with it.  Cut, it is
-        # 426 x 975 (6.6 MB); the pass that finds the cut holds a 426 x 2151
-        # buffer (14.7 MB) and the chop test's 426 x 1701 floats (5.8 MB),
-        # and field_grid peaks at about 24 MB
+        # 69.5 MB, and field_grid peaked at 77 MB with it.  Cut, it keeps
+        # 426 x 975 columns, a view of the 426 x 2577 buffer (17.6 MB) of
+        # the pass that finds the cut, beside which the chop test holds
+        # 426 x 1701 floats (5.8 MB); field_grid peaks at about 24 MB
         mp = random_univalent_map(np.random.default_rng(24425), 24, margin=0.99)
         table, sol = _solved(mp, 376, 11)
         loading = random_loading(np.random.default_rng(11), 376)
