@@ -39,7 +39,8 @@ is below _CHOP, a sixteenth of eps, of the row's l1 norm, found on
 those exact columns with room to see the decay (``_grunsky_wide``):
 348 of the 1741 columns on that config.  Any sum of the rows in
 u = 1/w at |u| <= 1 then drops less than a sixteenth of the rounding
-bound of forming and summing it.  ``grunsky_row`` builds whole rows.
+bound of forming and summing it.  ``grunsky_row`` reads whole rows,
+which the table keeps apart from the cut canvas.
 
 The change of basis for derivatives,
 
@@ -179,9 +180,19 @@ class FaberTable:
         return _readonly(self._grunsky_wide[1:, 1 : self.order + 1].copy())
 
     def grunsky_row(self, m: int) -> np.ndarray:
-        """All nonzero Grunsky coefficients of row m: c_{m,1} ... c_{m,mM}."""
+        """All nonzero Grunsky coefficients of row m: c_{m,1} ... c_{m,mM}.
+
+        A read-only view of the largest block of whole rows 0 .. B built so
+        far, which the table keeps: a row past B builds rows 0 .. max(m, 2B),
+        at most N.  The block holds (B + 1)(BM + 1) complex numbers, so at
+        most (N + 1)(NM + 1) of 16 bytes: 4.1 MB at N = 145 and M = 12.
+        """
         _check_index(self, m)
-        return _readonly(_grunsky_wide(self.mapping, m)[m, 1:].copy())  # whole rows 0 .. m
+        rows = self.__dict__.get("_whole_rows", ())
+        if len(rows) <= m:
+            size = min(max(m, 2 * (len(rows) - 1)), self.order)
+            rows = self.__dict__["_whole_rows"] = _readonly(_grunsky_wide(self.mapping, size))
+        return rows[m, 1 : m * max(self.mapping.order, 1) + 1]
 
     @cached_property
     def gamma(self) -> np.ndarray:

@@ -96,7 +96,8 @@ import numpy as np
 
 from .conformal import _INSIDE_TOL, ExteriorMap, _row_sums
 from .errors import DomainError
-from .faber import FaberTable, _chop_width, _derivative_coefficients, _tail, check_table_map
+from .faber import (FaberTable, _chop_width, _derivative_coefficients, _readonly, _tail,
+                    check_table_map)
 from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials
 from .solver import DensitySolution
 
@@ -499,30 +500,24 @@ _G17_RANGE = (1e-200, 1e200)
 _G17_TIE = 1e-9
 _G17_POW = (-190, 220)  # the p of the 10**p table; p = 16 - k, |k| <= 202
 _G17_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
-# Each nonzero finite value gets a 28-byte source row: byte 0 its first
-# digit, 1 its sign ("-" or "+"), 2-3 ".e", 4-19 its other 16 digits,
-# 20-23 its exponent as "+ddd", 24 "0" and NULs.  Its text is the row
-# gathered through a template chosen by whether a sign is written ("-",
-# or "+" too for %+.17g), layout (fixed point for exponents -4 .. 16, or
-# an exponent of 2 or 3 digits) and the significant digits left without
-# trailing zeros.
-_G17_LAYOUTS = 23
+# The text of a value is a slot of four little-endian uint64 words, with
+# every piece at a fixed byte and NUL wherever the value has no byte:
+# 0 the sign, 1-5 the "0.000" of the layouts k = -4 .. -1, 6 the first
+# digit, 7 the dot, 8-15 and 16-23 the other 16 digits, cut after the
+# last one that is not a trailing zero, and 24-28 the exponent, "e-05"
+# or "e+100", of the layouts k < -4 and k > 16.  For k = 1 .. 16 the dot
+# moves behind the k digits it follows.  A writer drops the NULs.
+_G17_SLOT = 29  # bytes of a slot that can hold text
 
 
-def _g17_template(signed: int, layout: int, s: int) -> list:
-    """Source bytes of the text for one sign, layout and digit count."""
-    # source bytes of the 17 digits, and of the sign if one is written
-    d, sign = [0] + list(range(4, 20)), [1] * signed
-    if layout > 20:  # d.ddde+XX or d.ddde+XXX
-        return sign + d[:1] + ([2] + d[1:s]) * (s > 1) + [3, 20] + [21, 22, 23][22 - layout :]
-    if layout < 4:  # 0.000ddd
-        return sign + [24, 2] + [24] * (3 - layout) + d[:s]
-    return sign + d[: layout - 3] + ([2] + d[layout - 3 : s]) * (s > layout - 3)
+def _word(text: str, at: int = 0) -> int:
+    """The little-endian uint64 with ASCII ``text`` from byte ``at``."""
+    return int.from_bytes(bytes(at) + text.encode(), "little")
 
 
 @functools.cache
 def _g17_tables() -> tuple:
-    """Powers of ten, digit words and text templates, built on first use."""
+    """Powers of ten and the slot words of signs, digits and exponents, built on first use."""
     exact = [(10**p, 1) if p >= 0 else (1, 10**-p) for p in range(_G17_POW[0], _G17_POW[1] + 1)]
     hi = np.array([n / d for n, d in exact])  # int / int rounds correctly
     lo = [(n * hd - hn * d) / (d * hd) for (n, d), (hn, hd) in
@@ -531,34 +526,39 @@ def _g17_tables() -> tuple:
     hh = c - (c - hi)
     pow10 = np.stack([hi, hh, hi - hh, np.array(lo)])
 
-    def words(texts):  # four ASCII bytes each, as uint32
-        return np.frombuffer("".join(texts).encode(), dtype=np.uint32)
-
+    words = functools.partial(np.array, dtype=np.uint64)
     quads = np.arange(10000)
-    exps = np.arange(-999, 1000)
-    # template index of each sign and exponent with 17 significant digits
-    exp_layout = np.where(np.abs(exps) < 100, 21, 22)
-    exp_layout = np.where((exps >= -4) & (exps <= 16), exps + 4, exp_layout)
-    classes = (np.arange(2)[:, None] * _G17_LAYOUTS + exp_layout) * 17 + 16
-    templates = np.array([(_g17_template(c, lay, s) + [27] * _G17_WIDTH)[:_G17_WIDTH]
-                          for c in range(2) for lay in range(_G17_LAYOUTS) for s in range(1, 18)])
+    quad = (48 + quads[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8).view(np.uint32)
+    quad = quad.ravel().astype(np.uint64)  # four ASCII digits in the low bytes
+    # digits kept when group i of four ends the text: 4i + its digits up to the last nonzero
+    tz4 = sum(quads % 10**j == 0 for j in range(1, 5))
+    sig = np.where(quads > 0, 4 - tz4 + 4 * np.arange(4)[:, None], 0).astype(np.int8)
+    ks = range(-202, 203)  # exponent k, at k + 202 (|k| <= 202, as in _G17_POW)
+    # words 0-2 of a slot kept with r digits after the first, and the dot if dot
+    ones = (1 << 64) - 1
+    keep = words([[ones ^ (dot ^ 1) * _word(".", 7), (1 << 8 * min(r, 8)) - 1,
+                   (1 << 8 * max(r - 8, 0)) - 1] for dot in range(2) for r in range(17)])
+    # the source bytes of bytes 7-23 for k = 1 .. 16: the dot behind the next k digits
+    perm = np.array([list(range(8, k + 8)) + [7] + list(range(k + 8, 24)) for k in range(17)])
     return (
         pow10,
-        words(f"{d}{c}.e" for c in "+-" for d in range(10)),
-        (48 + quads[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8).view(np.uint32).ravel(),
-        words(f"{e:+04d}" for e in range(-999, 1000)),
-        words(["0\0\0\0"])[0],
-        sum(quads % 10**j == 0 for j in range(1, 5)),  # trailing zeros of 4 digits
-        classes.ravel(),
-        templates,
+        words([0, _word("-"), _word("+"), _word("-")]),  # by signbit + 2 plus
+        words([_word(str(d), 6) for d in range(10)]),
+        words([_word("0." + "0" * (-k - 1), 1) if -4 <= k < 0 else _word(".", 7) for k in ks]),
+        words([0 if -4 <= k <= 16 else _word("e%+03d" % k) for k in ks]),
+        quad,
+        quad << np.uint64(32),
+        sig,
+        np.array([k if 0 < k <= 16 else 0 for k in ks]),  # digits after the first before the dot
+        keep,
+        perm,
         # 0 and nan for each signbit + 2 plus
-        np.array([b"0", b"nan", b"-0", b"nan", b"+0", b"+nan", b"-0", b"-nan"],
-                 dtype=f"S{_G17_WIDTH}"),
+        words([[_word(t), 0, 0, 0] for t in ("0", "nan", "-0", "nan", "+0", "+nan", "-0", "-nan")]),
     )
 
 
-def _g17_text(v: np.ndarray, plus=False) -> np.ndarray:
-    """The NUL-padded ``'%.17g' % x`` bytes of each float, ``nan`` if not finite.
+def _g17_slots(v: np.ndarray, plus=False) -> np.ndarray:
+    """(n, 4) uint64: the ``'%.17g' % x`` slot of each float, ``nan`` if not finite.
 
     Where ``plus`` (broadcast against ``v``) is true, the text of |x| gets
     the sign of the sign bit of x, ``-nan`` included.
@@ -566,16 +566,30 @@ def _g17_text(v: np.ndarray, plus=False) -> np.ndarray:
     sign = (np.signbit(v) + 2 * np.asarray(plus)).ravel()
     v = v.ravel()
     finite = np.isfinite(v)
-    rows = np.flatnonzero(finite & (v != 0))
-    # zeros and non-finite values take their whole text from a table
-    text = _g17_tables()[-1].take(2 * sign + ~finite)
-    text[rows] = _g17_digits(v[rows], sign[rows]).view(text.dtype).ravel()
-    return text.view(np.uint8).reshape(-1, _G17_WIDTH)
+    digits = finite & (v != 0)
+    # zeros and non-finite values take their whole slot from a table
+    special = _g17_tables()[-1]
+    if 4 * np.count_nonzero(digits) < 3 * len(v):  # mostly zeros: digits for the others alone
+        slots = special.take(2 * sign + ~finite, axis=0)
+        rows = np.flatnonzero(digits)
+        slots[rows] = _g17_digits(v[rows], sign[rows])
+        return slots
+    slots = _g17_digits(np.where(digits, v, 1.0), sign)
+    rows = np.flatnonzero(~digits)
+    slots[rows] = special.take(2 * sign[rows] + ~finite[rows], axis=0)
+    return slots
+
+
+def _g17_text(v: np.ndarray, plus=False) -> np.ndarray:
+    """The NUL-padded ``'%.17g' % x`` bytes of each float, as ``_g17_slots`` words them."""
+    slots = _g17_slots(v, plus).view(np.uint8)
+    order = np.argsort(slots == 0, axis=1, kind="stable")[:, :_G17_WIDTH]
+    return np.take_along_axis(slots, order, axis=1)
 
 
 def _g17_digits(v: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The text of nonzero finite floats; sign is signbit + 2 plus."""
-    pow10, first, quad, expo, const, tz4, classes, templates, _ = _g17_tables()
+    """The slots of nonzero finite floats; sign is signbit + 2 plus."""
+    pow10, signs, leads, first, expo, quad, quad_hi, sig, before, keep, perm, _ = _g17_tables()
     a = np.abs(v)
     fast = (a >= _G17_RANGE[0]) & (a <= _G17_RANGE[1])
     a[~fast] = 1.0
@@ -606,22 +620,53 @@ def _g17_digits(v: np.ndarray, sign: np.ndarray) -> np.ndarray:
     for half in (top, low):
         q = half // 10**4
         groups += [q, half - q * 10**4]
-    src = np.column_stack([first.take(lead + 10 * (sign & 1))] + [quad.take(g) for g in groups]
-                          + [expo.take(k + 999), np.full(len(v), const)])
-    trailing = tz4.take(groups[3])  # zeros at the end of D
-    rows = np.flatnonzero(groups[3] == 0)
-    for g in groups[2::-1]:
-        trailing[rows] += tz4.take(g[rows])
-        rows = rows[g[rows] == 0]
-    index = templates.take(classes.take((sign > 0) * len(expo) + k + 999) - trailing, axis=0)
-    index += np.arange(0, 28 * len(v), 28)[:, None]
-    text = src.view(np.uint8).ravel().take(index)
+    k += 202
+    slots = np.empty((len(v), 4), dtype=np.uint64)
+    slots[:, 0] = signs.take(sign) | leads.take(lead) | first.take(k)
+    slots[:, 1] = quad.take(groups[0]) | quad_hi.take(groups[1])
+    slots[:, 2] = quad.take(groups[2]) | quad_hi.take(groups[3])
+    slots[:, 3] = expo.take(k)
+    # cut trailing zeros, but not digits before the dot, and the dot with no digits after it
+    rows = np.flatnonzero(sig[3].take(groups[3]) - before.take(k) < 16)
+    if rows.size:
+        r = np.maximum.reduce([s.take(g[rows]) for s, g in zip(sig, groups)])
+        b = before.take(k[rows])
+        slots[rows, :3] &= keep.take(np.maximum(r, b) + 17 * (r > b), axis=0)
+        at = 32 * rows[b > 0, None]
+        flat = slots.view(np.uint8).reshape(-1)
+        flat[at + np.arange(7, 24)] = flat[at + perm.take(b[b > 0], axis=0)]
     if slow.any():
-        fallback = [("%+.17g" if c > 1 else "%.17g") % x
-                    for x, c in zip(v[slow].tolist(), sign[slow].tolist())]
-        text[slow] = np.array(fallback, dtype=f"S{_G17_WIDTH}").view(np.uint8).reshape(
-            -1, _G17_WIDTH)
-    return text
+        text = [("%+.17g" if c > 1 else "%.17g") % x
+                for x, c in zip(v[slow].tolist(), sign[slow].tolist())]
+        slots[slow] = 0
+        text = np.array(text, dtype=f"S{_G17_WIDTH}")[:, None]
+        slots.view(np.uint8)[slow, :_G17_WIDTH] = text.view(np.uint8)
+    return slots
+
+
+@functools.cache
+def _csv_layout(row: str, widths: tuple) -> tuple:
+    """How ``_write_csv`` lays out ``row`` with text cells of ``widths`` bytes, parsed once.
+
+    A line is a cell per spec, its literal padded to the longest one and
+    then its slot or text, and the literal that ends the line.
+    """
+    specs = re.findall(r"%\+?\.17g|%s", row)
+    literals = re.split(r"%\+?\.17g|%s", row)
+    lead = max(map(len, literals))
+    text_widths = iter(widths)
+    at = np.cumsum([0] + [lead + (next(text_widths) if spec == "%s" else _G17_SLOT)
+                          for spec in specs]) + lead  # where each cell's slot or text starts
+    line = np.zeros(at[-1], dtype=np.uint8)
+    for a, text in zip(at - lead, literals):
+        line[a : a + len(text)] = list(text.encode())
+    num = [i for i, spec in enumerate(specs) if spec != "%s"]
+    # (first slot, first column, length) of each run of adjacent number cells
+    starts = [j for j in range(len(num)) if j == 0 or num[j] != num[j - 1] + 1]
+    runs = [(at[num[a]], a, b - a) for a, b in zip(starts, starts[1:] + [len(num)])]
+    return (_readonly(np.array([specs[i] == "%+.17g" for i in num])), runs,
+            [at[i] for i, spec in enumerate(specs) if spec == "%s"], _readonly(line),
+            lead + _G17_SLOT, max(1, _CSV_CHUNK_VALUES // len(specs)))
 
 
 def _write_csv(path, header: str, row: str, numbers: np.ndarray, texts=()) -> None:
@@ -634,38 +679,27 @@ def _write_csv(path, header: str, row: str, numbers: np.ndarray, texts=()) -> No
     bytes array and line i gets ``table[codes[i]]``.  Numbers come out as
     ``'%.17g' % x`` does, non-finite ones as ``nan``; ``%+.17g`` puts the
     sign of the sign bit before the text of |x|, so a NaN with its sign
-    bit set is ``-nan``.  A chunk of lines at a time becomes a NUL-padded
-    byte matrix with one cell per spec (the literal before it, then its
-    text) and one for the literal that ends the line; each run of
-    adjacent number cells is filled by one slice.
+    bit set is ``-nan``.  A chunk of lines at a time becomes a byte
+    matrix with a row per line (``_csv_layout``), NUL wherever a slot or
+    text has no byte; each run of adjacent number cells is filled by one
+    slice, and the NULs are dropped from the whole chunk at once.
     """
-    specs = re.findall(r"%\+?\.17g|%s", row)
-    literals = re.split(r"%\+?\.17g|%s", row)
-    num = [i for i, spec in enumerate(specs) if spec != "%s"]
-    plus = np.array([specs[i] == "%+.17g" for i in num])
-    # (first cell, first column, length) of each run of adjacent number cells
-    starts = [j for j in range(len(num)) if j == 0 or num[j] != num[j - 1] + 1]
-    runs = [(num[a], a, b - a) for a, b in zip(starts, starts[1:] + [len(num)])]
-    text_cells = [i for i, spec in enumerate(specs) if spec == "%s"]
-    lead = max(map(len, literals))
-    cell = lead + max([_G17_WIDTH] + [table.itemsize for table, _ in texts])
-    step = max(1, _CSV_CHUNK_VALUES // len(specs))
+    widths = tuple(table.itemsize for table, _ in texts)
+    plus, runs, text_at, line, stride, step = _csv_layout(row, widths)
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        mat = np.zeros((min(step, len(numbers)), len(literals), cell), dtype=np.uint8)
-        mat[:, :, :lead] = np.frombuffer(
-            b"".join(t.encode().ljust(lead, b"\0") for t in literals), dtype=np.uint8
-        ).reshape(-1, lead)
+        mat = np.tile(line, (min(step, len(numbers)), 1))
         for lo in range(0, len(numbers), step):
             block = numbers[lo : lo + step]
             part = mat[: len(block)]
-            text = _g17_text(block, plus).reshape(len(part), len(num), _G17_WIDTH)
-            for first, col, count in runs:
-                part[:, first : first + count, lead : lead + _G17_WIDTH] = text[:, col : col + count]
-            for i, (table, codes) in zip(text_cells, texts):
+            slots = _g17_slots(block, plus).view(np.uint8).reshape(len(part), len(plus), 32)
+            for at, col, count in runs:
+                cells = part[:, at : at + count * stride].reshape(len(part), count, stride)
+                cells[:, :, :_G17_SLOT] = slots[:, col : col + count, :_G17_SLOT]
+            for at, (table, codes) in zip(text_at, texts):
                 cells = table[codes[lo : lo + step], None].view(np.uint8)
-                part[:, i, lead : lead + table.itemsize] = cells
-            fh.write(part[part != 0].tobytes())
+                part[:, at : at + cells.shape[1]] = cells
+            fh.write(part.tobytes().translate(None, b"\0"))
 
 
 def write_field_csv(grid: FieldGrid, path) -> None:

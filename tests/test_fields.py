@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 import pickle
 import tracemalloc
 import warnings
@@ -1427,6 +1428,71 @@ class TestG17Text:
         for x in _g17_ties(np.random.default_rng(1), 3).tolist():
             digits = ("%.40e" % x).split("e")[0].replace(".", "").rstrip("0")
             assert len(digits) == 18 and digits.endswith("5"), x
+
+
+def _digits(text):
+    """The significant digits of a '%.17g' text in fixed notation, less trailing zeros."""
+    assert "e" not in text, text
+    return text.lstrip("-").replace(".", "").strip("0")
+
+
+def _layout_values():
+    """Doubles whose '%.17g' text has each fixed layout k = -4 .. 16 and s = 1 .. 17 digits.
+
+    The first double nearest to m 10**(k + 1 - s), for s-digit m not
+    ending in 0, whose text shows m.  Integers and dyadic m 2**-j (j
+    decimal places, the last a 5) are exact; the others need the
+    17-digit rounding to give m back.
+    """
+    values = {}
+    for k in range(-4, 17):
+        for s in range(1, 18):
+            scale = Fraction(10) ** (k + 1 - s)
+            values[k, s] = next(x for m in range(10 ** (s - 1), 10**s) if m % 10
+                                for x in [float(m * scale)] if _digits("%.17g" % x) == str(m))
+    return values
+
+
+class TestWriterLayouts:
+    ROW = "%.17g%+.17gj,%s,%.17g%+.17gj\n"  # two number runs around a text cell
+    TEXTS = np.array([b"", b"a", b"text"])
+
+    @staticmethod
+    def _cell(spec, x):
+        if spec == "%.17g":
+            return "%.17g" % x if np.isfinite(x) else "nan"
+        return ("-" if np.signbit(x) else "+") + ("%.17g" % abs(x) if np.isfinite(x) else "nan")
+
+    def test_every_layout_matches_percent_format(self, tmp_path):
+        sweep = _layout_values()
+        for (k, s), x in sweep.items():
+            assert len(_digits("%.17g" % x)) == s and math.floor(math.log10(x)) == k, (k, s, x)
+        powers = np.array([float(f"1e{p}") for p in range(-300, 301, 7)])
+        values = np.concatenate([
+            list(sweep.values()), powers, np.nextafter(powers, 0), 2.0 ** np.arange(-1074, 1024, 9),
+            [1e22, 1e-100, 1.5e-7, 2.5e300, 1.25e17, 5e-324, 1e200, 1e201],
+        ])
+        values = np.concatenate([values, -values])
+        exps = {len(t.split("e")[1]) for t in ("%.17g" % x for x in values) if "e" in t}
+        assert exps == {3, 4}  # two- and three-digit exponents
+        step = max(1, fields._CSV_CHUNK_VALUES // 5)
+        # a first chunk of mostly zeros, then more than a chunk with none
+        sparse = np.zeros(4 * step)
+        sparse[:: 4 * step // len(values)][: len(values)] = values
+        sparse[1:8] = [-0.0, np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+        numbers = np.concatenate([sparse, np.resize(values, 4 * step + 28)]).reshape(-1, 4)
+        assert np.count_nonzero(numbers[:step]) < numbers[:step].size / 4
+        assert np.all(numbers[step:] != 0)
+        codes = np.arange(len(numbers)) % len(self.TEXTS)
+        fields._write_csv(tmp_path / "f.csv", "h\n", self.ROW, numbers, [(self.TEXTS, codes)])
+        specs = ["%.17g", "%+.17g", "%.17g", "%+.17g"]
+        cells = [[self._cell(f, x) for f, x in zip(specs, row)] for row in numbers.tolist()]
+        lines = ["h\n"] + ["%s%sj,%s,%s%sj\n" % (a, b, self.TEXTS[c].decode(), d, e)
+                           for (a, b, d, e), c in zip(cells, codes.tolist())]
+        got = (tmp_path / "f.csv").read_text().splitlines(keepends=True)
+        assert len(got) == len(lines)
+        bad = [(i, a, b) for i, (a, b) in enumerate(zip(got, lines)) if a != b]
+        assert not bad, bad[:5]
 
 
 class TestEvalU0FarField:
