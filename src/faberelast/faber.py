@@ -179,20 +179,19 @@ class FaberTable:
         """(N, N); [m-1, k-1] = c_{m,k}, columns 1 .. N of the canvas rows 1 .. N."""
         return _readonly(self._grunsky_wide[1:, 1 : self.order + 1].copy())
 
-    def grunsky_row(self, m: int) -> np.ndarray:
-        """All nonzero Grunsky coefficients of row m: c_{m,1} ... c_{m,mM}.
+    @cached_property
+    def _whole_rows(self) -> np.ndarray:
+        """(N+1, NM+1); the whole Grunsky rows 0 .. N, uncut.
 
-        A read-only view of the largest block of whole rows 0 .. B built so
-        far, which the table keeps: a row past B builds rows 0 .. max(m, 2B),
-        at most N.  The block holds (B + 1)(BM + 1) complex numbers, so at
-        most (N + 1)(NM + 1) of 16 bytes: 4.1 MB at N = 145 and M = 12.
+        Built on first read of ``grunsky_row``: (N + 1)(NM + 1) complex
+        numbers of 16 bytes, 4.1 MB at N = 145 and M = 12.
         """
+        return _readonly(_grunsky_wide(self.mapping, self.order))
+
+    def grunsky_row(self, m: int) -> np.ndarray:
+        """All nonzero Grunsky coefficients of row m: c_{m,1} ... c_{m,mM}, a read-only view."""
         _check_index(self, m)
-        rows = self.__dict__.get("_whole_rows", ())
-        if len(rows) <= m:
-            size = min(max(m, 2 * (len(rows) - 1)), self.order)
-            rows = self.__dict__["_whole_rows"] = _readonly(_grunsky_wide(self.mapping, size))
-        return rows[m, 1 : m * max(self.mapping.order, 1) + 1]
+        return self._whole_rows[m, 1 : m * max(self.mapping.order, 1) + 1]
 
     @cached_property
     def gamma(self) -> np.ndarray:
