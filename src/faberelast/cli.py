@@ -23,6 +23,9 @@ turns them into the exit code.
 
 The checks themselves, and their tolerances, live in ``oracle``
 (``validation_checks`` and ``residual_checks``); this module prints them.
+The rows of ``_solution.csv`` and of the Faber-table dumps are set here
+and written by ``csvtext.write_csv``, the writer of every CSV file;
+``field`` writes through ``fields.write_field_csv``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import ExteriorMap
+from .csvtext import write_csv
 from .errors import (
     ConfigError,
     DegenerateRotationError,
@@ -45,7 +49,7 @@ from .errors import (
     TruncationError,
 )
 from .faber import build_faber
-from .fields import GridSpec, _write_csv, field_grid, write_field_csv
+from .fields import GridSpec, field_grid, write_field_csv
 from .loading import FarFieldLoading, Material
 from .oracle import Check, QuadratureRule, residual_checks, validation_checks
 from .oracle import (  # re-exported
@@ -225,7 +229,7 @@ def _solve_job(job: JobConfig):
 def _write_solution(job: JobConfig, sol, checks) -> None:
     n = sol.order
     s, t = sol.s[:n], sol.t[:n]
-    _write_csv(
+    write_csv(
         job.output_path + "_solution.csv",
         "m,re_s,im_s,re_t,im_t\n",
         "%.17g,%.17g,%.17g,%.17g,%.17g\n",
@@ -288,7 +292,7 @@ def cmd_faber_table(job: JobConfig) -> tuple:
         ("gamma0", table.gamma0[:, None]),
     ):
         # re±imj, signed by the sign bit so -0.0j and -nanj read back as written
-        _write_csv(
+        write_csv(
             f"{prefix}_{name}.csv",
             "",
             ",".join(["%.17g%+.17gj"] * matrix.shape[1]) + "\n",

@@ -198,12 +198,20 @@ def faber_coefficients_from_samples(samples, m: int, r: float) -> complex:
     reduces under the periodic trapezoid rule to a plain discrete
     Fourier mode, spectrally accurate for v analytic past |w| = r.
     """
+    return complex(_trapezoid_sums(samples, np.array([m]), r)[0])
+
+
+def _trapezoid_sums(samples, m: np.ndarray, r: float) -> np.ndarray:
+    """The trapezoid sums of the modes m from samples on |w| = r.
+
+    The sum for mode m is FFT bin m mod q, scaled by r**-m / q (Ellacott,
+    Math. Comp. 40, 1983), so one FFT gives every mode.
+    """
     if r <= 1.0:
         raise ValueError("sampling radius must exceed 1")
     samples = np.asarray(samples, dtype=complex)
     q = len(samples)
-    theta = 2.0 * np.pi * np.arange(q) / q
-    return complex(np.mean(samples * (r * np.exp(1j * theta)) ** (-m)))
+    return np.fft.fft(samples)[m % q] / q * r ** -m.astype(float)
 
 
 def faber_coefficients(
@@ -211,14 +219,12 @@ def faber_coefficients(
 ) -> np.ndarray:
     """First ``count + 1`` Faber coefficients of a callable loading v(z).
 
-    All of them come from one FFT of the samples: the trapezoid sum of
-    ``faber_coefficients_from_samples`` for mode m is FFT bin m mod q,
-    scaled by r**-m / q (Ellacott, Math. Comp. 40, 1983).
+    All of them are the trapezoid sums of ``faber_coefficients_from_samples``,
+    from one FFT of the samples.
     """
-    if r <= 1.0:
+    if r <= 1.0:  # checked before v is sampled
         raise ValueError("sampling radius must exceed 1")
     theta = 2.0 * np.pi * np.arange(q) / q
     w = r * np.exp(1j * theta)
-    samples = np.asarray(v(mapping.eval(w)), dtype=complex)
-    m = np.arange(count + 1)
-    return np.fft.fft(samples)[m % q] / q * r ** -m.astype(float)
+    samples = v(mapping.eval(w))
+    return _trapezoid_sums(samples, np.arange(count + 1), r)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import importlib.util
 import math
 import pickle
 import tracemalloc
@@ -35,6 +36,7 @@ from faberelast import (
 )
 from faberelast import fields
 from faberelast.cli import load_job
+from faberelast import csvtext
 from faberelast.conformal import _BLOCK_VALUES, _HORNER_TERMS, _blocked_horner, _powers, _row_sums
 from faberelast.faber import _grunsky_wide, faber_values
 from faberelast.fields import (
@@ -42,7 +44,6 @@ from faberelast.fields import (
     EXTERIOR,
     INTERIOR,
     _exterior_field,
-    _g17_text,
     _interior_field,
     _S_rows,
     _u0_rows,
@@ -61,6 +62,9 @@ from util import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("g17_oracle", ROOT / "tools" / "g17_oracle.py")
+g17_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(g17_oracle)
 
 
 def _mode_solution(n, s=None, t=None):
@@ -1396,32 +1400,29 @@ def _g17_cases(count):
     return np.concatenate([bits, values, -values])
 
 
-def _assert_g17_matches(values, plus=False):
-    def text(x):
-        body = (b"%.17g" % abs(x) if plus else b"%.17g" % x) if np.isfinite(x) else b"nan"
-        return (b"-" if np.signbit(x) else b"+") + body if plus else body
-
-    expected = np.array([text(x) for x in values.tolist()], dtype="S24")
-    got = _g17_text(values.copy(), plus)
-    bad = np.flatnonzero((got != expected.view(np.uint8).reshape(-1, 24)).any(axis=1))
-    assert bad.size == 0, [(values[i], bytes(got[i])) for i in bad[:5]]
+def _assert_g17_matches(tmp_path, values, plus=False):
+    # the writer's own bytes, its layout and NUL compaction included, against Python's %
+    bad = g17_oracle.mismatches(values, plus, tmp_path / "g17.csv")
+    assert bad.size == 0, [(values[i], g17_oracle.expected_lines(values[i : i + 1], plus))
+                           for i in bad[:5]]
 
 
 class TestG17Text:
-    def test_matches_percent_format(self):
-        _assert_g17_matches(_g17_cases(200_000))
+    def test_matches_percent_format(self, tmp_path):
+        _assert_g17_matches(tmp_path, _g17_cases(200_000))
 
-    def test_plus_signs_by_the_sign_bit(self):
+    def test_plus_signs_by_the_sign_bit(self, tmp_path):
         values = _g17_cases(20_000)
-        _assert_g17_matches(np.concatenate([values, [-0.0, -np.nan, -np.inf]]), plus=True)
+        _assert_g17_matches(tmp_path, np.concatenate([values, [-0.0, -np.nan, -np.inf]]),
+                            plus=True)
 
     @pytest.mark.parametrize("toward", [-np.inf, np.inf])
-    def test_exact_when_log10_is_one_ulp_off(self, monkeypatch, toward):
+    def test_exact_when_log10_is_one_ulp_off(self, tmp_path, monkeypatch, toward):
         # log10 kernels may round differently next to a power of ten
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
         powers = np.array([float(f"1e{p}") for p in range(-200, 201)])
-        _assert_g17_matches(np.concatenate(
+        _assert_g17_matches(tmp_path, np.concatenate(
             [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
 
     def test_ties_have_18_digits_ending_in_5(self):
@@ -1475,7 +1476,7 @@ class TestWriterLayouts:
         values = np.concatenate([values, -values])
         exps = {len(t.split("e")[1]) for t in ("%.17g" % x for x in values) if "e" in t}
         assert exps == {3, 4}  # two- and three-digit exponents
-        step = max(1, fields._CSV_CHUNK_VALUES // 5)
+        step = max(1, csvtext._CSV_CHUNK_VALUES // 5)
         # a first chunk of mostly zeros, then more than a chunk with none
         sparse = np.zeros(4 * step)
         sparse[:: 4 * step // len(values)][: len(values)] = values
@@ -1484,7 +1485,7 @@ class TestWriterLayouts:
         assert np.count_nonzero(numbers[:step]) < numbers[:step].size / 4
         assert np.all(numbers[step:] != 0)
         codes = np.arange(len(numbers)) % len(self.TEXTS)
-        fields._write_csv(tmp_path / "f.csv", "h\n", self.ROW, numbers, [(self.TEXTS, codes)])
+        csvtext.write_csv(tmp_path / "f.csv", "h\n", self.ROW, numbers, [(self.TEXTS, codes)])
         specs = ["%.17g", "%+.17g", "%.17g", "%+.17g"]
         cells = [[self._cell(f, x) for f, x in zip(specs, row)] for row in numbers.tolist()]
         lines = ["h\n"] + ["%s%sj,%s,%s%sj\n" % (a, b, self.TEXTS[c].decode(), d, e)

@@ -92,6 +92,24 @@ class TestLoadingVector:
         assert total.coefficient_A(1) == 1.0
         assert total.coefficient_B(2) == 1.0
 
+    def test_addition_pads_and_copies(self):
+        l1 = FarFieldLoading([1.0, 2.0j], [0.5])
+        l2 = FarFieldLoading([0.0, 1.0, 0.0, 3.0], [1.0, 0.0, 0.0, -1.0j])
+        operands = (l1.A, l1.B, l2.A, l2.B)
+        before = [a.copy() for a in operands]
+        for total in (l1 + l2, l2 + l1):
+            assert np.array_equal(total.A, [1.0, 1.0 + 2.0j, 0.0, 3.0])
+            assert np.array_equal(total.B, [1.5, 0.0, 0.0, -1.0j])
+            assert total.degree == 3
+            for a in (total.A, total.B):
+                assert not a.flags.writeable
+                assert not any(np.shares_memory(a, b) for b in operands)
+        assert all(np.array_equal(a, b) for a, b in zip(operands, before))
+        assert (len(l1.A), l1.degree, l2.degree) == (2, 1, 3)
+        # the degree of a sum is its own, not the larger of the operands'
+        cancel = FarFieldLoading([0.0, 1.0, 1.0], [0.0]) + FarFieldLoading([0.0, 0.0, -1.0], [0.0])
+        assert len(cancel.A) == 3 and cancel.degree == 1
+
 
 class TestEvalU0:
     def test_zero_loading(self):
@@ -262,8 +280,10 @@ class TestFaberCoefficients:
         theta = 2.0 * np.pi * np.arange(q) / q
         samples = v(mp.eval(r * np.exp(1j * theta)))
         for m, got in enumerate(coeffs):
-            ref = faber_coefficients_from_samples(samples, m, r)
+            # the trapezoid sum of mode m on its own, the reference of both public paths
+            ref = np.mean(samples * (r * np.exp(1j * theta)) ** (-m))
             assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+            assert faber_coefficients_from_samples(samples, m, r) == got
 
     def test_fft_rejects_radius_inside(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,18 @@
-"""Compare the CSV writer's number text with Python's '%.17g' on random bits.
+"""Compare the bytes the CSV writer writes with Python's '%.17g' on random bits.
 
     python3 tools/g17_oracle.py --count 10000000 --seed 13
 
 Draws uniformly random 64-bit patterns, so every finite, subnormal,
-infinite and NaN value can occur, formats them a chunk at a time with
-the formatter behind every CSV file, and compares each text with
-``'%.17g' % x`` (``nan`` for a non-finite x).  The same bits are checked
-in the sign-bit form of ``%+.17g`` cells, the imaginary parts of the
-Faber-table dumps: "-" or "+" by the sign bit, then the text of |x|.
-Prints the values checked, how many lie in the range the formatter
-decides without ``%``, and the mismatches of each form; exits 1 on any
-mismatch.
+infinite and NaN value can occur, writes them a chunk at a time through
+``faberelast.csvtext.write_csv``, the writer of every CSV file, to a
+temporary file, and compares each line read back with Python's ``%``:
+one value a line in a ``%.17g`` row, text ``'%.17g' % x`` (``nan`` for a
+non-finite x), and each value as both parts of the Faber-table dumps'
+``%.17g%+.17gj`` row, whose imaginary part is "-" or "+" by the sign
+bit, then the text of |x|.  So the writer's layout of each row and its
+NUL compaction are checked with the digits.  Prints the values checked,
+how many lie in the range the formatter decides without ``%``, and the
+mismatches of each row; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -18,15 +20,41 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from faberelast.fields import _G17_RANGE, _G17_WIDTH, _g17_text  # noqa: E402
+from faberelast.csvtext import _G17_RANGE, write_csv  # noqa: E402
 
 CHUNK = 1 << 16
+#: the row of each form, by plus
+ROWS = {False: "%.17g\n", True: "%.17g%+.17gj\n"}
+
+
+def expected_lines(values: np.ndarray, plus: bool) -> list:
+    """The lines Python's ``%`` gives for each float in the row ``ROWS[plus]``."""
+    def text(x):
+        return b"%.17g" % x if math.isfinite(x) else b"nan"
+
+    def signed(x):
+        return (b"-" if math.copysign(1.0, x) < 0 else b"+") + text(abs(x)) + b"j"
+
+    return [text(x) + signed(x) if plus else text(x) for x in values.tolist()]
+
+
+def mismatches(values: np.ndarray, plus: bool, path: Path) -> np.ndarray:
+    """Indices of the floats whose line ``write_csv`` writes to ``path`` is not Python's.
+
+    Every index when the file does not hold one line per value.
+    """
+    write_csv(path, "", ROWS[plus], np.stack([values, values], axis=1) if plus else values[:, None])
+    got = path.read_bytes().split(b"\n")
+    if got.pop() != b"" or len(got) != len(values):
+        return np.arange(len(values))
+    return np.flatnonzero([a != b for a, b in zip(got, expected_lines(values, plus))])
 
 
 def main(argv=None) -> int:
@@ -36,26 +64,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
     in_range = 0
-    mismatches = {"%.17g": 0, "%+.17g": 0}
-    for lo in range(0, args.count, CHUNK):
-        n = min(CHUNK, args.count - lo)
-        values = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
-        a = np.abs(values)
-        in_range += np.count_nonzero((a >= _G17_RANGE[0]) & (a <= _G17_RANGE[1]))
-        text = [b"%.17g" % x if math.isfinite(x) else b"nan" for x in values.tolist()]
-        # the sign-bit form: "-" or "+" by the sign bit, then the text of |x|
-        signed = [(b"-" if math.copysign(1.0, x) < 0 else b"+")
-                  + (b"%.17g" % abs(x) if math.isfinite(x) else b"nan") for x in values.tolist()]
-        for form, plus, expected in (("%.17g", False, text), ("%+.17g", True, signed)):
-            expected = np.array(expected, dtype=f"S{_G17_WIDTH}").view(np.uint8)
-            bad = np.flatnonzero(
-                (_g17_text(values.copy(), plus) != expected.reshape(n, _G17_WIDTH)).any(axis=1))
-            for i in bad[: max(0, 10 - mismatches[form])]:
-                print(f"{form} mismatch: {values[i]!r}", file=sys.stderr)
-            mismatches[form] += bad.size
+    found = {plus: 0 for plus in ROWS}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g17.csv"
+        for lo in range(0, args.count, CHUNK):
+            n = min(CHUNK, args.count - lo)
+            values = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+            a = np.abs(values)
+            in_range += np.count_nonzero((a >= _G17_RANGE[0]) & (a <= _G17_RANGE[1]))
+            for plus, row in ROWS.items():
+                bad = mismatches(values, plus, path)
+                for i in bad[: max(0, 10 - found[plus])]:
+                    print(f"{row.strip()} mismatch: {values[i]!r}", file=sys.stderr)
+                found[plus] += bad.size
     print(f"checked {args.count} values, {in_range} in the fast range, "
-          + ", ".join(f"{count} {form} mismatches" for form, count in mismatches.items()))
-    return 1 if any(mismatches.values()) else 0
+          + ", ".join(f"{found[plus]} {row.strip()} mismatches" for plus, row in ROWS.items()))
+    return 1 if any(found.values()) else 0
 
 
 if __name__ == "__main__":
