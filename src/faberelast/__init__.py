@@ -17,6 +17,7 @@ from .errors import (
     NonUnivalentMapError,
     NumericError,
     ProximityError,
+    SampleShapeError,
     SingularBlockError,
     TruncationError,
 )

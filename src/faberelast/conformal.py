@@ -26,7 +26,7 @@ sums Psi - w and Psi' - 1 once at w_k = e^{2 pi i k/q}, k < q, and gives
 (w, Psi(w), Psi'(w)) with the bits of ``boundary_point`` and
 ``derivative``; ``boundary_samples(q)`` keeps them read-only on the map,
 one entry per q, for the quadrature nodes and residuals of oracle and
-the boundary polygon of ``field_grid``.  The univalence check sums the
+the boundary polygons of ``field_grid``.  The univalence check sums the
 same values and keeps none: a map that is only solved would otherwise
 hold its 2048 samples (98 KB) for as long as it lives.
 
@@ -245,6 +245,7 @@ class ExteriorMap:
 
     # -- inversion ----------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")  # Psi at iterates near w = 0
     def invert(self, z, tol: float = 1e-12, max_iter: int = 80):
         """Solve Psi(w) = z by damped Newton iteration.
 
@@ -252,7 +253,8 @@ class ExteriorMap:
         next, so each step costs one evaluation of Psi' and one of Psi at
         the points still above tolerance.  A step whose residual grew is
         halved, up to 20 times; only those points are moved and evaluated
-        again.
+        again.  Iterates deep inside the disk can overflow Psi to inf or
+        NaN; that overflow is expected there and not reported.
 
         Returns
         -------

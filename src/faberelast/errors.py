@@ -33,6 +33,10 @@ class TruncationError(FaberElastError, ValueError):
     """The requested truncation order cannot represent the data exactly."""
 
 
+class SampleShapeError(FaberElastError, ValueError):
+    """A sampled function returned values of another shape than its sample points."""
+
+
 class ConfigError(FaberElastError, ValueError):
     """A job configuration file is missing keys or violates an invariant."""
 

@@ -56,6 +56,35 @@ and the boundary branch of ``displacement``, take S and u0 from one
 ``_interior_field`` call, so the Faber recurrence runs once per point
 set and only there.
 
+An interior grid point needs no preimage, so ``field_grid`` runs Newton
+only on the points that can lie outside.  A point is marked interior
+first when the kept 256-gon of boundary samples encloses it by the
+even-odd rule (Hormann and Agathos, "The point in polygon problem for
+arbitrary polygons", Comput. Geom. 20, 2001) and no edge's bounding box,
+widened by a margin m, holds it, so that every edge is at least m away
+(``_enclosed``).  On the boundary curve g(theta) = Psi(e^{i theta}),
+|g''| <= 1 + sum_k k**2 |a_k|, so each arc of a q-gon lies within the
+sagitta (2 pi/q)**2/8 (1 + sum_k k**2 |a_k|) of its chord.  Moving each
+arc onto its chord then moves no point of the curve farther than that,
+so a point farther than the sagitta from the edges has the same winding
+number about the curve as about the polygon.  m is the sum of:
+
+    the sagittas of the 256-gon and of the fallback's 1024-gon;
+    Newton's tolerance 1e-12 max(1, |z|), with |z| at most the largest
+        vertex modulus, as the point lies in the polygon's hull;
+    the boundary band 1e-10 of |w| times 2 (1 + sum_k k |a_k|), a bound
+        on |Psi'| at |w| >= 1 - 1e-10 for any order below 10**9.
+
+The map must be univalent, and ``require_univalent`` runs first, so Psi
+takes |w| >= 1 onto the closed exterior of the curve.  A point past m
+then lies inside the curve and farther from its exterior than any
+preimage with |w| >= 1 - 1e-10 that Newton could accept, and inside
+the 1024-gon: Newton could not make it exterior or boundary, and the
+fallback would enclose it were it left unconverged.  So Newton and the
+fallback would make it interior too, with w NaN, and its S and u0 come
+from the same ``_interior_field`` call: every array of the grid keeps
+the bits it has when every point goes through Newton.
+
 The rows do not depend on w or on the Material, so each set is built
 once, from one product with the Grunsky rows, and kept: the (4, K) rows
 of P1..P4 on the DensitySolution, and the rows of u0 (h, l and h' Psi'
@@ -104,6 +133,8 @@ from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials
 from .solver import DensitySolution
 
 _BOUNDARY_TOL = 1e-10
+#: vertices of the boundary polygons that certify interior points and place unconverged ones
+_CERTIFY_Q, _FALLBACK_Q = 256, 1024
 
 REGION_INTERIOR = "interior"
 REGION_BOUNDARY = "boundary"
@@ -137,7 +168,8 @@ class FieldGrid:
     points and boundary points Newton placed) and NaN elsewhere.
     ``ambiguous`` marks points Newton left unconverged that the boundary
     polygon does not enclose; they are reported as boundary.
-    ``unconverged`` counts all points Newton left unconverged.
+    ``unconverged`` counts the points Newton ran on and left unconverged;
+    the points the polygon surely encloses never reach Newton.
 
     The grid is also a sequence of FieldSample in row-major order.
     """
@@ -384,20 +416,37 @@ def displacement(
     return FieldSample(z=psi, w=w, region=REGION_EXTERIOR, u0=u0, S=S, u=u0 + S)
 
 
-def _points_in_polygon(z: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test against a closed polyline of complex vertices."""
-    x, y = z.real, z.imag
-    px, py = poly.real, poly.imag
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
-    inside = np.zeros(z.shape, dtype=bool)
-    for i in range(len(poly)):
-        cond = (py[i] > y) != (qy[i] > y)
-        denom = qy[i] - py[i]
-        if denom == 0:
-            continue
-        xin = px[i] + (y - py[i]) * (qx[i] - px[i]) / denom
-        inside ^= cond & (x < xin)
-    return inside
+def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple:
+    """(j, i): each integer j of [start[i], stop[i]), stop >= start, for each i in order."""
+    i = np.repeat(np.arange(len(start)), stop - start)
+    return np.arange(len(i)) + np.repeat(stop - np.cumsum(stop - start), stop - start), i
+
+
+def _enclosed(xs: np.ndarray, ys: np.ndarray, poly: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    """Even-odd test of the grid points xs + i ys against a closed polygon, (ny, nx) bool.
+
+    Row by row: the edge from p to q crosses the rows with y in
+    [min(p.y, q.y), max(p.y, q.y)) at one x each, and a point is enclosed
+    when an odd number of the crossings of its row lie right of it.  A
+    closed polygon crosses each row an even number of times, so the
+    enclosed points of a row run from its crossing 2j - 1 to its crossing
+    2j, counted from the left.  With ``margin`` > 0, the points in an
+    edge's bounding box widened by ``margin`` on each side are left out.
+    """
+    ny, nx = len(ys), len(xs)
+    px, py, qx, qy = poly.real, poly.imag, np.roll(poly.real, -1), np.roll(poly.imag, -1)
+    ylo, yhi = np.minimum(py, qy), np.maximum(py, qy)
+    r, e = _ranges(*np.searchsorted(ys, [ylo, yhi]))
+    xin = px[e] + (ys[r] - py[e]) * (qx[e] - px[e]) / (qy[e] - py[e])
+    # each crossing's row, then the first column right of it: sorted, row by row
+    cross = np.sort(r * (nx + 1) + np.searchsorted(xs, xin)).reshape(-1, 2)
+    # the points from crossing 2j - 1 to 2j, as indices r nx + column
+    inside = np.bincount(_ranges(*(cross - cross // (nx + 1)).T)[0], minlength=ny * nx) > 0
+    if margin > 0:
+        r, e = _ranges(*np.searchsorted(ys, [ylo - margin, yhi + margin]))
+        cols = np.searchsorted(xs, [np.minimum(px, qx)[e] - margin, np.maximum(px, qx)[e] + margin])
+        inside[_ranges(*(r * nx + cols))[0]] = False
+    return inside.reshape(ny, nx)
 
 
 @dataclass(frozen=True)
@@ -426,12 +475,14 @@ def field_grid(
 ) -> FieldGrid:
     """Evaluate the field on a rectangular grid, row-major in y then x.
 
-    Each point is classified by Newton inversion of the map: a preimage
-    with |w| > 1 means exterior, |w| < 1 (or a point the iteration
-    cannot place that the boundary polygon encloses) means interior,
-    and anything within tolerance of |w| = 1 is boundary.  Interior and
-    boundary samples carry the rigid-motion displacement of the
-    inclusion; their S column holds the interior series value.
+    A point the kept boundary polygon encloses by more than the margin
+    of the module docstring is interior.  Every other point is classified
+    by Newton inversion of the map: a preimage with |w| > 1 means
+    exterior, |w| < 1 (or a point the iteration cannot place that the
+    1024-gon encloses) means interior, and anything within tolerance of
+    |w| = 1 is boundary.  Interior and boundary samples carry the
+    rigid-motion displacement of the inclusion; their S column holds the
+    interior series value.
 
     Each exterior preimage then gets one more Newton step from the map
     rows, which takes |Psi(w) - z| from the inversion tolerance to
@@ -447,7 +498,15 @@ def field_grid(
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
     Z = (xs[None, :] + 1j * ys[:, None]).ravel()
 
-    wv, converged = mapping.invert(Z)
+    # the points the kept polygon encloses by more than the margin of the module
+    # docstring are interior without Newton: w NaN, counted as converged
+    ka = np.arange(len(mapping._coeff_array)) * np.abs(mapping._coeff_array)  # k |a_k|
+    poly = mapping.boundary_samples(_CERTIFY_Q)[1]
+    sagitta = np.pi**2 / 2 * (_CERTIFY_Q**-2 + _FALLBACK_Q**-2) * (1 + np.arange(len(ka)) @ ka)
+    newton = 1e-12 * max(1.0, np.abs(poly).max()) + 2 * _BOUNDARY_TOL * (1 + ka.sum())
+    todo = np.flatnonzero(~_enclosed(xs, ys, poly, sagitta + newton))
+    wv, converged = np.full(Z.shape, complex(np.nan, np.nan)), np.ones(Z.shape, dtype=bool)
+    wv[todo], converged[todo] = mapping.invert(Z[todo])
     radii = np.abs(wv)
     region = np.full(Z.shape, INTERIOR, dtype=np.int8)
     region[converged & (np.abs(radii - 1.0) <= _BOUNDARY_TOL)] = BOUNDARY
@@ -455,8 +514,8 @@ def field_grid(
     ambiguous = np.zeros(Z.shape, dtype=bool)
     undecided = np.nonzero(~converged)[0]
     if len(undecided):
-        poly = mapping.boundary_samples(1024)[1]
-        outside = undecided[~_points_in_polygon(Z[undecided], poly)]
+        poly = mapping.boundary_samples(_FALLBACK_Q)[1]
+        outside = undecided[~_enclosed(xs, ys, poly).ravel()[undecided]]
         region[outside] = BOUNDARY  # ambiguous: report as boundary
         ambiguous[outside] = True
     ext, inner = np.flatnonzero(region == EXTERIOR), np.flatnonzero(region != EXTERIOR)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .conformal import ExteriorMap
-from .errors import ConvexityError
+from .errors import ConvexityError, SampleShapeError
 from .faber import FaberTable, _derivative_coefficients, _point_values, _tail
 
 
@@ -220,11 +220,15 @@ def faber_coefficients(
     """First ``count + 1`` Faber coefficients of a callable loading v(z).
 
     All of them are the trapezoid sums of ``faber_coefficients_from_samples``,
-    from one FFT of the samples.
+    from one FFT of the samples.  v is called once, on the q points of
+    |w| = r as one array, and must return one value per point, an array
+    of shape (q,); any other shape raises SampleShapeError.
     """
     if r <= 1.0:  # checked before v is sampled
         raise ValueError("sampling radius must exceed 1")
     theta = 2.0 * np.pi * np.arange(q) / q
     w = r * np.exp(1j * theta)
-    samples = v(mapping.eval(w))
+    samples = np.asarray(v(mapping.eval(w)), dtype=complex)
+    if samples.shape != (q,):
+        raise SampleShapeError(f"v returned shape {samples.shape}, not ({q},): one value a sample")
     return _trapezoid_sums(samples, np.arange(count + 1), r)

@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from util import (
     frozen_derivative,
     frozen_eval,
     random_univalent_map,
+    square_map,
 )
 
 
@@ -424,6 +426,20 @@ class TestInvertMatchesReference:
     def test_at_the_shift(self, settings):
         for mp in (FIG_MAPS["fig2"], ExteriorMap((0.3 - 0.2j, 0.2, 0.1j))):
             self._assert_same(mp, mp.coefficient(0), settings)
+
+
+class TestInvertOverflow:
+    def test_expected_overflow_is_silent_and_keeps_the_bits(self):
+        # damped steps take Psi of square 255 to iterates deep inside the disk,
+        # where the blocked sum of its 257-term row overflows
+        mapping, z = square_map(64), _square_grid(11)
+        with np.errstate(over="warn", invalid="warn"), pytest.warns(RuntimeWarning):
+            w_ref, ok_ref = ExteriorMap.invert.__wrapped__(mapping, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, ok = mapping.invert(z)
+        assert w.tobytes() == w_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
+        assert ok.any() and not ok.all()
 
 
 class TestConstruction:

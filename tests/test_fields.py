@@ -48,8 +48,9 @@ from faberelast.fields import (
     _S_rows,
     _u0_rows,
 )
-from faberelast.solver import DensitySolution
+from faberelast.solver import DensitySolution, truncation_floor
 from util import (
+    FIG_LOADING,
     FIG_MAPS,
     FIG_MATERIAL,
     HARD_SHAPES,
@@ -59,6 +60,7 @@ from util import (
     random_loading,
     random_univalent_map,
     solved_figure,
+    square_map,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1255,19 +1257,22 @@ class TestFieldGridContainer:
         assert not grid.ambiguous.any()
 
     def test_unconverged_points_are_flagged(self, monkeypatch, tmp_path):
-        # Newton reports every point unconverged: the polygon test puts the
-        # enclosed points inside and reports the rest as ambiguous boundary
+        # Newton reports every point it gets unconverged: the polygon test puts
+        # the enclosed points inside and reports the rest as ambiguous boundary
         mapping, mat, loading, table, sol = solved_figure("fig1", 16)
         invert = ExteriorMap.invert
+        received = []
 
         def failing_invert(self, z, *args, **kwargs):
+            received.append(len(z))
             w, converged = invert(self, z, *args, **kwargs)
             return w, np.zeros_like(converged)
 
         monkeypatch.setattr(ExteriorMap, "invert", failing_invert)
         grid = field_grid(sol, table, mapping, mat, loading,
                           GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9))
-        assert grid.unconverged == 81
+        # the points the polygon surely encloses never reach Newton
+        assert grid.unconverged == sum(received) and 0 < sum(received) < 81
         inside = grid.region == INTERIOR
         assert inside[4, 4] and inside.sum() < 81
         np.testing.assert_array_equal(grid.ambiguous, ~inside)
@@ -1277,6 +1282,143 @@ class TestFieldGridContainer:
         rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
         assert sum(r.split(",")[4] == "boundary" for r in rows) == int((~inside).sum())
         assert all(r.split(",")[2:4] == ["nan", "nan"] for r in rows)
+
+
+def _crossing_parity(z, poly):
+    """Even-odd test of the points z, one polygon edge at a time."""
+    x, y = z.real, z.imag
+    px, py = poly.real, poly.imag
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    inside = np.zeros(z.shape, dtype=bool)
+    for i in range(len(poly)):
+        if qy[i] != py[i]:
+            xin = px[i] + (y - py[i]) * (qx[i] - px[i]) / (qy[i] - py[i])
+            inside ^= ((py[i] > y) != (qy[i] > y)) & (x < xin)
+    return inside
+
+
+def _scanline_polygons(xs, ys):
+    """Polygons whose rows pass through vertices and along horizontal edges."""
+    rng = np.random.default_rng(31)
+    on_grid = [complex(xs[i], ys[j]) for i, j in
+               [(2, 2), (30, 2), (30, 10), (20, 10), (20, 20), (35, 20), (35, 38), (5, 38),
+                (5, 20), (12, 20), (12, 10), (2, 10)]]
+    angles = np.sort(rng.uniform(0, 2 * np.pi, 40))
+    star = rng.uniform(0.5, 1.8, 40) * np.exp(1j * angles)
+    star.real[::5] = xs[rng.integers(0, len(xs), 8)]  # some vertices on grid rows and columns
+    star.imag[::4] = ys[rng.integers(0, len(ys), 10)]
+    bowtie = np.array([-1.5 - 1.5j, 1.5 + 1.5j, 1.5 - 1.5j, -1.5 + 1.5j])  # crosses itself
+    boundary = FIG_MAPS["fig3"].boundary_samples(1024)[1]
+    return [np.array(on_grid), star, bowtie, boundary]
+
+
+def _certify_nothing(monkeypatch):
+    """Patch field_grid's certification to certify no point: every point goes to Newton."""
+    enclosed = fields._enclosed
+    monkeypatch.setattr(fields, "_enclosed", lambda xs, ys, poly, margin=0.0:
+                        enclosed(xs, ys, poly, margin) & (margin == 0))
+
+
+def _certified_cases():
+    """(name, solved case, grid) for the comparison with Newton on every point."""
+    cases = []
+    for fig in ("fig1", "fig2", "fig3"):
+        job = load_job(str(ROOT / "configs" / f"{fig}.cfg"))
+        cases.append((fig, job.mapping, job.loading, job.material, job.truncation_n, job.grid))
+    wide = GridSpec(-3.0, 3.0, -3.0, 3.0, 81, 81)
+    seeded = random_univalent_map(np.random.default_rng(12), 12, margin=0.99)
+    loading = random_loading(np.random.default_rng(5), 60)
+    cases.append(("(12, 60) seeded", seeded, loading, FIG_MATERIAL,
+                  truncation_floor(seeded, loading) + 2, wide))
+    cases.append(("ellipse a1=0.999", HARD_SHAPES["ellipse a1=0.999"], FIG_LOADING, FIG_MATERIAL,
+                  8, wide))
+    cases.append(("square 63", square_map(16), FIG_LOADING, FIG_MATERIAL, 64, wide))
+    return cases
+
+
+class TestCertifiedInterior:
+    @pytest.mark.parametrize("case", _certified_cases(), ids=lambda c: c[0])
+    def test_every_array_matches_newton_on_every_point(self, monkeypatch, case):
+        _, mapping, loading, mat, n, spec = case
+        table = build_faber(mapping, required_table_order(mapping, n))
+        sol = solve_full(mapping, loading, mat, n, table=table)
+        invert, received = ExteriorMap.invert, []
+
+        def counting_invert(self, z, *args, **kwargs):
+            received.append(len(z))
+            return invert(self, z, *args, **kwargs)
+
+        monkeypatch.setattr(ExteriorMap, "invert", counting_invert)
+        grid = field_grid(sol, table, mapping, mat, loading, spec)
+        _certify_nothing(monkeypatch)
+        reference = field_grid(sol, table, mapping, mat, loading, spec)
+        certified = grid.z.size - received[0]  # at least half the interior skips Newton
+        assert 2 * certified >= (grid.region == INTERIOR).sum() > 0
+        assert received[-1] == grid.z.size
+        for name in ("z", "w", "region", "u0", "S", "u", "ambiguous"):
+            got, want = getattr(grid, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        # Newton on every point leaves 50 of the ellipse's and 49 of the square's
+        assert grid.unconverged == 0
+
+    def test_margin_holds_the_sagitta_of_a_level_chord(self):
+        # rotate w + 0.3/w**3 until the 256-gon's edge 64 -> 65 on its concave top side is
+        # level: the arc dips below that chord, and the point halfway between the two lies
+        # outside the curve but inside the polygon, and outside the edge's bounding box
+        def kept_polygon(phi):
+            mapping = ExteriorMap((0.0, 0.0, 0.0, 0.3 * np.exp(4j * phi)))
+            return mapping, mapping.boundary_samples(256)[1]
+
+        lo, hi = np.pi / 4, np.pi / 4 + np.pi / 256
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.diff(kept_polygon(mid)[1][64:66].imag)[0] > 0 else (lo, mid)
+        mapping, poly = kept_polygon(lo)
+        chord = 0.5 * (poly[64] + poly[65])
+        z = 0.5 * (chord + mapping.boundary_point(2 * np.pi * 64.5 / 256))
+        assert abs(poly[65].imag - poly[64].imag) < 1e-12 and z.imag < chord.imag - 5e-5
+        assert fields._enclosed(np.array([z.real]), np.array([z.imag]), poly, 1e-9)[0, 0]
+        mat = Material.from_lame(1.0, 1.0)
+        table = build_faber(mapping, required_table_order(mapping, 8))
+        sol = solve_full(mapping, FIG_LOADING, mat, 8, table=table)
+        grid = field_grid(sol, table, mapping, mat, FIG_LOADING,
+                          GridSpec(z.real, z.real + 1.0, z.imag, z.imag + 1.0, 2, 2))
+        assert grid.z[0, 0] == z and grid.region[0, 0] == EXTERIOR
+
+    def test_grid_inside_the_inclusion_runs_no_newton(self, monkeypatch):
+        mapping, mat, loading, table, sol = solved_figure("fig1", 16)
+        spec = GridSpec(-0.3, 0.3, -0.2, 0.2, 4, 3)
+        grid = field_grid(sol, table, mapping, mat, loading, spec)
+        _certify_nothing(monkeypatch)
+        reference = field_grid(sol, table, mapping, mat, loading, spec)
+        assert (grid.region == INTERIOR).all() and grid.unconverged == 0
+        for name in ("w", "region", "u0", "S", "u"):
+            assert getattr(grid, name).tobytes() == getattr(reference, name).tobytes(), name
+
+    def test_scanline_matches_per_edge_parity(self):
+        xs, ys = np.linspace(-2.0, 2.0, 41), np.linspace(-2.0, 2.0, 45)
+        Z = xs[None, :] + 1j * ys[:, None]
+        for poly in _scanline_polygons(xs, ys):
+            got = fields._enclosed(xs, ys, poly)
+            assert got.shape == Z.shape
+            np.testing.assert_array_equal(got, _crossing_parity(Z, poly))
+
+    def test_margin_leaves_out_points_near_an_edge(self):
+        xs, ys = np.linspace(-2.0, 2.0, 41), np.linspace(-2.0, 2.0, 45)
+        Z = xs[None, :] + 1j * ys[:, None]
+        for poly in _scanline_polygons(xs, ys):
+            for margin in (1e-9, 0.05, 0.3):
+                got = fields._enclosed(xs, ys, poly, margin)
+                a, b = poly[:, None, None], np.roll(poly, -1)[:, None, None]
+                near = ((Z.real >= np.minimum(a.real, b.real) - margin)
+                        & (Z.real < np.maximum(a.real, b.real) + margin)
+                        & (Z.imag >= np.minimum(a.imag, b.imag) - margin)
+                        & (Z.imag < np.maximum(a.imag, b.imag) + margin)).any(axis=0)
+                np.testing.assert_array_equal(got, _crossing_parity(Z, poly) & ~near)
+                # so every point kept is at least the margin from every edge
+                t = np.clip(((Z - a) * np.conj(b - a)).real / np.maximum(abs(b - a) ** 2, 1e-300),
+                            0.0, 1.0)
+                assert (abs(Z - (a + t * (b - a))).min(axis=0)[got] >= margin).all()
 
 
 def _reference_csv(samples):

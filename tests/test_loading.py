@@ -4,8 +4,10 @@ import pytest
 from faberelast import (
     ConvexityError,
     ExteriorMap,
+    FaberElastError,
     FarFieldLoading,
     Material,
+    SampleShapeError,
     build_faber,
     eval_faber,
     eval_u0,
@@ -284,6 +286,14 @@ class TestFaberCoefficients:
             ref = np.mean(samples * (r * np.exp(1j * theta)) ** (-m))
             assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
             assert faber_coefficients_from_samples(samples, m, r) == got
+
+    @pytest.mark.parametrize("v", [lambda z: 1.0, lambda z: np.stack([z, z], axis=1),
+                                   lambda z: z[:-1]], ids=["scalar", "two columns", "one short"])
+    def test_rejects_samples_of_another_shape(self, v):
+        with pytest.raises(SampleShapeError, match=r"not \(512,\)") as info:
+            faber_coefficients(v, ExteriorMap((0.0, 0.3)), 3)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, FaberElastError)
+        assert f"shape {np.shape(v(np.zeros(512)))}" in str(info.value)
 
     def test_fft_rejects_radius_inside(self):
         with pytest.raises(ValueError):

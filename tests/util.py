@@ -32,6 +32,16 @@ HARD_SHAPES = {
 }
 
 
+def square_map(J: int) -> ExteriorMap:
+    """The exterior Schwarz-Christoffel map of a square, Psi' = (1 + w**-4)**(1/2),
+    cut at a_{4j-1} = -binom(1/2, j)/(4j - 1) for j <= J: order 4J - 1."""
+    a, binom = [0.0] * (4 * J), 1.0
+    for j in range(1, J + 1):
+        binom *= (1.5 - j) / j  # binom(1/2, j)
+        a[4 * j - 1] = -binom / (4 * j - 1)
+    return ExteriorMap(tuple(a))
+
+
 def solved_figure(name: str, n: int = 48):
     """(mapping, material, loading, table, solution) for a figure config."""
     mapping = FIG_MAPS[name]
@@ -114,6 +124,7 @@ __all__ = [
     "FIG_LOADING",
     "FIG_MAPS",
     "HARD_SHAPES",
+    "square_map",
     "solved_figure",
     "count_univalence_checks",
     "ellipse_faber_closed_form",

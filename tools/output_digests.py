@@ -5,14 +5,15 @@
 Runs ``solve``, ``field``, ``validate`` and ``faber-table`` through
 ``faberelast.cli.main`` on configs/fig1-fig3, on the ``high_degree_cli``
 config that benchmarks/inputs.py writes (map order 12, loading degree
-120), and on the non-univalent map w + 2/w, each run into a fresh
-temporary directory.  Prints one line per run with the exit code and the
-sha256 of stdout and stderr, where the output prefix reads ``<out>``,
-then one indented line per output file with its sha256.  Then, for fig1
-and the high-degree config, one line for the library path: the config's
-job through ``build_faber`` and ``solve_full``, then ``displacement`` at
-the fixed points PROBES in order, and the sha256 of s, t, c1-c3 and each
-probe's (u0, S, u).  Run it in two checkouts and diff the text:
+120), on the non-univalent map w + 2/w, and on the exterior
+Schwarz-Christoffel map of a square cut at order 63 (``square_config``),
+each run into a fresh temporary directory.  Prints one line per run
+with the exit code and the sha256 of stdout and stderr, where the output
+prefix reads ``<out>``, then one indented line per output file with its
+sha256.  Then, for fig1 and the high-degree config, one line for the
+library path: the config's job through ``build_faber`` and
+``solve_full``, then ``displacement`` at the fixed points PROBES in
+order, and the sha256 of s, t, c1-c3 and each probe's (u0, S, u).  Run it in two checkouts and diff the text:
 byte-identical outputs print identical lines.
 """
 
@@ -38,6 +39,20 @@ NON_UNIVALENT = (
     "map = 0,0 2,0\nalpha1 = 0.5\nkappa = 0.3\nA = 0,0 1,0\nB = 0,0 1,0\n"
     "truncation_N = 8\nquadrature_Q = 512\ngrid = -3 3 -3 3 11 11\n"
 )
+
+
+def square_config() -> str:
+    """The config of the exterior Schwarz-Christoffel map of a square, cut at
+    order 63: a_{4j-1} = -binom(1/2, j)/(4j - 1) for j <= 16."""
+    a, binom = [0.0] * 64, 1.0
+    for j in range(1, 17):
+        binom *= (1.5 - j) / j  # binom(1/2, j)
+        a[4 * j - 1] = -binom / (4 * j - 1)
+    return ("map = " + " ".join(f"{v!r},0" for v in a) + "\nalpha1 = 0.5\nkappa = 0.3\n"
+            "A = 0,0 1,0\nB = 0,0 1,0\ntruncation_N = 64\nquadrature_Q = 512\n"
+            "grid = -2 2 -2 2 41 41\n")
+
+
 #: preimage points of the library probes: three outside the boundary, one on it
 PROBES = (1.3 + 0.4j, -2.0j, 1.0, 4.0 - 1.5j)
 
@@ -52,7 +67,10 @@ def cases(tmp: Path) -> list:
     high = inputs.build("high_degree_cli", 1, REPO, tmp).cli_cases[0]
     non_univalent = tmp / "non_univalent.cfg"
     non_univalent.write_text(NON_UNIVALENT)
-    return named + [("high_degree", high.config), ("non_univalent", non_univalent)]
+    square = tmp / "square63.cfg"
+    square.write_text(square_config())
+    return named + [("high_degree", high.config), ("non_univalent", non_univalent),
+                    ("square63", square)]
 
 
 def digests(name: str, command: str, config: Path, out_dir: Path) -> list:
