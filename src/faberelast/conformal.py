@@ -46,6 +46,15 @@ through BLAS.  Longer rows take their points in chunks sized from the
 number of rows times blocks, so the block sums of one chunk stay near
 1 MB however many points there are.
 
+The map owns the conventions every layer above it repeats.  The a_k
+are one read-only array, ``ExteriorMap._coeff_array``, (0j,) for the
+disk.  Every evaluator of the package returns through
+``_point_or_array``: a Python number for one point, an array of the
+points' shape otherwise.  Arrays kept on an object are frozen by
+``_readonly``.  Newton's acceptance tolerance is ``_NEWTON_TOL``, the
+default of ``invert`` and the term of the certification margin of
+``fields.field_grid``.
+
 A single point (a probe of fields) has no Horner step: ``_row_sums``
 sums several row sets from one power table u**0 .. u**(K-1), K the
 longest of them, each set by one product with a prefix of the table.
@@ -68,10 +77,25 @@ from .errors import DomainError, NonUnivalentMapError
 
 #: tolerance below which |w| < 1 is treated as a domain violation
 _INSIDE_TOL = 1e-12
+#: ``invert`` accepts w once |Psi(w) - z| <= _NEWTON_TOL max(1, |z|)
+_NEWTON_TOL = 1e-12
 
 
-def _as_complex_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=complex)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place."""
+    a.setflags(write=False)
+    return a
+
+
+def _point_or_array(points, out, kind=complex):
+    """An evaluator's result: ``kind(out)`` for 0-d ``points``, else ``out`` shaped as them.
+
+    Every evaluator takes a point or an array of points; one point gives
+    a Python number (``kind``), an array gives an array of its shape.
+    ``out`` holds one value per point, in any shape of that size.
+    """
+    out = np.reshape(out, np.shape(points))
+    return kind(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -106,6 +130,9 @@ class ExteriorMap:
         the stored order is tight; the all-zero sequence is the disk.
     conformal_radius : float
         Must be exactly 1.0; anything else is rejected.
+
+    ``_coeff_array`` holds a0 .. aM as one read-only complex array, (0j,)
+    for the disk, and every layer reads the a_k from it.
     """
 
     coefficients: tuple = ()
@@ -120,7 +147,7 @@ class ExteriorMap:
                 "conformal radius must be exactly 1; rescale the geometry "
                 "by z -> z/gamma instead"
             )
-        coeffs = _as_complex_array(self.coefficients)
+        coeffs = np.asarray(self.coefficients, dtype=complex)
         if coeffs.ndim != 1:
             raise ValueError("coefficients must be a flat sequence")
         if not np.isfinite(coeffs).all():
@@ -129,9 +156,9 @@ class ExteriorMap:
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:
             n -= 1
-        coeffs = coeffs[:n].copy()
-        object.__setattr__(self, "coefficients", tuple(coeffs.tolist()))
-        object.__setattr__(self, "_coeff_array", coeffs)
+        object.__setattr__(self, "coefficients", tuple(coeffs[:n].tolist()))
+        a = coeffs[:n].copy() if n else np.zeros(1, dtype=complex)
+        object.__setattr__(self, "_coeff_array", _readonly(a))
 
     def __reduce__(self):  # through the constructor: kept rows, samples and report are rebuilt
         return type(self), (self.coefficients, self.conformal_radius)
@@ -153,8 +180,7 @@ class ExteriorMap:
         rows = np.zeros((2, len(a) + 1), dtype=complex)
         rows[0, : len(a)] = a
         rows[1, 2:] = -np.arange(1, len(a)) * a[1:]
-        rows.setflags(write=False)
-        return rows
+        return _readonly(rows)
 
     @cached_property
     def univalence(self) -> UnivalenceReport:
@@ -193,22 +219,16 @@ class ExteriorMap:
 
     def eval(self, w):
         """Psi(w) for |w| >= 1, by Horner's scheme in 1/w."""
-        scalar = np.isscalar(w) or np.ndim(w) == 0
-        out = self._eval_raw(self._check_domain(w))
-        return complex(out) if scalar else out
+        return _point_or_array(w, self._eval_raw(self._check_domain(w)))
 
     def derivative(self, w):
         """Psi'(w) = 1 - sum_k k a_k w^{-k-1} for |w| >= 1."""
-        scalar = np.isscalar(w) or np.ndim(w) == 0
-        out = self._derivative_raw(self._check_domain(w))
-        return complex(out) if scalar else out
+        return _point_or_array(w, self._derivative_raw(self._check_domain(w)))
 
     def boundary_point(self, theta):
         """Boundary point Psi(e^{i*theta}); periodic in theta."""
         theta = np.asarray(theta, dtype=float)
-        scalar = theta.ndim == 0
-        out = self._eval_raw(np.exp(1j * theta))
-        return complex(out) if scalar else out
+        return _point_or_array(theta, self._eval_raw(np.exp(1j * theta)))
 
     def _boundary_values(self, q: int) -> tuple:
         """(w, Psi(w), Psi'(w)) at w_k = e^{2 pi i k/q}, k < q, from one
@@ -224,10 +244,7 @@ class ExteriorMap:
         same points.
         """
         if q not in self._samples:
-            values = self._boundary_values(q)
-            for v in values:
-                v.setflags(write=False)
-            self._samples[q] = values
+            self._samples[q] = tuple(map(_readonly, self._boundary_values(q)))
         return self._samples[q]
 
     def scale_factor(self, rho, theta):
@@ -236,17 +253,13 @@ class ExteriorMap:
         On the boundary (rho = 0) this is the arclength density:
         d(sigma) = h(0, theta) d(theta).
         """
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        scalar = rho.ndim == 0 and theta.ndim == 0
-        w = np.exp(rho + 1j * theta)
-        out = np.abs(w * self.derivative(w))
-        return float(out) if scalar else out
+        w = np.exp(np.asarray(rho, dtype=float) + 1j * np.asarray(theta, dtype=float))
+        return _point_or_array(w, np.abs(w * self.derivative(w)), float)
 
     # -- inversion ----------------------------------------------------
 
     @np.errstate(over="ignore", invalid="ignore")  # Psi at iterates near w = 0
-    def invert(self, z, tol: float = 1e-12, max_iter: int = 80):
+    def invert(self, z, tol: float = _NEWTON_TOL, max_iter: int = 80):
         """Solve Psi(w) = z by damped Newton iteration.
 
         The residual f = Psi(w) - z is carried from one iteration to the

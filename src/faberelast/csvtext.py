@@ -31,7 +31,7 @@ import re
 
 import numpy as np
 
-from .faber import _readonly
+from .conformal import _readonly
 
 #: values per chunk of the CSV writer, rounded down to whole lines
 _CSV_CHUNK_VALUES = 1 << 14

@@ -72,18 +72,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .conformal import ExteriorMap
+from .conformal import ExteriorMap, _point_or_array, _readonly
 from .errors import NumericError
 
 #: the chop drops a series tail below _CHOP times the series' l1 norm:
 #: a sixteenth of eps l1, the rounding bound of its sum at |u| <= 1
 _CHOP = np.finfo(float).eps / 16
-
-
-def _tail(mapping: ExteriorMap) -> np.ndarray:
-    """a_0 .. a_M as a complex array, [0j] for the plain disk."""
-    a = mapping._coeff_array
-    return a.copy() if len(a) else np.zeros(1, dtype=complex)
 
 
 def _recurrence(a: np.ndarray, out: np.ndarray, times_z) -> np.ndarray:
@@ -139,11 +133,6 @@ def _derivative_coefficients(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     ``d`` must hold d_0 .. d_{N-1}.
     """
     return _fold_d(np.arange(len(c)) * c, d)[:-1]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -218,7 +207,7 @@ class FaberTable:
         mono = np.zeros((n + 1, n + 1), dtype=complex)
         mono[0, 0] = 1.0
         return _readonly(_recurrence(
-            _tail(self.mapping),
+            self.mapping._coeff_array,
             mono,
             lambda m: (slice(m + 2), np.concatenate(([0.0], mono[m, : m + 1]))),
         ))
@@ -283,7 +272,7 @@ def _grunsky_wide(mapping: ExteriorMap, n: int, cap: int | None = None) -> np.nd
     """
     full = n * max(mapping.order, 1)  # most negative exponent of row n
     while cap is not None and 2 * (cap + n + 1) < full:
-        wide = _canvas(_tail(mapping), n, cap + n + 1)
+        wide = _canvas(mapping._coeff_array, n, cap + n + 1)
         keep = _chop_width(wide[:, : cap + 1], np.arange(1, cap + 2))
         if 5 * keep <= 4 * cap:
             # a view of the canvas buffer, as whole rows are: freeing that
@@ -291,14 +280,14 @@ def _grunsky_wide(mapping: ExteriorMap, n: int, cap: int | None = None) -> np.nd
             # process's peak RSS in later allocations
             return wide[:, : max(keep, n + 1)]
         cap *= 2
-    return _canvas(_tail(mapping), n, full)
+    return _canvas(mapping._coeff_array, n, full)
 
 
 def build_faber(mapping: ExteriorMap, n: int) -> FaberTable:
     """Build the Faber table to order n >= 1: d now, the canvas on first read."""
     if n < 1:
         raise ValueError("table order must be at least 1")
-    return FaberTable(mapping, _readonly(_inverse_derivative_series(_tail(mapping), n)), n)
+    return FaberTable(mapping, _readonly(_inverse_derivative_series(mapping._coeff_array, n)), n)
 
 
 def check_table_map(mapping: ExteriorMap, table: FaberTable) -> None:
@@ -327,30 +316,24 @@ def eval_faber(table: FaberTable, m: int, z):
     """F_m(z) by the recurrence."""
     _check_index(table, m)
     z = np.asarray(z, dtype=complex)
-    out = _point_values(_tail(table.mapping), m, np.atleast_1d(z))[m]
-    return complex(out[0]) if z.ndim == 0 else out
+    return _point_or_array(z, _point_values(table.mapping._coeff_array, m, np.atleast_1d(z))[m])
 
 
 def eval_ftilde(table: FaberTable, k: int, z):
     """F_k'(z)/k for k >= 1, and 0 for k <= 0."""
-    z = np.asarray(z, dtype=complex)
     if k <= 0:
-        out = np.zeros(np.atleast_1d(z).shape, dtype=complex)
-    else:
-        _check_index(table, k)
-        out = faber_values(table.mapping, k, z)[1][k] / k
-    return complex(out[0]) if z.ndim == 0 else out
+        return _point_or_array(z, np.zeros(np.shape(z), dtype=complex))
+    _check_index(table, k)
+    return _point_or_array(z, faber_values(table.mapping, k, z)[1][k] / k)
 
 
 def eval_G(mapping: ExteriorMap, k: int, w):
     """G_k(w) = w^{k-1} / Psi'(w), the large-|w| limit shape of F_k'/k."""
     w = np.asarray(w, dtype=complex)
-    scalar = w.ndim == 0
     dpsi = mapping.derivative(w)
     if np.any(np.abs(dpsi) < 1e-12):
         raise NumericError("Psi' vanishes to working precision")
-    out = w ** (k - 1) / dpsi
-    return complex(out) if scalar else out
+    return _point_or_array(w, w ** (k - 1) / dpsi)
 
 
 def _point_values(a: np.ndarray, n: int, z: np.ndarray) -> np.ndarray:
@@ -370,7 +353,7 @@ def faber_values(mapping: ExteriorMap, n: int, z):
     recurrence here is their independent reference.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    a = _tail(mapping)
+    a = mapping._coeff_array
     F = _point_values(a, n, z)
     Fp = np.zeros_like(F)
     return F, _recurrence(a, Fp, lambda m: (slice(None), z * Fp[m] + F[m]))

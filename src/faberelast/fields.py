@@ -48,10 +48,11 @@ F_m'(Psi(w)) Psi'(w) = m w**(m-1) - sum_k k c_{m,k} u**(k+1), each of h,
 h' Psi' and l is a polynomial in w (from A_m, B_m alone) plus one in u
 (from the Grunsky rows), so no Faber recurrence runs there.  A probe
 (``displacement``) is given w, so z = Psi(w) holds exactly.  A grid point
-is given z, and Newton inversion stops within 1e-12 max(1, |z|) of it,
-so ``field_grid`` polishes each exterior preimage with one more Newton
-step from the map rows, which takes |Psi(w) - z| to rounding, and then
-sums S and u0 at it as a probe does.  Interior and boundary points,
+is given z, and Newton inversion stops within _NEWTON_TOL max(1, |z|)
+of it (``conformal._NEWTON_TOL``, 1e-12), so ``field_grid`` polishes each
+exterior preimage with one more Newton step from the map rows, which
+takes |Psi(w) - z| to rounding, and then sums S and u0 at it as a probe
+does.  Interior and boundary points,
 and the boundary branch of ``displacement``, take S and u0 from one
 ``_interior_field`` call, so the Faber recurrence runs once per point
 set and only there.
@@ -70,7 +71,7 @@ so a point farther than the sagitta from the edges has the same winding
 number about the curve as about the polygon.  m is the sum of:
 
     the sagittas of the 256-gon and of the fallback's 1024-gon;
-    Newton's tolerance 1e-12 max(1, |z|), with |z| at most the largest
+    Newton's tolerance _NEWTON_TOL max(1, |z|), with |z| at most the largest
         vertex modulus, as the point lies in the polygon's hull;
     the boundary band 1e-10 of |w| times 2 (1 + sum_k k |a_k|), a bound
         on |Psi'| at |w| >= 1 - 1e-10 for any order below 10**9.
@@ -125,10 +126,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import _INSIDE_TOL, ExteriorMap, _row_sums
+from .conformal import _INSIDE_TOL, _NEWTON_TOL, ExteriorMap, _point_or_array, _readonly, _row_sums
 from .csvtext import write_csv
 from .errors import DomainError
-from .faber import FaberTable, _chop_width, _derivative_coefficients, _tail, check_table_map
+from .faber import FaberTable, _chop_width, _derivative_coefficients, check_table_map
 from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials
 from .solver import DensitySolution
 
@@ -186,8 +187,11 @@ class FieldGrid:
     def __len__(self) -> int:
         return self.z.size
 
-    def __getitem__(self, index) -> FieldSample:
+    def __getitem__(self, index):
+        """The sample at an integer index, or the list of samples of a slice."""
         k = range(len(self))[index]
+        if isinstance(k, range):
+            return [self[i] for i in k]
         return FieldSample(
             z=complex(self.z.flat[k]),
             w=complex(self.w.flat[k]),
@@ -221,7 +225,7 @@ def _weights(sol: DensitySolution, mapping: ExteriorMap) -> tuple:
     active = np.flatnonzero((sol.s[: sol.order] != 0) | (sol.t[: sol.order] != 0))
     n = int(active[-1]) + 1 if len(active) else 1
     s, t = sol.s[:n], sol.t[:n]
-    conj_a = np.conj(np.concatenate(([1.0], _tail(mapping))))  # a_{-1} = 1, a_0 .. a_M
+    conj_a = np.conj(np.concatenate(([1.0], mapping._coeff_array)))  # a_{-1} = 1, a_0 .. a_M
     W = np.zeros(2 * n + M + 2, dtype=complex)
     W[: n + M + 1] += np.convolve(s[::-1], conj_a)  # s_m conj(a_{j+m})
     W[n + 1 :] += np.convolve(t, conj_a)  # t_m conj(a_{j-m})
@@ -237,10 +241,7 @@ def _kept_rows(owner, table: FaberTable, build) -> tuple:
     """
     slot = owner._rows
     if slot is None or slot[0] is not table:
-        rows = build()
-        for r in rows:
-            r.setflags(write=False)
-        slot = (table, rows)
+        slot = (table, tuple(map(_readonly, build())))
         object.__setattr__(owner, "_rows", slot)
     return slot[1]
 
@@ -387,8 +388,7 @@ def single_layer_exterior(
     w = np.asarray(w, dtype=complex)
     _check_exterior(w)
     _check_table(sol, table, mapping)
-    out = _exterior_S(sol, table, mapping, mat, w.reshape(-1))[0]
-    return complex(out[0]) if w.ndim == 0 else out.reshape(w.shape)
+    return _point_or_array(w, _exterior_S(sol, table, mapping, mat, w.reshape(-1))[0])
 
 
 def displacement(
@@ -503,7 +503,7 @@ def field_grid(
     ka = np.arange(len(mapping._coeff_array)) * np.abs(mapping._coeff_array)  # k |a_k|
     poly = mapping.boundary_samples(_CERTIFY_Q)[1]
     sagitta = np.pi**2 / 2 * (_CERTIFY_Q**-2 + _FALLBACK_Q**-2) * (1 + np.arange(len(ka)) @ ka)
-    newton = 1e-12 * max(1.0, np.abs(poly).max()) + 2 * _BOUNDARY_TOL * (1 + ka.sum())
+    newton = _NEWTON_TOL * max(1.0, np.abs(poly).max()) + 2 * _BOUNDARY_TOL * (1 + ka.sum())
     todo = np.flatnonzero(~_enclosed(xs, ys, poly, sagitta + newton))
     wv, converged = np.full(Z.shape, complex(np.nan, np.nan)), np.ones(Z.shape, dtype=bool)
     wv[todo], converged[todo] = mapping.invert(Z[todo])

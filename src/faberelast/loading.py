@@ -34,9 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .conformal import ExteriorMap
-from .errors import ConvexityError, SampleShapeError
-from .faber import FaberTable, _derivative_coefficients, _point_values, _tail
+from .conformal import ExteriorMap, _point_or_array, _readonly
+from .errors import ConvexityError, SampleShapeError, TruncationError
+from .faber import FaberTable, _derivative_coefficients, _point_values
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,9 @@ class FarFieldLoading:
     def __post_init__(self):
         A = np.atleast_1d(np.asarray(self.A, dtype=complex))
         B = np.atleast_1d(np.asarray(self.B, dtype=complex))
-        n = max(len(A), len(B))
-        A = np.pad(A, (0, n - len(A)))
-        B = np.pad(B, (0, n - len(B)))
-        A.setflags(write=False)
-        B.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        n = max(len(A), len(B), 1)  # an empty loading is the zero loading, (0j,)
+        object.__setattr__(self, "A", _readonly(np.pad(A, (0, n - len(A)))))
+        object.__setattr__(self, "B", _readonly(np.pad(B, (0, n - len(B)))))
 
     def __reduce__(self):  # through the constructor, without the kept rows
         return type(self), (self.A, self.B)
@@ -160,9 +156,8 @@ def _km_displacement(pairs, table: FaberTable, kappa: float, z) -> list:
     prefix of it, so its bits are those of a table of its own length.
     ``table.d`` must hold d_0 .. d_{N-1}.
     """
-    z = np.asarray(z, dtype=complex)
-    za = np.atleast_1d(z)
-    F = _point_values(_tail(table.mapping), max(len(phi) for phi, _ in pairs) - 1, za)
+    za = np.atleast_1d(np.asarray(z, dtype=complex))
+    F = _point_values(table.mapping._coeff_array, max(len(phi) for phi, _ in pairs) - 1, za)
     out = []
     for phi, psi in pairs:
         dphi = np.append(_derivative_coefficients(phi, table.d), 0.0)
@@ -170,7 +165,7 @@ def _km_displacement(pairs, table: FaberTable, kappa: float, z) -> list:
         # these thin products and then costs more than the whole sum
         sums = np.einsum("rk,k...->r...", np.stack([phi, dphi, psi]), F[: len(phi)])
         out.append(kappa * sums[0] - za * np.conj(sums[1]) - np.conj(sums[2]))
-    return [complex(v[0]) if z.ndim == 0 else v for v in out]
+    return [_point_or_array(z, v) for v in out]
 
 
 def _u0_potentials(loading: FarFieldLoading, table: FaberTable) -> tuple:
@@ -196,20 +191,29 @@ def faber_coefficients_from_samples(samples, m: int, r: float) -> complex:
         d_m = (1 / 2 pi i) * integral_{|w|=r} v(Psi(w)) w^{-m-1} dw
 
     reduces under the periodic trapezoid rule to a plain discrete
-    Fourier mode, spectrally accurate for v analytic past |w| = r.
+    Fourier mode, spectrally accurate for v analytic past |w| = r.  Q
+    samples resolve the modes m < Q only; m >= Q raises TruncationError.
     """
+    samples = np.asarray(samples, dtype=complex)
+    _check_rule(r, m, len(samples))
     return complex(_trapezoid_sums(samples, np.array([m]), r)[0])
 
 
-def _trapezoid_sums(samples, m: np.ndarray, r: float) -> np.ndarray:
+def _check_rule(r: float, count: int, q: int) -> None:
+    """ValueError unless r > 1; TruncationError unless the modes up to ``count`` are below q."""
+    if r <= 1.0:
+        raise ValueError("sampling radius must exceed 1")
+    if count >= q:
+        raise TruncationError(f"count {count} needs more than q = {q} samples: "
+                              f"mode {count} would alias mode {count % q}")
+
+
+def _trapezoid_sums(samples: np.ndarray, m: np.ndarray, r: float) -> np.ndarray:
     """The trapezoid sums of the modes m from samples on |w| = r.
 
     The sum for mode m is FFT bin m mod q, scaled by r**-m / q (Ellacott,
     Math. Comp. 40, 1983), so one FFT gives every mode.
     """
-    if r <= 1.0:
-        raise ValueError("sampling radius must exceed 1")
-    samples = np.asarray(samples, dtype=complex)
     q = len(samples)
     return np.fft.fft(samples)[m % q] / q * r ** -m.astype(float)
 
@@ -222,10 +226,11 @@ def faber_coefficients(
     All of them are the trapezoid sums of ``faber_coefficients_from_samples``,
     from one FFT of the samples.  v is called once, on the q points of
     |w| = r as one array, and must return one value per point, an array
-    of shape (q,); any other shape raises SampleShapeError.
+    of shape (q,); any other shape raises SampleShapeError.  r <= 1
+    raises ValueError and ``count`` >= q, whose modes alias lower ones,
+    TruncationError, both before v is sampled.
     """
-    if r <= 1.0:  # checked before v is sampled
-        raise ValueError("sampling radius must exceed 1")
+    _check_rule(r, count, q)
     theta = 2.0 * np.pi * np.arange(q) / q
     w = r * np.exp(1j * theta)
     samples = np.asarray(v(mapping.eval(w)), dtype=complex)

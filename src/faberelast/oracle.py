@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import ExteriorMap
+from .conformal import ExteriorMap, _point_or_array
 from .errors import ProximityError
 from .faber import FaberTable
 from .fields import _interior_field, single_layer_exterior
@@ -119,10 +119,6 @@ def _target_distances(x, zeta: np.ndarray):
     return x, d, r
 
 
-def _per_target(x: np.ndarray, out):
-    return complex(out) if x.ndim == 0 else out
-
-
 def kelvin_single_layer(
     phi_samples: np.ndarray,
     mapping: ExteriorMap,
@@ -149,7 +145,7 @@ def kelvin_single_layer(
     dyad = (mat.alpha2 / (2.0 * np.pi)) * (dx * px + dy * py) / r**2
     sx = np.sum(log_r * px - dyad * dx, axis=-1)
     sy = np.sum(log_r * py - dyad * dy, axis=-1)
-    return _per_target(x, (sx + 1j * sy) * rule.weight)
+    return _point_or_array(x, (sx + 1j * sy) * rule.weight)
 
 
 def cauchy_operator(
@@ -164,9 +160,7 @@ def cauchy_operator(
     """
     zeta, h = boundary_nodes(mapping, rule)
     z, d, _ = _target_distances(z, zeta)
-    return _per_target(
-        z, np.sum(psi_samples / d * h, axis=-1) * rule.weight / (2.0 * np.pi)
-    )
+    return _point_or_array(z, np.sum(psi_samples / d * h, axis=-1) * rule.weight / (2.0 * np.pi))
 
 
 def log_operator(
@@ -181,10 +175,8 @@ def log_operator(
     """
     zeta, h = boundary_nodes(mapping, rule)
     z, _, r = _target_distances(z, zeta)
-    return _per_target(
-        z,
-        np.sum(np.log(r) * phi_samples * h, axis=-1) * rule.weight / (2.0 * np.pi),
-    )
+    return _point_or_array(
+        z, np.sum(np.log(r) * phi_samples * h, axis=-1) * rule.weight / (2.0 * np.pi))
 
 
 def transmission_residual(

@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import ExteriorMap
+from .conformal import ExteriorMap, _point_or_array, _readonly
 from .errors import DegenerateRotationError, SingularBlockError, TruncationError
-from .faber import FaberTable, _fold_d, _tail, build_faber, check_table_map
+from .faber import FaberTable, _fold_d, build_faber, check_table_map
 from .loading import FarFieldLoading, Material
 
 #: condition-number ceiling for the coupled block
@@ -82,9 +82,7 @@ class DensitySolution:
 
     def __post_init__(self):
         for name in ("s", "t"):
-            v = np.array(getattr(self, name), dtype=complex)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _readonly(np.array(getattr(self, name), dtype=complex)))
 
     def __reduce__(self):  # through the constructor, without the kept rows
         return type(self), (self.s, self.t, self.c1, self.c2, self.c3, self.order)
@@ -143,7 +141,7 @@ def solve_t(
 
 def build_AD(mapping: ExteriorMap, n: int) -> tuple:
     """Hankel matrix A[m,k] = a_{m+k} and the diagonal D = diag(1/m)."""
-    a = np.concatenate((_tail(mapping), np.zeros(2 * n, dtype=complex)))
+    a = np.concatenate((mapping._coeff_array, np.zeros(2 * n, dtype=complex)))
     m = np.arange(1, n + 1)
     A = a[m[:, None] + m]
     D = np.diag(1.0 / m)
@@ -183,7 +181,7 @@ def build_y(
             f"loading degree {p} with map order {M} needs a Faber table of "
             f"order {max(p, 1) + M}, have {ntab}"
         )
-    a = np.concatenate(([1.0], _tail(mapping)))  # a_{-1} = 1, a_0 .. a_M
+    a = np.concatenate(([1.0], mapping._coeff_array))  # a_{-1} = 1, a_0 .. a_M
     # weights b_j of conj(Ftilde_j), j = 0 .. ntab, for J1 and J2; the m = 0
     # term of J2 has zero weight and keeps the convolution defined at p = 0
     b = np.zeros((2, ntab + 1), dtype=complex)
@@ -218,7 +216,7 @@ def _conj_d_hankel(mapping: ExteriorMap, table: FaberTable, rows: int, cols: int
     lag = k[None, :] - np.arange(rows)[:, None] - 1
     T = np.where(lag >= 0, np.conj(table.d)[np.maximum(lag, 0)], 0.0)
     a = np.zeros(M + cols + 1, dtype=complex)
-    a[: M + 1] = _tail(mapping)
+    a[: M + 1] = mapping._coeff_array
     return T @ a[k[:, None] + np.arange(1, cols + 1)[None, :]]
 
 
@@ -374,9 +372,7 @@ def density_on_boundary(sol: DensitySolution, mapping: ExteriorMap, theta):
     trapezoid rule the oracle takes the same sum by one FFT and tests it
     against this one.
     """
-    theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    th = np.atleast_1d(theta)
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
     e = np.exp(1j * th)
     acc = np.zeros_like(e)
     neg = np.conj(e)
@@ -387,8 +383,7 @@ def density_on_boundary(sol: DensitySolution, mapping: ExteriorMap, theta):
         pos_pow *= e
         neg_pow *= neg
     h = mapping.scale_factor(np.zeros_like(th), th)
-    out = acc / h
-    return complex(out[0]) if scalar else out.reshape(theta.shape)
+    return _point_or_array(theta, acc / h)
 
 
 def system_residual(

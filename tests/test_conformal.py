@@ -1,6 +1,7 @@
 import pickle
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,23 @@ from faberelast import (
     ExteriorMap,
     GridSpec,
     NonUnivalentMapError,
+    QuadratureRule,
+    boundary_nodes,
     boundary_perimeter,
     build_faber,
+    cauchy_operator,
+    density_on_boundary,
     displacement,
+    eval_faber,
+    eval_ftilde,
+    eval_G,
+    eval_u0,
     field_grid,
+    kelvin_single_layer,
+    log_operator,
     required_table_order,
+    single_layer_exterior,
+    single_layer_interior,
     solve_full,
 )
 from faberelast.conformal import _polyline_self_intersections
@@ -27,6 +40,7 @@ from util import (
     frozen_derivative,
     frozen_eval,
     random_univalent_map,
+    solved_figure,
     square_map,
 )
 
@@ -440,6 +454,88 @@ class TestInvertOverflow:
             w, ok = mapping.invert(z)
         assert w.tobytes() == w_ref.tobytes() and ok.tobytes() == ok_ref.tobytes()
         assert ok.any() and not ok.all()
+
+
+def _conventions_case():
+    """fig2 solved at order 4, its table, and a 64-node rule with a density mode on it."""
+    mapping, mat, loading, table, sol = solved_figure("fig2", 4)
+    rule = QuadratureRule(64)
+    phi = np.exp(2j * rule.theta) / boundary_nodes(mapping, rule)[1]
+    return SimpleNamespace(mapping=mapping, mat=mat, loading=loading, table=table, sol=sol,
+                           rule=rule, phi=phi)
+
+
+_THETA = np.array([[0.0, 0.7, 1.9], [2.5, 4.0, 5.5]])
+_W = np.array([[1.0, 1.2, 1.7], [2.5, 4.0, 10.0]]) * np.exp(1j * _THETA)
+_Z_IN = 0.2 * np.exp(1j * _THETA) - 0.1j
+_Z_FAR = 3.0 * np.exp(1j * _THETA)
+
+#: evaluator name -> (call on the case, points); each takes a point or an array of points
+_EVALUATORS = {
+    "eval": (lambda c, x: c.mapping.eval(x), _W),
+    "derivative": (lambda c, x: c.mapping.derivative(x), _W),
+    "boundary_point": (lambda c, x: c.mapping.boundary_point(x), _THETA),
+    "scale_factor": (lambda c, x: c.mapping.scale_factor(x, 2.0 * x), _THETA / 4),
+    "eval_faber": (lambda c, x: eval_faber(c.table, 3, x), _Z_IN),
+    "eval_ftilde k=0": (lambda c, x: eval_ftilde(c.table, 0, x), _Z_IN),
+    "eval_ftilde k=-1": (lambda c, x: eval_ftilde(c.table, -1, x), _Z_IN),
+    "eval_ftilde k=3": (lambda c, x: eval_ftilde(c.table, 3, x), _Z_IN),
+    "eval_G": (lambda c, x: eval_G(c.mapping, 3, x), _W),
+    "single_layer_exterior":
+        (lambda c, x: single_layer_exterior(c.sol, c.table, c.mapping, c.mat, x), _W),
+    "density_on_boundary": (lambda c, x: density_on_boundary(c.sol, c.mapping, x), _THETA),
+    "eval_u0": (lambda c, x: eval_u0(c.loading, c.table, c.mat, x), _Z_IN),
+    "single_layer_interior":
+        (lambda c, x: single_layer_interior(c.sol, c.table, c.mapping, c.mat, x), _Z_IN),
+    "kelvin_single_layer":
+        (lambda c, x: kelvin_single_layer(c.phi, c.mapping, c.mat, x, c.rule), _Z_FAR),
+    "cauchy_operator": (lambda c, x: cauchy_operator(c.phi, c.mapping, x, c.rule), _Z_FAR),
+    "log_operator": (lambda c, x: log_operator(c.phi.real, c.mapping, x, c.rule), _Z_FAR),
+}
+
+
+#: evaluators whose one point is summed otherwise than an array: ``_row_sums``'
+#: power table for the exterior probe, and scalar arithmetic or a BLAS dot in
+#: place of array kernels for the other two; they agree to rounding
+_ROUNDED = {"eval_faber", "scale_factor", "single_layer_exterior"}
+
+
+class TestPointOrArray:
+    @pytest.mark.parametrize("name", sorted(_EVALUATORS))
+    def test_point_gives_number_of_array_entry(self, name):
+        call, points = _EVALUATORS[name]
+        case = _conventions_case()
+        many = call(case, points)
+        assert isinstance(many, np.ndarray) and many.shape == (2, 3)
+        kind = float if name == "scale_factor" else complex
+        for index in np.ndindex(2, 3):
+            one = call(case, points[index].item())
+            assert type(one) is kind, (name, index)
+            # log_operator of real samples is real, and its point is a complex
+            entry = kind(many[index])
+            if name in _ROUNDED:
+                assert abs(one - entry) <= 4 * np.finfo(float).eps * max(1.0, abs(entry)), index
+            else:
+                assert np.array_equal(np.array([one]).view(np.uint64),
+                                      np.array([entry]).view(np.uint64)), index
+
+
+class TestCoefficientArray:
+    @pytest.mark.parametrize("coeffs", [(), (0.0, 0.0), (0.3,), (0.0, 0.1 + 0.1j, 0.0, 0.2)])
+    def test_read_only_and_disk_holds_one_zero(self, coeffs):
+        mp = ExteriorMap(coeffs)
+        a = mp._coeff_array
+        assert not a.flags.writeable and a.dtype == complex
+        if mp.coefficients:
+            assert a.tolist() == list(mp.coefficients)
+        else:
+            assert mp.order == 0 and a.tolist() == [0j]
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        # the disk's Psi - w and Psi' - 1 rows: two zero rows of length 2
+        if not mp.coefficients:
+            assert mp._u_rows.shape == (2, 2) and not mp._u_rows.any()
+        assert pickle.loads(pickle.dumps(mp)).coefficients == mp.coefficients
 
 
 class TestConstruction:

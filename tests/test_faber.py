@@ -26,7 +26,6 @@ from faberelast.faber import (
     _grunsky_wide,
     _point_values,
     _recurrence,
-    _tail,
 )
 from util import (
     FIG_LOADING,
@@ -400,7 +399,7 @@ def _loop_recurrence(a, out, times_z):
 
 def _reference_grunsky_wide(mapping, n):
     """The canvas built row by row with full-width convolutions, frozen."""
-    a = _tail(mapping)
+    a = mapping._coeff_array
     M = mapping.order
     width = n * max(M, 1)
     L = width + n + 1
@@ -446,7 +445,7 @@ class TestRecurrenceKernel:
     def test_points_match_per_s_loop(self, order):
         rng = np.random.default_rng(1410 + order)
         mp = ExteriorMap(()) if order == 0 else random_univalent_map(rng, order, margin=0.99)
-        a = _tail(mp)
+        a = mp._coeff_array
         n = 60
         z = mp.eval(rng.uniform(1.0, 1.5, (7, 9)) * np.exp(2j * np.pi * rng.uniform(size=(7, 9))))
         z[0, :4] = mp.coefficient(0) + 0.1 * rng.normal(size=4)  # inside the curve
@@ -467,12 +466,12 @@ class TestRecurrenceKernel:
         n = 40
         ref = np.zeros((n + 1, n + 1), dtype=complex)
         ref[0, 0] = 1.0
-        _loop_recurrence(_tail(mp), ref, lambda m: np.concatenate(([0.0], ref[m, :-1])))
+        _loop_recurrence(mp._coeff_array, ref, lambda m: np.concatenate(([0.0], ref[m, :-1])))
         got = build_faber(mp, n).monomial
         assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True))
 
     def test_rows_that_reshape_to_a_copy_raise(self):
-        a = _tail(ExteriorMap((0.0, 0.2, 0.1)))
+        a = ExteriorMap((0.0, 0.2, 0.1))._coeff_array
         z = np.linspace(-1.0, 1.0, 15).reshape(3, 5) + 0.5j
         out = np.zeros((5, 5, 3), dtype=complex).transpose(0, 2, 1)  # rows are (3, 5)
         out[0] = 1.0
@@ -499,7 +498,7 @@ def _cut_columns_are_bitwise_whole(M, N):
 
     # at cap + N >= N * M the canvas is ``whole`` itself
     for cap in (N, 2 * N):
-        assert same_bits(_canvas(_tail(mp), N, cap + N + 1)[:, : cap + 1], cap + 1)
+        assert same_bits(_canvas(mp._coeff_array, N, cap + N + 1)[:, : cap + 1], cap + 1)
         kept = _grunsky_wide(mp, N, cap)
         assert kept.shape[1] > N and same_bits(kept, kept.shape[1]), cap
     table = build_faber(mp, N)

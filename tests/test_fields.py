@@ -1229,6 +1229,24 @@ class TestFieldGridContainer:
         with pytest.raises(IndexError):
             grid[len(grid)]
 
+    def test_slices_are_lists_of_samples(self):
+        mapping, mat, loading, table, sol = solved_figure("fig1", 16)
+        grid = field_grid(sol, table, mapping, mat, loading,
+                          GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5))
+        samples = list(grid)
+        assert {"interior", "exterior"} <= {s.region for s in samples}
+
+        def same(a, b):  # w is NaN inside the inclusion, so not a == b
+            return a.region == b.region and all(
+                _same(getattr(a, f), getattr(b, f)) for f in ("z", "w", "u0", "S", "u"))
+
+        # the last slice is past the 25 points: an empty list
+        for index in (slice(1, 3), slice(None, None, -1), slice(10, 16), slice(30, 40)):
+            got, want = grid[index], samples[index]
+            assert isinstance(got, list) and len(got) == len(want)
+            assert all(same(a, b) for a, b in zip(got, want)), index
+        assert same(grid[-1], samples[-1])
+
     def test_region_codes_and_arrays(self):
         mapping, mat, loading, table, sol = solved_figure("fig1", 16)
         grid = field_grid(sol, table, mapping, mat, loading,
@@ -1282,6 +1300,33 @@ class TestFieldGridContainer:
         rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
         assert sum(r.split(",")[4] == "boundary" for r in rows) == int((~inside).sum())
         assert all(r.split(",")[2:4] == ["nan", "nan"] for r in rows)
+
+
+class TestEmptyLoading:
+    def test_matches_zero_loading(self):
+        # FarFieldLoading([], []) is the zero loading, padded to one coefficient
+        mapping, mat, table = FIG_MAPS["fig2"], FIG_MATERIAL, build_faber(FIG_MAPS["fig2"], 20)
+        empty, zero = FarFieldLoading([], []), FarFieldLoading([0.0], [0.0])
+        assert empty.A.shape == empty.B.shape == (1,) and empty.degree == 0
+        sols = [solve_full(mapping, load, mat, 4, table=table) for load in (empty, zero)]
+        for name in ("s", "t"):
+            assert _same(getattr(sols[0], name), getattr(sols[1], name))
+            assert not getattr(sols[0], name).any()
+        assert (sols[0].c1, sols[0].c2, sols[0].c3) == (sols[1].c1, sols[1].c2, sols[1].c3)
+        assert sols[0].c1 == sols[0].c2 == 0.0
+        spec = GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9)
+        grids = [field_grid(sol, table, mapping, mat, load, spec)
+                 for sol, load in zip(sols, (empty, zero))]
+        for name in ("z", "w", "region", "u0", "S", "u"):
+            assert _same(getattr(grids[0], name), getattr(grids[1], name)), name
+        assert not grids[0].u0.any() and not grids[0].S.any()
+        for w in (1.0, 1.5 + 0.5j, -3.0j):
+            pair = [displacement(sol, table, mapping, mat, load, w)
+                    for sol, load in zip(sols, (empty, zero))]
+            assert pair[0] == pair[1]
+        z = np.array([[0.1, -0.2j], [2.0, 1.0 + 1.0j]])
+        for points in (z, 0.1 - 0.1j):
+            assert _same(eval_u0(empty, table, mat, points), eval_u0(zero, table, mat, points))
 
 
 def _crossing_parity(z, poly):

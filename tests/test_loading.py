@@ -8,6 +8,7 @@ from faberelast import (
     FarFieldLoading,
     Material,
     SampleShapeError,
+    TruncationError,
     build_faber,
     eval_faber,
     eval_u0,
@@ -271,14 +272,15 @@ class TestFaberCoefficients:
             faber_coefficients_from_samples(np.ones(64), 0, 0.9)
 
     def test_fft_matches_per_mode_sums(self):
-        # one FFT gives every trapezoid sum, aliased modes m >= q included
+        # one FFT gives every trapezoid sum, up to the last mode q nodes resolve
         mp = ExteriorMap((0.1, 0.2, 0.1j))
         q, r = 64, 1.3
 
         def v(z):
             return z**3 - 2.0 * z + 1.0 / (z - 5.0)
 
-        coeffs = faber_coefficients(v, mp, 80, r=r, q=q)
+        coeffs = faber_coefficients(v, mp, q - 1, r=r, q=q)
+        assert len(coeffs) == q
         theta = 2.0 * np.pi * np.arange(q) / q
         samples = v(mp.eval(r * np.exp(1j * theta)))
         for m, got in enumerate(coeffs):
@@ -286,6 +288,19 @@ class TestFaberCoefficients:
             ref = np.mean(samples * (r * np.exp(1j * theta)) ** (-m))
             assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
             assert faber_coefficients_from_samples(samples, m, r) == got
+
+    def test_count_at_or_past_q_raises(self):
+        # mode q is bin 0 again: at count >= q the FFT would return aliases
+        mp = ExteriorMap((0.1, 0.2, 0.1j))
+        calls = []
+        for count in (64, 80):
+            with pytest.raises(TruncationError, match=f"count {count} .* q = 64"):
+                faber_coefficients(calls.append, mp, count, r=1.3, q=64)
+        assert calls == []  # raised before v is sampled
+        samples = np.ones(64, dtype=complex)
+        with pytest.raises(TruncationError, match="count 64 .* q = 64"):
+            faber_coefficients_from_samples(samples, 64, 1.3)
+        assert abs(faber_coefficients_from_samples(samples, 63, 1.3)) < 1e-15
 
     @pytest.mark.parametrize("v", [lambda z: 1.0, lambda z: np.stack([z, z], axis=1),
                                    lambda z: z[:-1]], ids=["scalar", "two columns", "one short"])
