@@ -26,7 +26,7 @@ sums Psi - w and Psi' - 1 once at w_k = e^{2 pi i k/q}, k < q, and gives
 (w, Psi(w), Psi'(w)) with the bits of ``boundary_point`` and
 ``derivative``; ``boundary_samples(q)`` keeps them read-only on the map,
 one entry per q, for the quadrature nodes and residuals of oracle and
-the boundary polygons of ``field_grid``.  The univalence check sums the
+the boundary polygon of ``field_grid``.  The univalence check sums the
 same values and keeps none: a map that is only solved would otherwise
 hold its 2048 samples (98 KB) for as long as it lives.
 
@@ -50,10 +50,12 @@ The map owns the conventions every layer above it repeats.  The a_k
 are one read-only array, ``ExteriorMap._coeff_array``, (0j,) for the
 disk.  Every evaluator of the package returns through
 ``_point_or_array``: a Python number for one point, an array of the
-points' shape otherwise.  Arrays kept on an object are frozen by
-``_readonly``.  Newton's acceptance tolerance is ``_NEWTON_TOL``, the
-default of ``invert`` and the term of the certification margin of
-``fields.field_grid``.
+points' shape otherwise.  Every evaluator that takes a preimage w (the
+map's own and the exterior ones of fields) checks it with
+``_check_exterior``: finite, with |w| >= 1 - _INSIDE_TOL.  Arrays kept
+on an object are frozen by ``_readonly``.  Newton's acceptance
+tolerance is ``_NEWTON_TOL``, the default of ``invert`` and the term of
+the certification margin of ``fields.field_grid``.
 
 A single point (a probe of fields) has no Horner step: ``_row_sums``
 sums several row sets from one power table u**0 .. u**(K-1), K the
@@ -85,6 +87,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only in place."""
     a.setflags(write=False)
     return a
+
+
+def _check_exterior(w):
+    """w, after a DomainError unless each point is finite with |w| >= 1 - _INSIDE_TOL.
+
+    A Python complex (a probe) is checked in Python floats and bools and
+    returned as it is, as numpy's scalar operations would add about a
+    tenth to a probe's time; anything else goes through ``np.asarray``
+    and is returned as a complex array.
+    """
+    if not isinstance(w, complex):
+        w = np.asarray(w, dtype=complex)
+    r = abs(w)
+    outside = (r >= 1.0 - _INSIDE_TOL) & (r < np.inf)  # NaN fails both
+    if outside is not True and not np.all(outside):
+        raise DomainError("exterior evaluation needs finite w with |w| >= 1")
+    return w
 
 
 def _point_or_array(points, out, kind=complex):
@@ -211,19 +230,13 @@ class ExteriorMap:
         """Psi'(w) without the |w| >= 1 domain check."""
         return 1.0 + _u_sum(self._u_rows[1:], np.asarray(w, dtype=complex))
 
-    def _check_domain(self, w):
-        w = np.asarray(w, dtype=complex)
-        if not np.all(np.abs(w) >= 1.0 - _INSIDE_TOL):  # NaN fails too
-            raise DomainError("evaluation point inside the unit disk")
-        return w
-
     def eval(self, w):
-        """Psi(w) for |w| >= 1, by Horner's scheme in 1/w."""
-        return _point_or_array(w, self._eval_raw(self._check_domain(w)))
+        """Psi(w) for finite |w| >= 1, by Horner's scheme in 1/w."""
+        return _point_or_array(w, self._eval_raw(_check_exterior(w)))
 
     def derivative(self, w):
-        """Psi'(w) = 1 - sum_k k a_k w^{-k-1} for |w| >= 1."""
-        return _point_or_array(w, self._derivative_raw(self._check_domain(w)))
+        """Psi'(w) = 1 - sum_k k a_k w^{-k-1} for finite |w| >= 1."""
+        return _point_or_array(w, self._derivative_raw(_check_exterior(w)))
 
     def boundary_point(self, theta):
         """Boundary point Psi(e^{i*theta}); periodic in theta."""

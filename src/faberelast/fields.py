@@ -34,7 +34,7 @@ potentials in the w-plane:
     P3 = - sum_m s_m u**(m+1) - sum_m (t_m/m) sum_k k c_{m,k} u**(k+1),
     P4 = sum_{j>=1} (W_j/j) sum_k k c_{j,k} u**(k+1) + sum_{j<=0} W_j u**(1-j),
 
-    2S = - alpha1 (conj(P1) + P2) + alpha2 Psi conj(P3/Psi')
+    2S = - kappa alpha2 (conj(P1) + P2) + alpha2 Psi conj(P3/Psi')
          + alpha2 conj(P4/Psi').
 
 Only decaying powers of w are summed for S.  That removes the
@@ -58,19 +58,22 @@ and the boundary branch of ``displacement``, take S and u0 from one
 set and only there.
 
 An interior grid point needs no preimage, so ``field_grid`` runs Newton
-only on the points that can lie outside.  A point is marked interior
-first when the kept 256-gon of boundary samples encloses it by the
-even-odd rule (Hormann and Agathos, "The point in polygon problem for
-arbitrary polygons", Comput. Geom. 20, 2001) and no edge's bounding box,
-widened by a margin m, holds it, so that every edge is at least m away
-(``_enclosed``).  On the boundary curve g(theta) = Psi(e^{i theta}),
-|g''| <= 1 + sum_k k**2 |a_k|, so each arc of a q-gon lies within the
-sagitta (2 pi/q)**2/8 (1 + sum_k k**2 |a_k|) of its chord.  Moving each
-arc onto its chord then moves no point of the curve farther than that,
-so a point farther than the sagitta from the edges has the same winding
-number about the curve as about the polygon.  m is the sum of:
+only on the points that can lie outside.  One polygon, the kept 256-gon
+of boundary samples, serves both ends: it places the points Newton
+leaves unconverged (interior if it encloses them, ambiguous boundary
+otherwise), and it marks a point interior before Newton when it
+encloses it by the even-odd rule (Hormann and Agathos, "The point in
+polygon problem for arbitrary polygons", Comput. Geom. 20, 2001) and no
+edge's bounding box, widened by a margin m, holds it, so that every
+edge is at least m away (``_enclosed``).  On the boundary curve
+g(theta) = Psi(e^{i theta}), |g''| <= 1 + sum_k k**2 |a_k|, so each arc
+of a q-gon lies within the sagitta (2 pi/q)**2/8 (1 + sum_k k**2 |a_k|)
+of its chord.  Moving each arc onto its chord then moves no point of
+the curve farther than that, so a point farther than the sagitta from
+the edges has the same winding number about the curve as about the
+polygon.  m is the sum of:
 
-    the sagittas of the 256-gon and of the fallback's 1024-gon;
+    the sagitta of the 256-gon;
     Newton's tolerance _NEWTON_TOL max(1, |z|), with |z| at most the largest
         vertex modulus, as the point lies in the polygon's hull;
     the boundary band 1e-10 of |w| times 2 (1 + sum_k k |a_k|), a bound
@@ -79,10 +82,10 @@ number about the curve as about the polygon.  m is the sum of:
 The map must be univalent, and ``require_univalent`` runs first, so Psi
 takes |w| >= 1 onto the closed exterior of the curve.  A point past m
 then lies inside the curve and farther from its exterior than any
-preimage with |w| >= 1 - 1e-10 that Newton could accept, and inside
-the 1024-gon: Newton could not make it exterior or boundary, and the
-fallback would enclose it were it left unconverged.  So Newton and the
-fallback would make it interior too, with w NaN, and its S and u0 come
+preimage with |w| >= 1 - 1e-10 that Newton could accept: Newton could
+not make it exterior or boundary, and were it left unconverged the
+polygon, which encloses it, would place it inside.  So Newton and the
+polygon would make it interior too, with w NaN, and its S and u0 come
 from the same ``_interior_field`` call: every array of the grid keeps
 the bits it has when every point goes through Newton.
 
@@ -126,16 +129,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import _INSIDE_TOL, _NEWTON_TOL, ExteriorMap, _point_or_array, _readonly, _row_sums
+from .conformal import (_NEWTON_TOL, ExteriorMap, _check_exterior, _point_or_array, _readonly,
+                        _row_sums)
 from .csvtext import write_csv
-from .errors import DomainError
 from .faber import FaberTable, _chop_width, _derivative_coefficients, check_table_map
 from .loading import FarFieldLoading, Material, _km_displacement, _u0_potentials
 from .solver import DensitySolution
 
 _BOUNDARY_TOL = 1e-10
-#: vertices of the boundary polygons that certify interior points and place unconverged ones
-_CERTIFY_Q, _FALLBACK_Q = 256, 1024
+#: vertices of the boundary polygon that certifies interior points and places unconverged ones
+_POLYGON_Q = 256
 
 REGION_INTERIOR = "interior"
 REGION_BOUNDARY = "boundary"
@@ -172,7 +175,8 @@ class FieldGrid:
     ``unconverged`` counts the points Newton ran on and left unconverged;
     the points the polygon surely encloses never reach Newton.
 
-    The grid is also a sequence of FieldSample in row-major order.
+    The grid is also a sequence of FieldSample in row-major order;
+    iteration goes through ``__getitem__``.
     """
 
     z: np.ndarray
@@ -200,12 +204,6 @@ class FieldGrid:
             S=complex(self.S.flat[k]),
             u=complex(self.u.flat[k]),
         )
-
-    def __iter__(self):
-        columns = [a.ravel().tolist() for a in (self.z, self.w, self.u0, self.S, self.u)]
-        labels = [REGION_LABELS[c] for c in self.region.ravel().tolist()]
-        for z, w, region, u0, S, u in zip(columns[0], columns[1], labels, *columns[2:]):
-            yield FieldSample(z=z, w=w, region=region, u0=u0, S=S, u=u)
 
 
 def _check_table(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap) -> None:
@@ -322,7 +320,7 @@ def _exterior_S(sol: DensitySolution, table: FaberTable, mapping: ExteriorMap, m
     (dz, ddz), (P1, P2, P3, P4), *sums = _row_sums((mapping._u_rows, coef, *more), 1.0 / w)
     psi, dpsi = w + dz, 1.0 + ddz
     S = 0.5 * (
-        -mat.alpha1 * (np.conj(P1) + P2)
+        -mat.kappa * mat.alpha2 * (np.conj(P1) + P2)
         + mat.alpha2 * psi * np.conj(P3 / dpsi)
         + mat.alpha2 * np.conj(P4 / dpsi)
     )
@@ -365,18 +363,6 @@ def _exterior_field(sol: DensitySolution, table: FaberTable, mapping: ExteriorMa
     return S, u0, psi
 
 
-def _check_exterior(w) -> None:
-    """DomainError unless every point of w is finite with |w| >= 1.
-
-    A Python complex (a probe) is checked in Python floats and bools, as
-    numpy's scalar operations would add about a tenth to a probe's time.
-    """
-    r = abs(w)
-    outside = (r >= 1.0 - _INSIDE_TOL) & (r < np.inf)  # NaN fails both
-    if outside is not True and not np.all(outside):
-        raise DomainError("exterior evaluation needs finite w with |w| >= 1")
-
-
 def single_layer_exterior(
     sol: DensitySolution,
     table: FaberTable,
@@ -385,8 +371,7 @@ def single_layer_exterior(
     w,
 ):
     """Single-layer value S at z = Psi(w), |w| >= 1."""
-    w = np.asarray(w, dtype=complex)
-    _check_exterior(w)
+    w = _check_exterior(np.asarray(w, dtype=complex))
     _check_table(sol, table, mapping)
     return _point_or_array(w, _exterior_S(sol, table, mapping, mat, w.reshape(-1))[0])
 
@@ -403,8 +388,7 @@ def displacement(
 
     Raises NonUnivalentMapError when the map fails its univalence check.
     """
-    w = complex(w)
-    _check_exterior(w)
+    w = _check_exterior(complex(w))
     mapping.require_univalent()
     if abs(w) <= 1.0 + _BOUNDARY_TOL:
         z = mapping.eval(w)
@@ -479,7 +463,7 @@ def field_grid(
     of the module docstring is interior.  Every other point is classified
     by Newton inversion of the map: a preimage with |w| > 1 means
     exterior, |w| < 1 (or a point the iteration cannot place that the
-    1024-gon encloses) means interior, and anything within tolerance of
+    polygon encloses) means interior, and anything within tolerance of
     |w| = 1 is boundary.  Interior and boundary samples carry the
     rigid-motion displacement of the inclusion; their S column holds the
     interior series value.
@@ -501,8 +485,8 @@ def field_grid(
     # the points the kept polygon encloses by more than the margin of the module
     # docstring are interior without Newton: w NaN, counted as converged
     ka = np.arange(len(mapping._coeff_array)) * np.abs(mapping._coeff_array)  # k |a_k|
-    poly = mapping.boundary_samples(_CERTIFY_Q)[1]
-    sagitta = np.pi**2 / 2 * (_CERTIFY_Q**-2 + _FALLBACK_Q**-2) * (1 + np.arange(len(ka)) @ ka)
+    poly = mapping.boundary_samples(_POLYGON_Q)[1]
+    sagitta = np.pi**2 / 2 / _POLYGON_Q**2 * (1 + np.arange(len(ka)) @ ka)
     newton = _NEWTON_TOL * max(1.0, np.abs(poly).max()) + 2 * _BOUNDARY_TOL * (1 + ka.sum())
     todo = np.flatnonzero(~_enclosed(xs, ys, poly, sagitta + newton))
     wv, converged = np.full(Z.shape, complex(np.nan, np.nan)), np.ones(Z.shape, dtype=bool)
@@ -514,7 +498,6 @@ def field_grid(
     ambiguous = np.zeros(Z.shape, dtype=bool)
     undecided = np.nonzero(~converged)[0]
     if len(undecided):
-        poly = mapping.boundary_samples(_FALLBACK_Q)[1]
         outside = undecided[~_enclosed(xs, ys, poly).ravel()[undecided]]
         region[outside] = BOUNDARY  # ambiguous: report as boundary
         ambiguous[outside] = True

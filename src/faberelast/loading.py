@@ -43,17 +43,19 @@ from .faber import FaberTable, _derivative_coefficients, _point_values
 class Material:
     """Isotropic material data.
 
-    Either built from a Lame pair (lam, mu), which fixes
-    alpha1 = (1/mu + 1/(2 mu + lam))/2, alpha2 = (1/mu - 1/(2 mu + lam))/2
-    and kappa = (lam + 3 mu)/(lam + mu), or synthetically from (alpha1,
-    kappa) directly with alpha2 = alpha1/kappa and no Lame pair.  The
-    synthetic route accepts kappa outside the physical range (1, 3];
-    some published field plots use such values and they are needed to
-    reproduce them.
+    The method reads two constants, alpha2 and kappa: the solve, both
+    single layers and the Kelvin oracle take alpha1 as kappa alpha2.
+    Either constructor fixes alpha1 and kappa and sets alpha2 =
+    alpha1/kappa: from a Lame pair (lam, mu), alpha1 = (1/mu + 1/(2 mu +
+    lam))/2 and kappa = (lam + 3 mu)/(lam + mu), so alpha2 = (lam +
+    mu)/(2 mu (2 mu + lam)) to rounding; or synthetically from (alpha1,
+    kappa) directly, with no Lame pair.  The synthetic route accepts
+    kappa outside the physical range (1, 3]; some published field plots
+    use such values and they are needed to reproduce them.
 
-    Both constructors give alpha1 = kappa alpha2 (up to rounding), and
-    the solve and the interior single layer rely on it: they read only
-    alpha2 and kappa.
+    Construction raises ValueError unless |alpha1 - kappa alpha2| <=
+    4 eps |alpha1| (a NaN fails), so alpha1 = kappa alpha2 holds to
+    rounding.
     """
 
     alpha1: float
@@ -61,6 +63,11 @@ class Material:
     kappa: float
     lam: float | None = None
     mu: float | None = None
+
+    def __post_init__(self):
+        product = self.kappa * self.alpha2
+        if not abs(self.alpha1 - product) <= 4 * np.finfo(float).eps * abs(self.alpha1):
+            raise ValueError(f"alpha1 = {self.alpha1!r} must equal kappa * alpha2 = {product!r}")
 
     @property
     def synthetic(self) -> bool:
@@ -73,9 +80,8 @@ class Material:
                 f"need mu > 0 and lam + mu > 0, got lam={lam}, mu={mu}"
             )
         alpha1 = 0.5 * (1.0 / mu + 1.0 / (2.0 * mu + lam))
-        alpha2 = 0.5 * (1.0 / mu - 1.0 / (2.0 * mu + lam))
         kappa = (lam + 3.0 * mu) / (lam + mu)
-        return cls(alpha1=alpha1, alpha2=alpha2, kappa=kappa, lam=lam, mu=mu)
+        return cls(alpha1=alpha1, alpha2=alpha1 / kappa, kappa=kappa, lam=lam, mu=mu)
 
     @classmethod
     def from_figure_params(cls, alpha1: float, kappa: float) -> "Material":

@@ -129,18 +129,19 @@ def kelvin_single_layer(
     """Single-layer potential of a sampled density, fundamental-matrix form.
 
     The kernel is the plane elastic fundamental matrix
-    G_ij(d) = alpha1/(2 pi) delta_ij ln|d| - alpha2/(2 pi) d_i d_j/|d|^2
-    applied to the density as a 2-vector; the result is returned in the
-    complex identification S_1 + i S_2.  ``x`` is a scalar target, for
-    which a complex is returned, or an array of targets, for which an
-    array of the same shape is returned.  The boundary nodes are built
-    once per call; temporaries hold (number of targets) x q values.
+    G_ij(d) = alpha1/(2 pi) delta_ij ln|d| - alpha2/(2 pi) d_i d_j/|d|^2,
+    alpha1 = kappa alpha2 (see Material), applied to the density as a
+    2-vector; the result is returned in the complex identification
+    S_1 + i S_2.  ``x`` is a scalar target, for which a complex is
+    returned, or an array of targets, for which an array of the same
+    shape is returned.  The boundary nodes are built once per call;
+    temporaries hold (number of targets) x q values.
     """
     zeta, h = boundary_nodes(mapping, rule)
     x, d, r = _target_distances(x, zeta)
     ph = phi_samples * h
     px, py, dx, dy = ph.real, ph.imag, d.real, d.imag
-    log_r = (mat.alpha1 / (2.0 * np.pi)) * np.log(r)
+    log_r = (mat.kappa * mat.alpha2 / (2.0 * np.pi)) * np.log(r)
     # Re(conj(d) phi h) d / |d|^2, in real arithmetic
     dyad = (mat.alpha2 / (2.0 * np.pi)) * (dx * px + dy * py) / r**2
     sx = np.sum(log_r * px - dyad * dx, axis=-1)

@@ -87,7 +87,7 @@ class TestEval:
 
     def test_domain_error_inside(self):
         mp = ExteriorMap((0.0, 0.2))
-        for w in (0.5 + 0.0j, complex(np.nan, 0.0)):
+        for w in (0.5 + 0.0j, complex(np.nan, 0.0), complex(np.inf, 0), complex(0, -np.inf)):
             with pytest.raises(DomainError):
                 mp.eval(w)
         # the tolerance band just below 1 is allowed
@@ -119,7 +119,7 @@ class TestDerivative:
 
     def test_domain_error(self):
         mp = ExteriorMap((0.0, 0.2))
-        for w in (0.3 + 0.1j, complex(np.nan, np.nan)):
+        for w in (0.3 + 0.1j, complex(np.nan, np.nan), complex(np.inf, 0), complex(0, -np.inf)):
             with pytest.raises(DomainError):
                 mp.derivative(w)
 

@@ -1276,8 +1276,10 @@ class TestFieldGridContainer:
 
     def test_unconverged_points_are_flagged(self, monkeypatch, tmp_path):
         # Newton reports every point it gets unconverged: the polygon test puts
-        # the enclosed points inside and reports the rest as ambiguous boundary
-        mapping, mat, loading, table, sol = solved_figure("fig1", 16)
+        # the enclosed points inside and reports the rest as ambiguous boundary.
+        # A fresh map, as other tests fill the shared fig maps' sample caches
+        _, mat, loading, table, sol = solved_figure("fig1", 16)
+        mapping = ExteriorMap(FIG_MAPS["fig1"].coefficients)
         invert = ExteriorMap.invert
         received = []
 
@@ -1296,6 +1298,8 @@ class TestFieldGridContainer:
         np.testing.assert_array_equal(grid.ambiguous, ~inside)
         assert (grid.region[~inside] == BOUNDARY).all()
         assert np.isnan(grid.w).all()
+        # one polygon certifies the interior and places the unconverged points
+        assert list(mapping._samples) == [256]
         write_field_csv(grid, tmp_path / "f.csv")
         rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
         assert sum(r.split(",")[4] == "boundary" for r in rows) == int((~inside).sum())

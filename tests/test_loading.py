@@ -1,3 +1,6 @@
+import pickle
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -37,12 +40,34 @@ class TestMaterial:
         assert abs(mat.kappa - 1.0) < 3e-6
 
     def test_identity_alpha1_kappa_alpha2(self):
+        # near lam = -mu, alpha2 = (1/mu - 1/(2 mu + lam))/2 cancels (1.1e-4
+        # off at the last lam there); alpha1/kappa does not
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(0)
+        pairs = []
         for _ in range(100):
             mu = rng.uniform(0.1, 10.0)
-            lam = rng.uniform(-0.9 * mu, 10.0)
+            pairs.append((rng.uniform(-0.9 * mu, 10.0), mu))
+        near = [(-f * mu, mu) for mu in (1.0, 0.3, 7.0) for f in (0.999, 1 - 1e-9, 1 - 1e-12)]
+        for lam, mu in pairs + near:
             mat = Material.from_lame(lam, mu)
-            assert abs(mat.alpha1 - mat.kappa * mat.alpha2) < 1e-12 * mat.alpha1
+            assert abs(mat.alpha1 - mat.kappa * mat.alpha2) <= 4 * eps * mat.alpha1, (lam, mu)
+        for lam, mu in near:
+            # (lam + mu)/(2 mu (2 mu + lam)) in exact rationals of the given floats
+            L, M = Fraction(lam), Fraction(mu)
+            exact = (L + M) / (2 * M * (2 * M + L))
+            ulp = Fraction(float(np.spacing(float(exact))))
+            assert abs(Fraction(Material.from_lame(lam, mu).alpha2) - exact) <= 2 * ulp, (lam, mu)
+
+    def test_inconsistent_constants_raise(self):
+        with pytest.raises(ValueError, match="kappa \\* alpha2"):
+            Material(alpha1=1.0, alpha2=1.0, kappa=3.0)
+        with pytest.raises(ValueError):
+            Material(alpha1=float("nan"), alpha2=1.0, kappa=1.0)
+        for mat in (Material.from_lame(1.0, 1.0), Material.from_figure_params(0.5, 0.3),
+                    FIG_MATERIAL):
+            assert pickle.loads(pickle.dumps(mat)) == mat
+            assert Material(mat.alpha1, mat.alpha2, mat.kappa, mat.lam, mat.mu) == mat
 
     def test_physical_kappa_range(self):
         rng = np.random.default_rng(1)

@@ -1,13 +1,16 @@
 """Count code lines per module, without docstrings, comments or blank lines.
 
-    python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py [DIR] [--base BASE]
 
 DIR defaults to ``src/faberelast``.  A line counts when a token other
 than a comment, an indent or a line break starts on it or runs through
 it, and it is not part of a docstring (the string that opens a module,
 class or function body).  So every line of a statement spread over
-several lines counts.  Prints one line per module and the total.
-Standard library only.
+several lines counts.  Prints one line per module and the total.  With
+``--base``, another tree of the same package (an older commit's), it
+prints one table instead: the base count, the count in DIR and the
+delta, per module of either tree (0 where a tree lacks it) and in
+total.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,16 +49,27 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def _counts(directory: Path) -> dict:
+    """Module file name -> code lines, for the modules of ``directory``."""
+    return {path.name: code_lines(path.read_text()) for path in sorted(directory.glob("*.py"))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir", nargs="?", type=Path, default=REPO / "src" / "faberelast")
+    parser.add_argument("--base", type=Path, help="print base, head and delta against this tree")
     args = parser.parse_args(argv)
-    total = 0
-    for path in sorted(args.dir.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    head = _counts(args.dir)
+    if args.base is None:
+        for name, count in [*head.items(), ("total", sum(head.values()))]:
+            print(f"{count:6d}  {name}")
+        return 0
+    base = _counts(args.base)
+    names = sorted(base.keys() | head.keys())
+    rows = [(name, base.get(name, 0), head.get(name, 0)) for name in names]
+    print(f"{'base':>6}  {'head':>6}  {'delta':>6}  module")
+    for name, old, new in [*rows, ("total", sum(base.values()), sum(head.values()))]:
+        print(f"{old:6d}  {new:6d}  {new - old:+6d}  {name}")
     return 0
 
 
