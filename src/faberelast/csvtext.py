@@ -21,7 +21,11 @@ every piece at a fixed byte and NUL wherever the value has no byte:
 digit, 7 the dot, 8-15 and 16-23 the other 16 digits, cut after the
 last one that is not a trailing zero, and 24-28 the exponent, "e-05" or
 "e+100", of the layouts k < -4 and k > 16.  For k = 1 .. 16 the dot
-moves behind the k digits it follows.  The writer lays a chunk of lines
+moves behind the k digits it follows.  The move and the cut are word
+operations, on the rows that need either: words 0-2 keep some bytes in
+place, take the k digits from one byte up and put the dot behind them,
+under three masks per word looked up by k and the digits kept, so no
+byte is moved alone.  The writer lays a chunk of lines
 out as a byte matrix, slots and texts at fixed columns, and drops the
 NULs of the whole chunk with one ``bytes.translate``.
 """
@@ -66,12 +70,19 @@ def _g17_tables() -> tuple:
     tz4 = sum(quads % 10**j == 0 for j in range(1, 5))
     sig = np.where(quads > 0, 4 - tz4 + 4 * np.arange(4)[:, None], 0).astype(np.int8)
     ks = range(-202, 203)  # exponent k, at k + 202 (|k| <= 202, as in _G17_POW)
-    # words 0-2 of a slot kept with r digits after the first, and the dot if dot
-    ones = (1 << 64) - 1
-    keep = words([[ones ^ (dot ^ 1) * _word(".", 7), (1 << 8 * min(r, 8)) - 1,
-                   (1 << 8 * max(r - 8, 0)) - 1] for dot in range(2) for r in range(17)])
-    # the source bytes of bytes 7-23 for k = 1 .. 16: the dot behind the next k digits
-    perm = np.array([list(range(8, k + 8)) + [7] + list(range(k + 8, 24)) for k in range(17)])
+    # a text with b digits after the first before the dot, and r up to the last
+    # nonzero one, moves its dot behind those b digits and keeps bytes 0 .. 7 + r,
+    # or 0 .. 6 + b, without the dot, if r <= b.  At 17 b + r, of words 0-2 read
+    # as one int: the bytes kept in place, those taken from one byte up, the dot
+    def span(lo, hi):  # bytes lo .. hi - 1
+        return (1 << 8 * hi) - (1 << 8 * lo)
+
+    move = []
+    for b in range(17):  # at b = 0 byte 7 keeps what it holds, the dot or a NUL
+        masks = (span(0, 7) | span(8 + b, 24) if b else span(0, 24), span(7, 7 + b),
+                 _word(".", 7 + b) if b else 0)
+        move += [[(m & span(0, 8 + r if r > b else 7 + b)) >> 64 * i & (1 << 64) - 1
+                  for i in range(3) for m in masks] for r in range(17)]
     return (
         pow10,
         words([0, _word("-"), _word("+"), _word("-")]),  # by signbit + 2 plus
@@ -82,8 +93,7 @@ def _g17_tables() -> tuple:
         quad << np.uint64(32),
         sig,
         np.array([k if 0 < k <= 16 else 0 for k in ks]),  # digits after the first before the dot
-        keep,
-        perm,
+        words(move).T.copy(),  # [3 word + mask, 17 b + r]
         # 0 and nan for each signbit + 2 plus
         words([[_word(t), 0, 0, 0] for t in ("0", "nan", "-0", "nan", "+0", "+nan", "-0", "-nan")]),
     )
@@ -114,7 +124,7 @@ def _g17_slots(v: np.ndarray, plus=False) -> np.ndarray:
 
 def _g17_digits(v: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """The slots of nonzero finite floats; sign is signbit + 2 plus."""
-    pow10, signs, leads, first, expo, quad, quad_hi, sig, before, keep, perm, _ = _g17_tables()
+    pow10, signs, leads, first, expo, quad, quad_hi, sig, before, move, _ = _g17_tables()
     a = np.abs(v)
     fast = (a >= _G17_RANGE[0]) & (a <= _G17_RANGE[1])
     a[~fast] = 1.0
@@ -146,20 +156,23 @@ def _g17_digits(v: np.ndarray, sign: np.ndarray) -> np.ndarray:
         q = half // 10**4
         groups += [q, half - q * 10**4]
     k += 202
-    slots = np.empty((len(v), 4), dtype=np.uint64)
-    slots[:, 0] = signs.take(sign) | leads.take(lead) | first.take(k)
-    slots[:, 1] = quad.take(groups[0]) | quad_hi.take(groups[1])
-    slots[:, 2] = quad.take(groups[2]) | quad_hi.take(groups[3])
-    slots[:, 3] = expo.take(k)
-    # cut trailing zeros, but not digits before the dot, and the dot with no digits after it
+    w = [signs.take(sign) | leads.take(lead) | first.take(k),
+         quad.take(groups[0]) | quad_hi.take(groups[1]),
+         quad.take(groups[2]) | quad_hi.take(groups[3])]
+    # move the dot behind the digits before it and cut trailing zeros, but not
+    # those digits, and the dot with no digits after it, on the rows with either
     rows = np.flatnonzero(sig[3].take(groups[3]) - before.take(k) < 16)
     if rows.size:
-        r = np.maximum.reduce([s.take(g[rows]) for s, g in zip(sig, groups)])
-        b = before.take(k[rows])
-        slots[rows, :3] &= keep.take(np.maximum(r, b) + 17 * (r > b), axis=0)
-        at = 32 * rows[b > 0, None]
-        flat = slots.view(np.uint8).reshape(-1)
-        flat[at + np.arange(7, 24)] = flat[at + perm.take(b[b > 0], axis=0)]
+        at = 17 * before.take(k[rows]) + np.maximum.reduce(
+            [s.take(g[rows]) for s, g in zip(sig, groups)])
+        x0, x1, x2 = (x.take(rows) for x in w)
+        kept0, moved0, _, kept1, moved1, dot1, kept2, moved2, dot2 = move.take(at, axis=1)
+        w[0][rows] = x0 & kept0 | (x1 << 56) & moved0
+        w[1][rows] = x1 & kept1 | ((x1 >> 8) | (x2 << 56)) & moved1 | dot1
+        w[2][rows] = x2 & kept2 | (x2 >> 8) & moved2 | dot2
+    slots = np.empty((len(v), 4), dtype=np.uint64)
+    for col, word in enumerate(w + [expo.take(k)]):
+        slots[:, col] = word
     if slow.any():
         text = [("%+.17g" if c > 1 else "%.17g") % x
                 for x, c in zip(v[slow].tolist(), sign[slow].tolist())]

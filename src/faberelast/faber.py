@@ -39,8 +39,13 @@ is below _CHOP, a sixteenth of eps, of the row's l1 norm, found on
 those exact columns with room to see the decay (``_grunsky_wide``):
 348 of the 1741 columns on that config.  Any sum of the rows in
 u = 1/w at |u| <= 1 then drops less than a sixteenth of the rounding
-bound of forming and summing it.  ``grunsky_row`` reads whole rows,
-which the table keeps apart from the cut canvas.
+bound of forming and summing it.  Three canvases serve three readers,
+each built on its first read.  The cut canvas serves the exterior rows
+of fields and validate's Grunsky checks.  ``grunsky`` (the Faber-table
+dumps and ``grunsky_matrix``) reads columns 1 .. N of a canvas of its
+own, built to k = 2N + 1 and not cut, so exact there: 291 columns on
+that config, where the cut canvas is built to 726 and keeps 348.
+``grunsky_row`` reads whole rows.
 
 The change of basis for derivatives,
 
@@ -53,9 +58,7 @@ Math. Monthly 78, 1971).  The table stores d alone, and the transmission
 solve reads only d: every re-expansion of a conjugated series there is a
 convolution or a Toeplitz product with conj(d).  The matrices Gamma and
 gamma0 are built from d on first read, for the table dumps and checks.
-So are the cut Laurent canvas and the Grunsky matrix taken from it:
-only the exterior evaluators of fields, the table checks and the dumps
-read them, and the first reader builds them once per table.
+So are the canvases and the Grunsky matrix, once per table.
 The field evaluators read d too: the Faber coefficients of
 sum_m c_m F_m' are one correlation of (m c_m) with d
 (``_derivative_coefficients``), so they evaluate F alone.  The solve's
@@ -140,9 +143,12 @@ class FaberTable:
     """Derivative data for F_0 ... F_N; the Grunsky rows are built on first read.
 
     The table stores d alone, read-only; the solve reads nothing else.
-    The Laurent canvas and ``grunsky``, like gamma, gamma0 and monomial,
-    are built on first read, once per table, and are read-only: the
-    exterior evaluators of fields keep rows built from the canvas.  A
+    The cut canvas, ``grunsky`` and the whole rows, like gamma, gamma0
+    and monomial, are built on first read, once per table, and are
+    read-only.  The exterior evaluators of fields keep rows built from
+    the cut canvas, which validate's Grunsky checks read too;
+    ``grunsky`` builds a canvas of its own, 2N + 1 columns wide, and
+    keeps its N x N corner, so the dumps never build the cut canvas.  A
     pickle carries the map and the order only and rebuilds the table
     through ``build_faber``; equality and hashing read those two as well.
     """
@@ -158,15 +164,23 @@ class FaberTable:
     def _grunsky_wide(self) -> np.ndarray:
         """(N+1, K); [m, k] = c_{m,k} for k < K, cut where every row's tail is below the chop.
 
-        K > N, so it holds ``grunsky``; the rows end at k = N*M only
-        where no cut passes the chop test (see ``_grunsky_wide``).
+        K > N, so it holds the corner of the Grunsky matrix that
+        validate's checks read; the rows end at k = N*M only where no
+        cut passes the chop test (see ``_grunsky_wide``).
         """
         return _readonly(_grunsky_wide(self.mapping, self.order, 4 * self.order))
 
     @cached_property
     def grunsky(self) -> np.ndarray:
-        """(N, N); [m-1, k-1] = c_{m,k}, columns 1 .. N of the canvas rows 1 .. N."""
-        return _readonly(self._grunsky_wide[1:, 1 : self.order + 1].copy())
+        """(N, N); [m-1, k-1] = c_{m,k}, from a canvas of its own built to k = 2N + 1.
+
+        That canvas holds columns 0 .. N exact (module docstring), so on
+        one BLAS thread the matrix has the bits of the cut canvas's
+        columns without building that canvas; it is freed once the
+        matrix is copied out.
+        """
+        n = self.order
+        return _readonly(_canvas(self.mapping._coeff_array, n, 2 * n + 1)[1:, 1 : n + 1].copy())
 
     @cached_property
     def _whole_rows(self) -> np.ndarray:

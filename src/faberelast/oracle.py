@@ -258,7 +258,7 @@ def validation_checks(sol, mapping, table, loading, mat, q: int = 2048) -> tuple
     its check.
     """
     n = min(24, table.order)
-    c = table.grunsky[:n, :n]
+    c = table._grunsky_wide[1 : n + 1, 1 : n + 1]  # the cut canvas the checks below build anyway
     idx = np.arange(1, n + 1)
     sym = float(np.abs(idx[None, :] * c - (idx[None, :] * c).T).max())
     bound = float((np.abs(c) - 2.0 * idx[:, None] * (1 + 1e-8)).max())

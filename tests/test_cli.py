@@ -910,29 +910,53 @@ class TestCanvasOnFirstRead:
                 write_config(tmp_path, seeded, "seeded.cfg", out=out)]
 
     @staticmethod
-    def _count_builds(monkeypatch) -> list:
+    def _count_builds(monkeypatch) -> tuple:
+        """The calls of ``_grunsky_wide``, and (n, width) of each canvas built outside it."""
         import faberelast.faber as faber
 
-        calls = []
-        original = faber._grunsky_wide
-        monkeypatch.setattr(faber, "_grunsky_wide",
-                            lambda *a: calls.append(a) or original(*a))
-        return calls
+        cut, narrow, inside = [], [], []
+        wide, canvas = faber._grunsky_wide, faber._canvas
 
+        def counted_wide(*a):
+            cut.append(a)
+            inside.append(a)
+            try:
+                return wide(*a)
+            finally:
+                inside.pop()
+
+        def counted_canvas(a, n, width):
+            if not inside:
+                narrow.append((n, width))
+            return canvas(a, n, width)
+
+        monkeypatch.setattr(faber, "_grunsky_wide", counted_wide)
+        monkeypatch.setattr(faber, "_canvas", counted_canvas)
+        return cut, narrow
+
+    # each command builds at most one canvas: faber-table one of its own, 2N + 1
+    # columns wide, for the Grunsky matrix; field and validate the cut canvas
     @pytest.mark.parametrize("command,builds", [("solve", 0), ("field", 1), ("validate", 1),
                                                 ("faber-table", 1)])
     def test_cli_builds(self, tmp_path, monkeypatch, command, builds):
-        calls = self._count_builds(monkeypatch)
+        from faberelast import required_table_order
+        from faberelast.cli import load_job
+
+        cut, narrow = self._count_builds(monkeypatch)
         for cfg in self._configs(tmp_path):
-            calls.clear()
+            cut.clear()
+            narrow.clear()
             assert main([command, "--config", cfg]) in (EXIT_OK, EXIT_VALIDATION)
-            assert len(calls) == builds, (cfg, command)
+            job = load_job(cfg)
+            n = required_table_order(job.mapping, job.truncation_n)
+            own = [(n, 2 * n + 1)] * builds if command == "faber-table" else []
+            assert narrow == own and len(cut) == builds - len(own), (cfg, command)
 
     def test_library_builds(self, tmp_path, monkeypatch):
         from faberelast import build_faber, displacement, required_table_order, solve_full
         from faberelast.cli import load_job
 
-        calls = self._count_builds(monkeypatch)
+        calls, narrow = self._count_builds(monkeypatch)
         for cfg in self._configs(tmp_path):
             job = load_job(cfg)
             mp, mat, loading, n = job.mapping, job.material, job.loading, job.truncation_n
@@ -944,5 +968,5 @@ class TestCanvasOnFirstRead:
             displacement(sol, table, mp, mat, loading, 1.5 + 0.5j)
             assert len(calls) == 1
             displacement(sol, table, mp, mat, loading, -2.0j)
-            assert len(calls) == 1
+            assert len(calls) == 1 and narrow == []
             calls.clear()

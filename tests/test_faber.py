@@ -502,11 +502,16 @@ def _cut_columns_are_bitwise_whole(M, N):
         kept = _grunsky_wide(mp, N, cap)
         assert kept.shape[1] > N and same_bits(kept, kept.shape[1]), cap
     table = build_faber(mp, N)
+    # grunsky reads a canvas of its own, 2N + 1 columns wide, not the cut one
+    assert np.array_equal(table.grunsky.view(np.uint64),
+                          whole[1:, 1 : N + 1].copy().view(np.uint64))
+    assert "_grunsky_wide" not in vars(table)
     width = table._grunsky_wide.shape[1]
     assert N < width < N * M // 4  # the table's canvas is cut
     assert same_bits(table._grunsky_wide, width)
-    assert np.array_equal(table.grunsky.view(np.uint64),
-                          whole[1:, 1 : N + 1].copy().view(np.uint64))
+    n = min(24, N)  # the corner validation_checks reads from the cut canvas
+    assert np.array_equal(table._grunsky_wide[1 : n + 1, 1 : n + 1].copy().view(np.uint64),
+                          table.grunsky[:n, :n].copy().view(np.uint64))
     for m in (1, N // 2, N):
         row = table.grunsky_row(m)
         assert np.array_equal(row.view(np.uint64), whole[m, 1 : m * M + 1].view(np.uint64))
@@ -514,6 +519,8 @@ def _cut_columns_are_bitwise_whole(M, N):
 
 class TestCutCanvas:
     """A canvas built to k = cap + N + 1 holds columns 0 .. cap of the whole rows bit for bit.
+
+    So do the cut canvas and ``grunsky``'s own, built to k = 2N + 1.
 
     The whole rows are ``_grunsky_wide`` without a cap, which
     ``TestRecurrenceKernel`` checks against the frozen row-by-row

@@ -1616,6 +1616,27 @@ class TestG17Text:
         _assert_g17_matches(tmp_path, np.concatenate(
             [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
 
+    def test_high_degree_monomial_dump(self, tmp_path):
+        # the Faber-table dump whose values most often move their dot
+        from test_faber import _CUT_CASES
+
+        (M, N), seed = min(_CUT_CASES.items())
+        mp = random_univalent_map(np.random.default_rng(seed), M, margin=0.99)
+        values = build_faber(mp, N).monomial.view(float).ravel()
+        k = np.floor(np.log10(np.abs(values), where=values != 0, out=np.zeros_like(values)))
+        moves = (values != 0) & (k >= 1) & (k <= 16)
+        assert moves.mean() > 0.25
+        # then a chunk of lines in which no value moves its dot, one in which
+        # no text changes after its digits are laid out either (no cut, no move)
+        step = csvtext._CSV_CHUNK_VALUES // 2
+        last = np.array([("%.16e" % x).split("e")[0][-1] for x in values.tolist()])
+        still = values[~moves]
+        fixed = values[~moves & (k <= 0) & (last != "0")]
+        values = np.concatenate([np.resize(values, -(-len(values) // step) * step),
+                                 np.resize(still, step), np.resize(fixed, step)])
+        assert len(values) > 3 * step and len(still) > step // 2 and len(fixed) > step // 2
+        _assert_g17_matches(tmp_path, values, plus=True)
+
     def test_ties_have_18_digits_ending_in_5(self):
         for x in _g17_ties(np.random.default_rng(1), 3).tolist():
             digits = ("%.40e" % x).split("e")[0].replace(".", "").rstrip("0")
